@@ -2,7 +2,7 @@
 
 For binary joints the feasible coupling polytope is low-dimensional enough to
 enumerate on a grid.  This script draws random joints and compares the
-Frank-Wolfe solution with an exhaustive grid search over the polytope.
+dual barrier solver's solution with an exhaustive grid search over the polytope.
 """
 
 import numpy as np

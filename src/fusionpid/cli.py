@@ -20,7 +20,15 @@ from .dataset import (
 )
 from .info import DistributionError, Joint3
 from .label_space import LabelSpaceError, build_label_space, encode
-from .pid import OracleError, SolverConfig, brute_force_qstar, constraints_from_joint, pid_from_joint, pid_from_solution
+from .pid import (
+    InfeasibleError,
+    OracleError,
+    SolverConfig,
+    brute_force_qstar,
+    constraints_from_joint,
+    pid_from_joint,
+    pid_from_solution,
+)
 from .synth import GATES, GateSpec, canonical_joint, sample
 
 
@@ -28,15 +36,9 @@ EXIT_NONCONVERGED = 1
 EXIT_INPUT_ERROR = 2
 
 
-class CliError(Exception):
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
-def _fail(code, message):
+def _fail(code, message, exit_code=EXIT_INPUT_ERROR):
     click.echo(json.dumps({"error": code, "message": message}), err=True)
-    sys.exit(EXIT_INPUT_ERROR)
+    sys.exit(exit_code)
 
 
 def _load_label_space(text):
@@ -141,13 +143,7 @@ def main():
 
 solver_options = [
     click.option("--tol-objective", type=float, default=1e-6, show_default=True),
-    click.option("--max-iter", type=int, default=10000, show_default=True),
-    click.option(
-        "--step-rule",
-        type=click.Choice(["line-search", "diminishing"]),
-        default="line-search",
-        show_default=True,
-    ),
+    click.option("--max-iter", type=int, default=10000, show_default=True, help="cap on Newton steps"),
 ]
 
 
@@ -157,11 +153,9 @@ def with_solver_options(fn):
     return fn
 
 
-def _solver_config(tol_objective, max_iter, step_rule):
+def _solver_config(tol_objective, max_iter):
     try:
-        return SolverConfig(
-            tol_objective=tol_objective, max_iterations=max_iter, step_rule=step_rule
-        )
+        return SolverConfig(tol_objective=tol_objective, max_iterations=max_iter)
     except ValueError as exc:
         _fail("invalid-config", str(exc))
 
@@ -176,10 +170,10 @@ def _solver_config(tol_objective, max_iter, step_rule):
 @click.option("--metric", type=click.Choice(["nominal", "ordinal", "interval"]), default="nominal", show_default=True)
 @with_solver_options
 @click.option("--out", type=str, default=None, help="report path (stdout if omitted)")
-def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_objective, max_iter, step_rule, out):
+def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_objective, max_iter, out):
     """Convert partial or counterfactual annotations into R/U1/U2/S."""
     space = _load_label_space(label_space)
-    cfg = _solver_config(tol_objective, max_iter, step_rule)
+    cfg = _solver_config(tol_objective, max_iter)
     records = _parse_records(path, fmt, schema)
     try:
         if schema == "partial":
@@ -191,6 +185,8 @@ def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_obje
         result = run_convert(data, smoothing=smoothing, cfg=cfg)
     except (SchemaError, LabelSpaceError, DistributionError) as exc:
         _fail("conversion-failed", str(exc))
+    except InfeasibleError as exc:
+        _fail("solver-failed", str(exc), EXIT_NONCONVERGED)
     alphas, confidences = _agreement_summary(records, schema, metric, space=space)
     report = {
         "tool": {"name": "fusionpid", "version": __version__},
@@ -245,9 +241,9 @@ def agreement(path, fmt, schema, metric, label_space, out):
 @click.option("--input", "path", required=True, type=str, help="Joint3 JSON file")
 @with_solver_options
 @click.option("--out", type=str, default=None)
-def pid(path, tol_objective, max_iter, step_rule, out):
+def pid(path, tol_objective, max_iter, out):
     """Decompose a stored joint distribution into R/U1/U2/S."""
-    cfg = _solver_config(tol_objective, max_iter, step_rule)
+    cfg = _solver_config(tol_objective, max_iter)
     with _open_input(path) as fh:
         try:
             obj = json.load(fh)
@@ -257,7 +253,10 @@ def pid(path, tol_objective, max_iter, step_rule, out):
         p = Joint3.from_json(obj)
     except (DistributionError, KeyError, TypeError, ValueError) as exc:
         _fail("invalid-distribution", str(exc))
-    result = pid_from_joint(p, cfg=cfg)
+    try:
+        result = pid_from_joint(p, cfg=cfg)
+    except InfeasibleError as exc:
+        _fail("solver-failed", str(exc), EXIT_NONCONVERGED)
     _write_report(result.to_json(), out)
     if not result.converged:
         sys.exit(EXIT_NONCONVERGED)

@@ -2,18 +2,18 @@
 
 The optimizing distribution q* maximizes H_q(Y | Y1, Y2) over the polytope of
 joints matching the (y1, y) and (y2, y) pairwise marginals of p while leaving
-the (y1, y2) coupling free. The solver is Frank-Wolfe with exact per-y-slice
-transportation subproblems and a duality-gap certificate; a grid-search oracle
-over the same polytope provides an independent cross-check.
+the (y1, y2) coupling free. The solver runs a damped log-barrier Newton method
+on the program's geometric-program dual, reads q* off the central-path
+multipliers, makes its marginals exact by rescaling the rows and columns of
+every y-slice, and certifies the result with the gap between the dual value
+and H(Y | Y1, Y2) at the returned q*. A grid-search oracle over the same
+polytope provides an independent cross-check.
 """
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import linprog, minimize, minimize_scalar
 
 from .info import (
     Joint2,
@@ -67,20 +67,18 @@ class SolverConfig:
     tol_objective: float = 1e-6
     tol_feasibility: float = 1e-9
     max_iterations: int = 10000
-    step_rule: str = "line-search"
 
     def __post_init__(self):
         if self.tol_objective <= 0 or self.tol_feasibility <= 0:
             raise ValueError("tolerances must be positive")
-        if self.step_rule not in ("line-search", "diminishing"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
     def to_json(self):
         return {
             "tol_objective": self.tol_objective,
             "tol_feasibility": self.tol_feasibility,
             "max_iterations": self.max_iterations,
-            "step_rule": self.step_rule,
         }
 
 
@@ -136,228 +134,198 @@ def feasible_initial(c):
     return Joint3(q)
 
 
-def _gradient(q_mass):
-    """Gradient of H_q(Y|Y1,Y2) w.r.t. q: -log2 q(y|y1,y2), finite everywhere.
+LN2 = math.log(2.0)
+# Barrier parameter growth between centerings, and the Newton decrement
+# lambda^2 / 2 at which a centering stops.
+BARRIER_GROWTH = 50.0
+CENTERING_TOL = 1e-6
+# The barrier's own duality gap (blocks / t) is driven below this share of
+# tol_objective before q* is read off, leaving the rest of the tolerance to
+# the marginal fit.
+GAP_SHARE = 0.1
+FIT_STEPS = 20
+# Added to the Jacobi-scaled Newton systems (unit diagonal) so that rounding
+# cannot make them indefinite.
+RIDGE = 1e-12
 
-    Cells with zero (y1,y2) mass or zero conditional take the maximum finite
-    entry plus 1 bit, steering mass toward unexplored cells without infinities.
+
+def _newton_solve(hess, rhs):
+    """Solve hess x = rhs after Jacobi scaling plus RIDGE.
+
+    A variable with no curvature (every weight it touches underflowed to 0)
+    gets a zero step.
     """
-    m12 = q_mass.sum(axis=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = q_mass / m12[:, :, None]
-    g = np.full_like(q_mass, np.nan)
-    pos = (m12[:, :, None] > 0) & (cond > 0)
-    g[pos] = -np.log2(cond[pos])
-    finite_max = g[pos].max() if pos.any() else 0.0
-    g[~pos] = finite_max + 1.0
-    return g
+    diag = np.diag(hess)
+    scale = np.zeros_like(diag)
+    scale[diag > 0] = 1.0 / np.sqrt(diag[diag > 0])
+    scaled = hess * scale[:, None] * scale[None, :]
+    scaled[np.diag_indices_from(scaled)] += RIDGE
+    return scale * np.linalg.solve(scaled, scale * rhs)
 
 
-def _transport_max(gain, r, c):
-    """Exact solution of max <gain, D> over matrices with row sums r, col sums c."""
-    total = r.sum()
-    if total <= 0:
-        return np.zeros_like(gain)
-    rows = np.flatnonzero(r > 0)
-    cols = np.flatnonzero(c > 0)
-    out = np.zeros_like(gain)
-    if len(rows) == 1:
-        out[rows[0], :] = c
-        return out
-    if len(cols) == 1:
-        out[:, cols[0]] = r
-        return out
-    if len(rows) == 2 and len(cols) == 2:
-        # one free parameter t = D[r0, c0] on a closed interval
-        i0, i1 = rows
-        j0, j1 = cols
-        lo = max(0.0, r[i0] + c[j0] - total)
-        hi = min(r[i0], c[j0])
-        coeff = gain[i0, j0] - gain[i0, j1] - gain[i1, j0] + gain[i1, j1]
-        t = hi if coeff >= 0 else lo
-        out[i0, j0] = t
-        out[i0, j1] = r[i0] - t
-        out[i1, j0] = c[j0] - t
-        out[i1, j1] = r[i1] - (c[j0] - t)
-        return out
-    a, b = len(rows), len(cols)
-    sub = gain[np.ix_(rows, cols)]
-    # equality constraints: row sums, plus all-but-one column sums (full rank)
-    n_var = a * b
-    A = []
-    rhs = []
-    for i in range(a):
-        row = np.zeros(n_var)
-        row[i * b : (i + 1) * b] = 1.0
-        A.append(row)
-        rhs.append(r[rows[i]])
-    for j in range(b - 1):
-        col = np.zeros(n_var)
-        col[j::b] = 1.0
-        A.append(col)
-        rhs.append(c[cols[j]])
-    res = linprog(-sub.ravel(), A_eq=np.array(A), b_eq=np.array(rhs), bounds=(0, None), method="highs")
-    if not res.success:
-        raise InfeasibleError(f"transportation subproblem failed: {res.message}")
-    out[np.ix_(rows, cols)] = res.x.reshape(a, b)
-    return out
+class _DualBarrier:
+    """The geometric-program dual of the max-entropy program, in nats.
 
+    minimize <a, m1> + <b, m2> subject to, for every block (i, j),
+    g_ij = log sum_k exp(-a_ik - b_jk) <= 0, the sum running over the cells
+    (i, j, k) with m1[i, k] > 0 and m2[j, k] > 0 (Bertschinger et al.,
+    "Quantifying unique information", Entropy 2014). x = (a.ravel(),
+    b.ravel()); a variable whose marginal is zero touches no cell. Cells see
+    only a + b, which leaves one free shift per y: the b_jk of the largest
+    m2[j, k] of every y is held fixed, and Newton systems are solved over the
+    other variables. (Fixing a b_jk of tiny mass would leave a nearly free
+    shift among the heavy variables and a near-singular system.)
 
-def _objective(q_mass):
-    from .info import entropy
-
-    return entropy(q_mass) - entropy(q_mass.sum(axis=2))
-
-
-def _constraint_null_space(n):
-    """Orthonormal basis of directions preserving both pairwise marginals."""
-    rows = []
-    for i in range(n):
-        for k in range(n):
-            a = np.zeros((n, n, n))
-            a[i, :, k] = 1.0
-            rows.append(a.ravel())
-            b = np.zeros((n, n, n))
-            b[:, i, k] = 1.0
-            rows.append(b.ravel())
-    return null_space(np.array(rows))
-
-
-def _correct(q, basis):
-    """Local ascent over the marginal-preserving null space, from q.
-
-    Returns an iterate with objective >= that of q; the surrounding
-    Frank-Wolfe gap computation still certifies optimality.
+    The barrier of block (i, j) is -log(1 - exp(g_ij)), the log barrier of
+    the same constraint written as sum_k exp(-a_ik - b_jk) <= 1. Near the
+    boundary it equals -log(-g_ij); deep inside it stays bounded, so a block
+    of mass 1e-9 sits at g of about log(t 1e-9) on the central path, not at
+    -1 / (t 1e-9) as under -log(-g), where its softmax weights underflow.
     """
-    flat0 = q.ravel()
 
-    def neg_f(z):
-        return -_objective((flat0 + basis @ z).reshape(q.shape))
+    def __init__(self, c):
+        n = c.size
+        m1, m2 = c.m1y.mass, c.m2y.mass
+        self.marg = np.concatenate([m1.ravel(), m2.ravel()])
+        self.cells = (m1[:, None, :] > 0) & (m2[None, :, :] > 0)
+        ci, cj, ck = np.nonzero(self.cells)  # ordered by block (i, j)
+        self.col_a = ci * n + ck
+        self.col_b = n * n + cj * n + ck
+        new_block = np.r_[True, (ci[1:] != ci[:-1]) | (cj[1:] != cj[:-1])]
+        self.starts = np.flatnonzero(new_block)
+        self.block_of = np.cumsum(new_block) - 1
+        free = self.marg > 0
+        free[n * n + np.argmax(m2, axis=0) * n + np.arange(n)] = False
+        self.free = np.flatnonzero(free)
+        incidence = np.zeros((len(ci), len(self.marg)))
+        incidence[np.arange(len(ci)), self.col_a] = 1.0
+        incidence[np.arange(len(ci)), self.col_b] = 1.0
+        self.incidence = incidence[:, self.free]
 
-    def neg_grad(z):
-        cube = np.clip((flat0 + basis @ z).reshape(q.shape), 0.0, None)
-        return -(basis.T @ _gradient(cube).ravel())
+    @property
+    def n_blocks(self):
+        return len(self.starts)
 
-    res = minimize(
-        neg_f,
-        np.zeros(basis.shape[1]),
-        jac=neg_grad,
-        method="SLSQP",
-        constraints=[{"type": "ineq", "fun": lambda z: flat0 + basis @ z}],
-        options={"maxiter": 200, "ftol": 1e-14},
-    )
-    cand = np.clip((flat0 + basis @ res.x).reshape(q.shape), 0.0, None)
-    if _objective(cand) > _objective(q):
-        return cand
-    return q
+    def margins(self, cell_mass):
+        """The (y1, y) and (y2, y) marginals of per-cell masses, as one vector like `marg`."""
+        size = len(self.marg)
+        return np.bincount(self.col_a, cell_mass, size) + np.bincount(self.col_b, cell_mass, size)
 
+    def blocks(self, x):
+        """Cell exponents s = -(a_ik + b_jk), block log-sum-exps g, in-block softmax p."""
+        s = -(x[self.col_a] + x[self.col_b])
+        top = np.maximum.reduceat(s, self.starts)
+        e = np.exp(s - top[self.block_of])
+        total = np.add.reduceat(e, self.starts)
+        return s, top + np.log(total), e / total[self.block_of]
 
-_BIG_DUAL = 1e4
+    def newton_step(self, t, g, p):
+        """Newton direction of the barrier objective t <x, m> + sum -log(1 - exp(g)), and its decrement."""
+        u = np.exp(g) / -np.expm1(g)  # derivative of the barrier in g
+        w = u[self.block_of] * p  # t * q on the central path
+        grad = (t * self.marg - self.margins(w))[self.free]
+        e = self.incidence
+        v = np.add.reduceat(p[:, None] * e, self.starts, axis=0)
+        hess = (e.T * w) @ e + (v.T * (u * u)) @ v
+        dx = np.zeros(len(self.marg))
+        dx[self.free] = -_newton_solve(hess, grad)
+        return dx, -float(grad @ dx[self.free])
 
+    def line_search(self, x, dx, t, g, decrement, step):
+        """Backtrack from `step` until the point stays strictly feasible and the barrier objective drops."""
+        for _ in range(30):
+            x_new = x + step * dx
+            s, g_new, p = self.blocks(x_new)
+            if np.all(g_new < 0):
+                # the change in t <x, m>, from the step actually taken
+                change = t * float(self.marg @ (x_new - x))
+                change += float(np.sum(np.log(-np.expm1(g)) - np.log(-np.expm1(g_new))))
+                if change <= -0.1 * step * decrement:
+                    return x_new, s, g_new, p
+            step *= 0.5
+        return None
 
-def _dual_bound_gap(q_mass, c):
-    """Suboptimality bound from a repaired Lagrangian dual point.
+    def recover(self, s, g, t, tol):
+        """q* on the cells from the central-path multipliers, with exact marginals.
 
-    Duals (a_ik, b_jk) for the two marginal constraint families are fitted to
-    -log2 q(y|y1,y2) on the support by weighted least squares. Feasibility
-    requires sum_k 2^(-a_ik - b_jk) <= 1 per (y1, y2) block; a uniform shift
-    repairs any violation, so the returned value is a sound upper bound on
-    how far q is from the optimum. Tight even when the optimum sits on the
-    polytope boundary, where the linearized Frank-Wolfe gap is loose.
-    """
-    n = c.size
-    m12 = q_mass.sum(axis=2)
-    rows, targets = [], []
-    for i in range(n):
-        for j in range(n):
-            if m12[i, j] <= 0:
-                continue
-            for k in range(n):
-                cond = q_mass[i, j, k] / m12[i, j]
-                if cond > 1e-12:
-                    r = np.zeros(2 * n * n)
-                    r[i * n + k] = 1.0
-                    r[n * n + j * n + k] = 1.0
-                    w = math.sqrt(q_mass[i, j, k])
-                    rows.append(r * w)
-                    targets.append(-math.log2(cond) * w)
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
-    a = sol[: n * n].reshape(n, n)
-    b = sol[n * n :].reshape(n, n)
-    # constraints with zero right-hand side have free duals; push them high so
-    # they cannot violate block feasibility
-    a[c.m1y.mass <= 0] = _BIG_DUAL
-    b[c.m2y.mass <= 0] = _BIG_DUAL
-    ex = 2.0 ** (-a)  # (i, k)
-    ey = 2.0 ** (-b)  # (j, k)
-    block = ex @ ey.T  # sum_k 2^(-a_ik - b_jk)
-    shift = max(0.0, math.log2(block.max()))
-    dual = float(np.sum(a * c.m1y.mass) + np.sum(b * c.m2y.mass)) + shift
-    return max(dual - _objective(q_mass), 0.0)
+        log q_ijk = -a_ik - b_jk - log(t (1 - exp(g_ij))). Its marginals are
+        off by the centering residual; rescaling the rows (i, k) and columns
+        (j, k) of every y-slice removes that (iterative proportional fitting,
+        with each rescaling found by Newton's method on the log scalings).
+        """
+        log_q = s - np.log(-t * np.expm1(g))[self.block_of]
+        e = self.incidence
+        for _ in range(FIT_STEPS):
+            q = np.exp(log_q)
+            excess = self.margins(q) - self.marg
+            if np.max(np.abs(excess)) <= tol:
+                break
+            log_q -= e @ _newton_solve((e.T * q) @ e, excess[self.free])
+        return q
 
 
 def solve_qstar(c, cfg=None):
-    """Maximize H_q(Y | Y1, Y2) over the marginal polytope via Frank-Wolfe.
+    """Maximize H_q(Y | Y1, Y2) over the marginal polytope through its dual.
 
-    Conditional-gradient loop with exact per-y-slice transportation
-    subproblems and exact line search, plus a periodic in-polytope correction
-    step (ascent over the marginal-preserving null space) that removes the
-    zig-zagging plain conditional gradient suffers near flat optima. The
-    reported objective gap is the tighter of the Frank-Wolfe linearization
-    gap and the repaired dual bound; both are sound upper bounds.
+    Damped log-barrier Newton method on the geometric-program dual (see
+    `_DualBarrier`), started from the dual point of the conditional-product
+    coupling q0 and followed along the central path until the barrier gap
+    (blocks / t) is a small share of `tol_objective`. q* is read off the
+    central-path multipliers, q_ijk = lambda_ij softmax_k(-a_ik - b_jk), and
+    a per-y rescaling of its rows and columns in the log domain makes its
+    marginals exact. The reported objective_gap is the certificate: the dual
+    value at the strictly feasible dual point minus H(Y | Y1, Y2) at the
+    returned q*, a sound upper bound on the distance to the optimum.
+    `max_iterations` caps the Newton steps.
 
     Returns (Joint3, diagnostics dict).
     """
     cfg = cfg or SolverConfig()
-    q = feasible_initial(c).mass.copy()
-    n = c.size
-    py = c.py
-    basis = _constraint_null_space(n)
-    gap = math.inf
-    it = 0
-    stalled = 0
-    for it in range(1, cfg.max_iterations + 1):
-        # periodic in-polytope correction; plain FW zig-zags near flat optima
-        if basis.shape[1] and it % 10 == 2:
-            q = _correct(q, basis)
-        g = _gradient(q)
-        v = np.zeros_like(q)
-        for k in range(n):
-            if py[k] > 0:
-                v[:, :, k] = _transport_max(g[:, :, k], c.m1y.mass[:, k], c.m2y.mass[:, k])
-        d = v - q
-        gap = float(np.sum(g * d))
-        if gap > cfg.tol_objective:
-            gap = min(gap, _dual_bound_gap(q, c))
-        if gap <= cfg.tol_objective:
-            break
-        if cfg.step_rule == "diminishing":
-            gamma = 2.0 / (it + 2.0)
-        else:
-            res = minimize_scalar(
-                lambda t: -_objective(q + t * d),
-                bounds=(0.0, 1.0),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            gamma = float(res.x)
-            if _objective(q + gamma * d) < _objective(q):
-                gamma = 0.0
-        if gamma > 0:
-            stalled = 0
-            q = q + gamma * d
-            np.clip(q, 0.0, None, out=q)
-        else:
-            # no FW progress; allow one more correction pass, then stop
-            stalled += 1
-            if not basis.shape[1] or stalled > 11:
+    prog = _DualBarrier(c)
+    q0 = feasible_initial(c).mass
+    # dual point of q0 (a_ik + b_jk = -log q0_ijk), moved one nat inside
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = 0.5 * np.log(c.py)
+        a = np.where(c.m1y.mass > 0, half + 1.0 - np.log(c.m1y.mass), 0.0)
+        b = np.where(c.m2y.mass > 0, half - np.log(c.m2y.mass), 0.0)
+    x = np.concatenate([a.ravel(), b.ravel()])
+    s, g, p = prog.blocks(x)
+    t = prog.n_blocks / (float(prog.marg @ x) - LN2 * conditional_entropy_output(q0))
+    target = GAP_SHARE * cfg.tol_objective * LN2
+    q = np.zeros(prog.cells.shape)
+    it, step = 0, 1.0
+    while True:
+        while it < cfg.max_iterations:
+            dx, decrement = prog.newton_step(t, g, p)
+            if not decrement > 2 * CENTERING_TOL:  # centered, or NaN
                 break
+            it += 1
+            moved = prog.line_search(x, dx, t, g, decrement, step)
+            step = 1.0
+            if moved is None:
+                break
+            x, s, g, p = moved
+        barrier_gap = prog.n_blocks / t
+        if barrier_gap <= target or it >= cfg.max_iterations:
+            q[prog.cells] = prog.recover(s, g, t, 0.01 * cfg.tol_feasibility)
+            objective = conditional_entropy_output(q)
+            # a uniform shift of a restores any rounding-level infeasibility
+            dual = (float(prog.marg @ x) + max(0.0, float(g.max()))) / LN2
+            gap = max(dual - objective, 0.0)
+            if gap <= cfg.tol_objective or it >= cfg.max_iterations or barrier_gap <= 1e-3 * target:
+                break
+        t *= BARRIER_GROWTH
+        # x(t) approaches the optimum like 1/t, so the first Newton step after
+        # raising t overshoots the new center by about the growth factor
+        step = 1.0 / BARRIER_GROWTH
+    if not np.isfinite(gap):
+        raise InfeasibleError("solver broke down numerically")
     diagnostics = {
         "iterations": it,
-        "objective_gap": max(gap, 0.0),
+        "objective_gap": gap,
         "feasibility_residual": feasible_residual(q, c),
         "converged": gap <= cfg.tol_objective,
-        "objective": _objective(q),
+        "objective": objective,
     }
     if diagnostics["feasibility_residual"] > cfg.tol_feasibility * 100:
         raise InfeasibleError(

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from fusionpid.cli import main
+from fusionpid.pid import InfeasibleError
 from fusionpid.synth import GateSpec, canonical_joint, sample
 
 LABEL_SPACE = '{"kind": "nominal", "values": ["0", "1"]}'
@@ -185,6 +186,28 @@ def test_pid_command_rejects_bad_mass(tmp_path):
     assert result.exit_code == 2
     err = json.loads(result.output.strip().splitlines()[-1])
     assert err["error"] == "invalid-distribution"
+
+
+@pytest.mark.parametrize("command", ["convert", "pid"])
+def test_solver_failure_is_one_line_json_error(tmp_path, monkeypatch, command):
+    def failing_solve(c, cfg=None):
+        raise InfeasibleError("solver left the feasible set (residual 1.0)")
+
+    monkeypatch.setattr("fusionpid.pid.solve_qstar", failing_solve)
+    if command == "convert":
+        src = tmp_path / "xor.csv"
+        write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 500, seed=1))
+        args = ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE]
+    else:
+        src = tmp_path / "and.json"
+        src.write_text(json.dumps(canonical_joint(GateSpec("AND")).to_json()))
+        args = ["pid", "--input", str(src)]
+    result = run(args)
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err["error"] == "solver-failed"
+    assert "residual" in err["message"]
 
 
 def test_oracle_check_small():
