@@ -18,7 +18,7 @@ space = build_label_space({"kind": "nominal", "values": ["0", "1"]})
 data = sample(canonical_joint(GateSpec("AND")), 5000, seed=11)
 
 rows = ["item_id,annotator_id,condition,label,confidence"]
-for i, (y1, y2, y, _) in enumerate(data.samples):
+for i, (y1, y2, y) in enumerate(data.samples):
     rows.append(f"item{i:05d},ann1,m1,{y1},4")
     rows.append(f"item{i:05d},ann2,m2,{y2},4")
     rows.append(f"item{i:05d},ann3,both,{y},5")

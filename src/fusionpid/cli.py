@@ -11,7 +11,9 @@ import numpy as np
 from . import __version__
 from .agreement import AgreementError, krippendorff_alpha, matrix_from_records, mean_confidence
 from .dataset import (
+    CONDITIONS,
     SchemaError,
+    label_encoder,
     parse_counterfactual,
     parse_partial,
     parse_decomposition,
@@ -19,7 +21,8 @@ from .dataset import (
     triples_from_partial,
 )
 from .info import DistributionError, Joint3
-from .label_space import LabelSpaceError, build_label_space, encode
+# `encode` stays a name of this module: perfbench counts the calls made through it
+from .label_space import LabelSpaceError, build_label_space, encode  # noqa: F401
 from .pid import (
     InfeasibleError,
     OracleError,
@@ -103,35 +106,27 @@ def _alpha_json(records, value_of, metric):
 
 
 def _agreement_summary(records, schema, metric, space=None):
-    def enc(label):
-        if space is None:
-            return label
-        return encode(space, label)
-
-    alphas, confidences = {}, {}
+    """Alpha and mean confidence per measure; each measure rates one label
+    field over the records whose condition or order has the given value."""
+    # decomposition ratings are 0-5 numbers (interval-style by default), never encoded
+    enc = (lambda raw: raw) if space is None or schema == "decomposition" else label_encoder(space)
     if schema == "partial":
-        for cond in ("m1", "m2", "both"):
-            sel = [r for r in records if r.condition == cond]
-            alphas[cond] = _alpha_json(sel, lambda r: enc(r.label), metric)
-            confidences[cond] = mean_confidence(sel, "confidence") if sel else None
+        measures = {c: ("condition", c, "label", "confidence") for c in CONDITIONS}
     elif schema == "counterfactual":
         measures = {
-            "y1": ("first-m1", "label_first", "confidence_first"),
-            "y1+2": ("first-m1", "label_both", "confidence_both"),
-            "y2": ("first-m2", "label_first", "confidence_first"),
-            "y2+1": ("first-m2", "label_both", "confidence_both"),
+            "y1": ("order", "first-m1", "label_first", "confidence_first"),
+            "y1+2": ("order", "first-m1", "label_both", "confidence_both"),
+            "y2": ("order", "first-m2", "label_first", "confidence_first"),
+            "y2+1": ("order", "first-m2", "label_both", "confidence_both"),
         }
-        for name, (order, label_field, conf_field) in measures.items():
-            sel = [r for r in records if r.order == order]
-            alphas[name] = _alpha_json(
-                sel, lambda r, f=label_field: enc(getattr(r, f)), metric
-            )
-            confidences[name] = mean_confidence(sel, conf_field) if sel else None
-    else:  # decomposition: 0-5 ratings, interval-style by default
-        for name in ("r", "u1", "u2", "s"):
-            alphas[name] = _alpha_json(records, lambda r, f=name: getattr(r, f), metric)
-            confidences[name] = mean_confidence(records, f"conf_{name}")
-    confidences = {k: v for k, v in confidences.items() if v is not None}
+    else:
+        measures = {name: (None, None, name, f"conf_{name}") for name in ("r", "u1", "u2", "s")}
+    alphas, confidences = {}, {}
+    for name, (key, value, field, conf_field) in measures.items():
+        sel = records if key is None else [r for r in records if getattr(r, key) == value]
+        alphas[name] = _alpha_json(sel, lambda r, f=field: enc(getattr(r, f)), metric)
+        if sel:
+            confidences[name] = mean_confidence(sel, conf_field)
     return alphas, confidences
 
 
@@ -174,6 +169,8 @@ def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_obje
     """Convert partial or counterfactual annotations into R/U1/U2/S."""
     space = _load_label_space(label_space)
     cfg = _solver_config(tol_objective, max_iter)
+    if not smoothing >= 0:
+        _fail("invalid-config", f"--smoothing must be nonnegative, got {smoothing}")
     records = _parse_records(path, fmt, schema)
     try:
         if schema == "partial":
@@ -329,7 +326,7 @@ def synth(gate, noise, count, seed, out):
     except ValueError as exc:
         _fail("invalid-config", str(exc))
     lines = ["y1,y2,y,weight"]
-    lines += [f"{a},{b},{c},{w:g}" for a, b, c, w in data.samples]
+    lines += [f"{a},{b},{c},{w:g}" for (a, b, c), w in zip(data.samples.tolist(), data.weights.tolist())]
     text = "\n".join(lines) + "\n"
     if out is None:
         click.echo(text, nl=False)

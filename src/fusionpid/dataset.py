@@ -3,38 +3,23 @@
 import csv
 import io
 import json
-import math
 import warnings
-from dataclasses import dataclass, asdict
-from itertools import product
+from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
+from operator import attrgetter
+
+import numpy as np
 
 from .label_space import encode
 
 CONDITIONS = ("m1", "m2", "both")
 ORDERS = ("first-m1", "first-m2")
+# fields restricted to a fixed set of values; together with item and
+# annotator each one forms the key that must be unique among the records
+CHOICES = {"condition": CONDITIONS, "order": ORDERS}
 
-PARTIAL_FIELDS = ("item_id", "annotator_id", "condition", "label", "confidence")
-COUNTERFACTUAL_FIELDS = (
-    "item_id",
-    "annotator_id",
-    "order",
-    "label_first",
-    "label_both",
-    "confidence_first",
-    "confidence_both",
-)
-DECOMPOSITION_FIELDS = (
-    "item_id",
-    "annotator_id",
-    "r",
-    "u1",
-    "u2",
-    "s",
-    "conf_r",
-    "conf_u1",
-    "conf_u2",
-    "conf_s",
-)
+# a raw label as read from CSV (always text) or JSON (text or a number)
+Label = str | int | float
 
 
 class SchemaError(ValueError):
@@ -46,7 +31,7 @@ class PartialRecord:
     item_id: str
     annotator_id: str
     condition: str
-    label: str
+    label: Label
     confidence: int
 
 
@@ -55,8 +40,8 @@ class CounterfactualRecord:
     item_id: str
     annotator_id: str
     order: str
-    label_first: str
-    label_both: str
+    label_first: Label
+    label_both: Label
     confidence_first: int
     confidence_both: int
 
@@ -77,33 +62,42 @@ class DecompositionRecord:
 
 @dataclass
 class TripleDataset:
-    """Weighted samples (y1, y2, y) over a shared label space."""
+    """Weighted samples (y1, y2, y) over a shared label space.
+
+    samples: (N, 3) integer array of label indices; weights: (N,) positive floats.
+    """
 
     space: object
-    samples: list
+    samples: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self):
+        self.samples = np.asarray(self.samples)
+        self.weights = np.asarray(self.weights, dtype=float)
+        shape_ok = self.samples.shape[1:] == (3,) and self.weights.shape == self.samples.shape[:1]
+        if not shape_ok or self.samples.dtype.kind not in "iu":
+            raise SchemaError("samples must be an (N, 3) integer array and weights an (N,) array")
+        bad = ~(self.weights > 0)
+        if bad.any():
+            raise SchemaError(f"nonpositive weight {self.weights[bad][0]}")
         n = self.space.size
-        for y1, y2, y, w in self.samples:
-            if w <= 0:
-                raise SchemaError(f"nonpositive weight {w}")
-            if not (0 <= y1 < n and 0 <= y2 < n and 0 <= y < n):
-                raise SchemaError(f"index out of range for space of size {n}")
+        if np.any((self.samples < 0) | (self.samples >= n)):
+            raise SchemaError(f"index out of range for space of size {n}")
 
     @property
     def total_weight(self):
-        return sum(w for _, _, _, w in self.samples)
+        return float(self.weights.sum())
 
 
-def _rows(stream, fmt, fields):
+def _rows(stream, fmt, names):
     if fmt == "csv":
         reader = csv.DictReader(stream)
         if reader.fieldnames is None:
             return []
-        missing = set(fields) - set(reader.fieldnames)
+        missing = set(names) - set(reader.fieldnames)
         if missing:
             raise SchemaError(f"missing columns: {sorted(missing)}")
-        return list(reader)
+        return reader
     if fmt == "json":
         rows = json.load(stream)
         if not isinstance(rows, list):
@@ -112,90 +106,73 @@ def _rows(stream, fmt, fields):
     raise SchemaError(f"unknown format {fmt!r}")
 
 
-def _field(row, name):
-    if name not in row or row[name] is None:
-        raise SchemaError(f"missing field {name!r} in row {row!r}")
-    return row[name]
+def _converter(f):
+    """Validating converter of one record field's raw value."""
+    name = f.name
+    if f.type is int:
+
+        def rating(raw):
+            try:
+                v = int(raw)
+            except (TypeError, ValueError):
+                raise SchemaError(f"{name} must be an integer: {raw!r}")
+            if not 0 <= v <= 5:
+                raise SchemaError(f"{name}={v} outside [0, 5]")
+            return v
+
+        return rating
+    if f.type is str and name not in CHOICES:
+        return str
+    if name in CHOICES:
+        ok, want = CHOICES[name].__contains__, f"one of {CHOICES[name]}"
+    else:
+        ok, want = (lambda raw: isinstance(raw, Label)), "a string or a number"
+
+    def checked(raw):
+        if not ok(raw):
+            raise SchemaError(f"{name} must be {want}, got {raw!r}")
+        return raw
+
+    return checked
 
 
-def _confidence(row, name):
-    try:
-        v = int(_field(row, name))
-    except (TypeError, ValueError):
-        raise SchemaError(f"{name} must be an integer: {row.get(name)!r}")
-    if not 0 <= v <= 5:
-        raise SchemaError(f"{name}={v} outside [0, 5]")
-    return v
-
-
-def _check_duplicates(records, key):
+def _parse(stream, fmt, record, what):
+    """Records of type `record`, one per row, with its fields as the columns."""
+    columns = [(f.name, _converter(f)) for f in fields(record)]
+    records = []
+    for row in _rows(stream, fmt, [name for name, _ in columns]):
+        if not isinstance(row, dict):
+            raise SchemaError(f"row is not an object: {row!r}")
+        values = []
+        for name, convert in columns:
+            raw = row.get(name)
+            if raw is None:
+                raise SchemaError(f"missing field {name!r} in row {row!r}")
+            values.append(convert(raw))
+        records.append(record(*values))
+    # checked once the raw rows are freed
+    key = attrgetter("item_id", "annotator_id", *(name for name, _ in columns if name in CHOICES))
     seen = set()
     for rec in records:
         k = key(rec)
         if k in seen:
             raise SchemaError(f"duplicate record key {k}")
         seen.add(k)
+    if not records:
+        warnings.warn(f"no {what} records parsed")
+    return records
 
 
 def parse_partial(stream, fmt="csv"):
-    records = []
-    for row in _rows(stream, fmt, PARTIAL_FIELDS):
-        condition = _field(row, "condition")
-        if condition not in CONDITIONS:
-            raise SchemaError(f"condition must be one of {CONDITIONS}, got {condition!r}")
-        records.append(
-            PartialRecord(
-                item_id=str(_field(row, "item_id")),
-                annotator_id=str(_field(row, "annotator_id")),
-                condition=condition,
-                label=_field(row, "label"),
-                confidence=_confidence(row, "confidence"),
-            )
-        )
-    _check_duplicates(records, lambda r: (r.item_id, r.annotator_id, r.condition))
-    if not records:
-        warnings.warn("no partial-label records parsed")
-    return records
+    return _parse(stream, fmt, PartialRecord, "partial-label")
 
 
 def parse_counterfactual(stream, fmt="csv"):
-    records = []
-    for row in _rows(stream, fmt, COUNTERFACTUAL_FIELDS):
-        order = _field(row, "order")
-        if order not in ORDERS:
-            raise SchemaError(f"order must be one of {ORDERS}, got {order!r}")
-        records.append(
-            CounterfactualRecord(
-                item_id=str(_field(row, "item_id")),
-                annotator_id=str(_field(row, "annotator_id")),
-                order=order,
-                label_first=_field(row, "label_first"),
-                label_both=_field(row, "label_both"),
-                confidence_first=_confidence(row, "confidence_first"),
-                confidence_both=_confidence(row, "confidence_both"),
-            )
-        )
-    _check_duplicates(records, lambda r: (r.item_id, r.annotator_id, r.order))
-    if not records:
-        warnings.warn("no counterfactual records parsed")
-    return records
+    return _parse(stream, fmt, CounterfactualRecord, "counterfactual")
 
 
 def parse_decomposition(stream, fmt="csv"):
-    records = []
-    for row in _rows(stream, fmt, DECOMPOSITION_FIELDS):
-        kwargs = {name: _confidence(row, name) for name in DECOMPOSITION_FIELDS[2:]}
-        records.append(
-            DecompositionRecord(
-                item_id=str(_field(row, "item_id")),
-                annotator_id=str(_field(row, "annotator_id")),
-                **kwargs,
-            )
-        )
-    _check_duplicates(records, lambda r: (r.item_id, r.annotator_id))
-    if not records:
-        warnings.warn("no decomposition records parsed")
-    return records
+    return _parse(stream, fmt, DecompositionRecord, "decomposition")
 
 
 def serialize_records(records, fmt="csv"):
@@ -212,14 +189,61 @@ def serialize_records(records, fmt="csv"):
     return out.getvalue()
 
 
-def _by_item_condition(records):
-    items = {}
-    for rec in records:
-        items.setdefault(rec.item_id, {}).setdefault(rec.condition, []).append(rec)
-    for conds in items.values():
-        for recs in conds.values():
-            recs.sort(key=lambda r: r.annotator_id)
-    return items
+def label_encoder(space):
+    """`encode` for one space, run once per distinct raw label.
+
+    Keys include the label's type: `encode` may map 1 and 1.0 differently.
+    """
+    return lru_cache(maxsize=None, typed=True)(lambda raw: encode(space, raw))
+
+
+def _ranks(values):
+    """The sorted distinct values, and the index of every value among them."""
+    distinct = sorted(set(values))
+    pos = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.fromiter((pos[v] for v in values), np.intp, len(values))
+
+
+def _grouped(records, field, groups):
+    """Sort records by item, then by `field` in the order of `groups`, then by annotator.
+
+    Returns (order, start, count): the record positions in that order, and
+    the offset in `order` and the length of every (item, group) run as
+    (items, groups) arrays, items in sorted order. Every item needs every group.
+    """
+    if not records:
+        raise SchemaError("no triples produced")
+    items, item = _ranks([r.item_id for r in records])
+    _, annotator = _ranks([r.annotator_id for r in records])
+    group = np.fromiter((groups.index(getattr(r, field)) for r in records), np.intp, len(records))
+    order = np.lexsort((annotator, group, item))
+    count = np.bincount(item * len(groups) + group, minlength=len(items) * len(groups))
+    count = count.reshape(len(items), len(groups))
+    lacking = np.flatnonzero((count == 0).any(axis=1))
+    if len(lacking):
+        i = lacking[0]
+        missing = [g for g, c in zip(groups, count[i]) if c == 0]
+        raise SchemaError(f"item {items[i]!r} missing {field}(s) {missing}")
+    start = np.cumsum(count).reshape(count.shape) - count
+    return order, start, count
+
+
+def _runs(sizes):
+    """For runs of these sizes laid end to end: each element's run and its position in it."""
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    return run, np.arange(len(run)) - (np.cumsum(sizes) - sizes)[run]
+
+
+def _all_combinations(order, start, count):
+    """One record per group, every combination within each item (last group
+    varying fastest), and the weight 1 / combinations of the item."""
+    item, r = _runs(count.prod(axis=1))
+    picks = []
+    for g in reversed(range(count.shape[1])):
+        size = count[item, g]
+        picks.insert(0, order[start[item, g] + r % size])
+        r = r // size
+    return picks, 1.0 / count.prod(axis=1)[item]
 
 
 def triples_from_partial(records, space, pairing="rotation"):
@@ -232,47 +256,16 @@ def triples_from_partial(records, space, pairing="rotation"):
     """
     if pairing not in ("rotation", "all-pairs"):
         raise SchemaError(f"unknown pairing {pairing!r}")
-    samples = []
-    for item_id, conds in sorted(_by_item_condition(records).items()):
-        missing = [c for c in CONDITIONS if c not in conds]
-        if missing:
-            raise SchemaError(f"item {item_id!r} missing condition(s) {missing}")
-        l1, l2, l12 = conds["m1"], conds["m2"], conds["both"]
-        if pairing == "rotation":
-            k = max(len(l1), len(l2), len(l12))
-            for r in range(k):
-                samples.append(
-                    (
-                        encode(space, l1[r % len(l1)].label),
-                        encode(space, l2[(r + 1) % len(l2)].label),
-                        encode(space, l12[(r + 2) % len(l12)].label),
-                        1.0,
-                    )
-                )
-        else:
-            combos = list(product(l1, l2, l12))
-            w = 1.0 / len(combos)
-            for a, b, c in combos:
-                samples.append(
-                    (encode(space, a.label), encode(space, b.label), encode(space, c.label), w)
-                )
-    if not samples:
-        raise SchemaError("no triples produced")
-    return TripleDataset(space=space, samples=samples)
-
-
-def _round_to_index(mean, size):
-    """Round a fractional index to the nearest integer; exact halves move
-    away from the ordinal midpoint (size-1)/2 to avoid a neutral bias."""
-    lo, hi = math.floor(mean), math.ceil(mean)
-    if lo == hi:
-        return lo
-    if mean - lo != 0.5:
-        return lo if mean - lo < 0.5 else hi
-    mid = (size - 1) / 2.0
-    if abs(hi - mid) == abs(lo - mid):
-        return hi
-    return hi if abs(hi - mid) > abs(lo - mid) else lo
+    order, start, count = _grouped(records, "condition", CONDITIONS)
+    if pairing == "rotation":
+        item, r = _runs(count.max(axis=1))
+        picks = [order[start[item, g] + (r + g) % count[item, g]] for g in range(3)]
+        weights = np.ones(len(item))
+    else:
+        picks, weights = _all_combinations(order, start, count)
+    encoder = label_encoder(space)
+    labels = np.array([encoder(r.label) for r in records])
+    return TripleDataset(space, np.stack([labels[p] for p in picks], axis=1), weights)
 
 
 def triples_from_counterfactual(records, space):
@@ -280,53 +273,29 @@ def triples_from_counterfactual(records, space):
 
     y1 and y2 come from the unimodal-first labels of the two orders; y is the
     average of the two revised labels. Ordinal/binned spaces average the
-    encoded indices; nominal spaces emit the two revised labels as half-weight
-    triples instead, keeping per-item weight 1.
+    encoded indices, an exact half moving away from the midpoint (size-1)/2
+    to avoid a neutral bias (up when on it); nominal spaces emit the two
+    revised labels as half-weight triples instead, keeping per-item weight 1.
     """
-    items = {}
-    for rec in records:
-        items.setdefault(rec.item_id, {}).setdefault(rec.order, []).append(rec)
-    ordinal_like = space.kind in ("ordinal", "binned-continuous")
-    samples = []
-    for item_id, orders in sorted(items.items()):
-        missing = [o for o in ORDERS if o not in orders]
-        if missing:
-            raise SchemaError(f"item {item_id!r} missing order(s) {missing}")
-        first1 = sorted(orders["first-m1"], key=lambda r: r.annotator_id)
-        first2 = sorted(orders["first-m2"], key=lambda r: r.annotator_id)
-        w = 1.0 / (len(first1) * len(first2))
-        for a, b in product(first1, first2):
-            y1 = encode(space, a.label_first)
-            y2 = encode(space, b.label_first)
-            i12 = encode(space, a.label_both)
-            i21 = encode(space, b.label_both)
-            if ordinal_like:
-                y = _round_to_index((i12 + i21) / 2.0, space.size)
-                samples.append((y1, y2, y, w))
-            else:
-                samples.append((y1, y2, i12, w / 2.0))
-                samples.append((y1, y2, i21, w / 2.0))
-    if not samples:
-        raise SchemaError("no triples produced")
-    return TripleDataset(space=space, samples=samples)
+    (a, b), w = _all_combinations(*_grouped(records, "order", ORDERS))
+    encoder = label_encoder(space)
+    first = np.array([encoder(r.label_first) for r in records])
+    both = np.array([encoder(r.label_both) for r in records])
+    y1, y2, i12, i21 = first[a], first[b], both[a], both[b]
+    if space.kind in ("ordinal", "binned-continuous"):
+        twice = i12 + i21
+        y = (twice + (twice >= space.size - 1)) // 2
+        return TripleDataset(space, np.stack([y1, y2, y], axis=1), w)
+    samples = np.stack([y1, y2, i12, y1, y2, i21], axis=1).reshape(-1, 3)
+    return TripleDataset(space, samples, np.repeat(w / 2.0, 2))
 
 
 def summarize_decomposition(records):
     """Mean rating and mean confidence per interaction, over all records."""
     if not records:
         raise SchemaError("empty decomposition record list")
-    n = len(records)
-    return {
-        "ratings": {
-            "r": sum(rec.r for rec in records) / n,
-            "u1": sum(rec.u1 for rec in records) / n,
-            "u2": sum(rec.u2 for rec in records) / n,
-            "s": sum(rec.s for rec in records) / n,
-        },
-        "confidences": {
-            "r": sum(rec.conf_r for rec in records) / n,
-            "u1": sum(rec.conf_u1 for rec in records) / n,
-            "u2": sum(rec.conf_u2 for rec in records) / n,
-            "s": sum(rec.conf_s for rec in records) / n,
-        },
-    }
+
+    def means(prefix):
+        return {k: sum(getattr(rec, prefix + k) for rec in records) / len(records) for k in ("r", "u1", "u2", "s")}
+
+    return {"ratings": means(""), "confidences": means("conf_")}

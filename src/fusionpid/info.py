@@ -12,6 +12,8 @@ class DistributionError(ValueError):
 
 
 def _check_mass(mass, tol=MASS_TOL):
+    if not np.all(np.isfinite(mass)):
+        raise DistributionError("non-finite probability mass")
     if np.any(mass < -tol):
         raise DistributionError("negative probability mass")
     total = float(mass.sum())
@@ -87,15 +89,13 @@ def mutual_information(dist):
 
 def empirical_joint(data, smoothing=0.0):
     """Weighted empirical joint over (y1, y2, y), optionally add-lambda smoothed."""
-    if smoothing < 0:
+    if not smoothing >= 0:
         raise ValueError("smoothing must be nonnegative")
-    if not data.samples:
+    if not len(data.samples):
         raise DistributionError("empty dataset")
     n = data.space.size
-    counts = np.zeros((n, n, n))
-    for y1, y2, y, w in data.samples:
-        counts[y1, y2, y] += w
-    counts += smoothing
+    cells = np.ravel_multi_index(data.samples.T, (n, n, n))
+    counts = np.bincount(cells, data.weights, n**3).reshape(n, n, n) + smoothing
     return Joint3(counts / counts.sum())
 
 

@@ -2,7 +2,7 @@
 
 import bisect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 SAME = "SAME"

@@ -125,13 +125,8 @@ def feasible_residual(q_mass, c):
 
 def feasible_initial(c):
     """Conditional-product coupling q0 = p(y1|y) p(y2|y) p(y), always feasible."""
-    py = c.py
-    n = c.size
-    q = np.zeros((n, n, n))
-    for k in range(n):
-        if py[k] > 0:
-            q[:, :, k] = np.outer(c.m1y.mass[:, k], c.m2y.mass[:, k]) / py[k]
-    return Joint3(q)
+    outer = c.m1y.mass[:, None, :] * c.m2y.mass[None, :, :]
+    return Joint3(np.divide(outer, c.py, out=np.zeros_like(outer), where=c.py > 0))
 
 
 LN2 = math.log(2.0)
@@ -318,19 +313,19 @@ def solve_qstar(c, cfg=None):
         # x(t) approaches the optimum like 1/t, so the first Newton step after
         # raising t overshoots the new center by about the growth factor
         step = 1.0 / BARRIER_GROWTH
-    if not np.isfinite(gap):
+    residual = feasible_residual(q, c)
+    # written so that NaN fails them: overflow in `recover` can leave NaN in q
+    if not (np.isfinite(gap) and np.all(np.isfinite(q))):
         raise InfeasibleError("solver broke down numerically")
+    if not residual <= cfg.tol_feasibility * 100:
+        raise InfeasibleError(f"solver left the feasible set (residual {residual})")
     diagnostics = {
         "iterations": it,
         "objective_gap": gap,
-        "feasibility_residual": feasible_residual(q, c),
+        "feasibility_residual": residual,
         "converged": gap <= cfg.tol_objective,
         "objective": objective,
     }
-    if diagnostics["feasibility_residual"] > cfg.tol_feasibility * 100:
-        raise InfeasibleError(
-            f"solver left the feasible set (residual {diagnostics['feasibility_residual']})"
-        )
     return Joint3(q / q.sum()), diagnostics
 
 

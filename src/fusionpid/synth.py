@@ -34,8 +34,8 @@ def canonical_joint(spec):
     n = spec.size
     mass = np.zeros((n, n, n))
     if spec.gate == "COPY":
-        for v in range(n):
-            mass[v, v, v] = 1.0 / n
+        v = np.arange(n)
+        mass[v, v, v] = 1.0 / n
     else:
         out = {
             "XOR": lambda a, b: a ^ b,
@@ -44,9 +44,8 @@ def canonical_joint(spec):
             "UNIQUE1": lambda a, b: a,
             "UNIQUE2": lambda a, b: b,
         }[spec.gate]
-        for a in range(n):
-            for b in range(n):
-                mass[a, b, out(a, b)] = 1.0 / (n * n)
+        a, b = np.indices((n, n))
+        mass[a, b, out(a, b)] = 1.0 / (n * n)
     if spec.noise > 0:
         mass = (1.0 - spec.noise) * mass + spec.noise * mass[:, :, ::-1]
     return Joint3(mass)
@@ -65,6 +64,5 @@ def sample(p, count, seed):
     cdf[-1] = 1.0
     rng = np.random.default_rng(seed)
     flat = np.searchsorted(cdf, rng.random(count), side="right")
-    y1, y2, y = np.unravel_index(flat, (n, n, n))
-    samples = [(int(a), int(b), int(c), 1.0) for a, b, c in zip(y1, y2, y)]
-    return TripleDataset(space=gate_space(n), samples=samples)
+    samples = np.stack(np.unravel_index(flat, (n, n, n)), axis=1)
+    return TripleDataset(gate_space(n), samples, np.ones(count))

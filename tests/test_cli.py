@@ -13,7 +13,7 @@ LABEL_SPACE = '{"kind": "nominal", "values": ["0", "1"]}'
 def write_partial_csv(path, data):
     """One item per sample, one annotator per condition."""
     lines = ["item_id,annotator_id,condition,label,confidence"]
-    for i, (y1, y2, y, _) in enumerate(data.samples):
+    for i, (y1, y2, y) in enumerate(data.samples):
         lines.append(f"i{i:05d},a1,m1,{y1},4")
         lines.append(f"i{i:05d},a2,m2,{y2},4")
         lines.append(f"i{i:05d},a3,both,{y},5")
@@ -52,7 +52,7 @@ def test_convert_counterfactual_unique(tmp_path):
         "item_id,annotator_id,order,label_first,label_both,confidence_first,confidence_both"
     ]
     data = sample(canonical_joint(GateSpec("UNIQUE1")), 4000, seed=2)
-    for i, (y1, y2, y, _) in enumerate(data.samples):
+    for i, (y1, y2, y) in enumerate(data.samples):
         lines.append(f"i{i:05d},a1,first-m1,{y1},{y1},4,5")
         lines.append(f"i{i:05d},a2,first-m2,{y2},{y1},3,5")
     src = tmp_path / "cf.csv"
@@ -102,6 +102,28 @@ def test_convert_never_writes_partial_output(tmp_path):
     )
     assert result.exit_code == 2
     assert not out.exists()
+
+
+def test_convert_negative_smoothing_is_config_error(tmp_path):
+    src = tmp_path / "xor.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 50, seed=1))
+    result = run(
+        ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE, "--smoothing", "-1"]
+    )
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert json.loads(result.output.strip().splitlines()[-1])["error"] == "invalid-config"
+
+
+def test_convert_json_non_object_row_is_invalid_records(tmp_path):
+    row = {"item_id": "i1", "annotator_id": "a1", "condition": "m1", "label": "0", "confidence": 4}
+    src = tmp_path / "rows.json"
+    src.write_text(json.dumps([row, 5]))
+    result = run(
+        ["convert", "--input", str(src), "--format", "json", "--schema", "partial", "--label-space", LABEL_SPACE]
+    )
+    assert result.exit_code == 2
+    assert json.loads(result.output.strip().splitlines()[-1])["error"] == "invalid-records"
 
 
 def test_agreement_unanimous(tmp_path):
@@ -184,6 +206,30 @@ def test_pid_command_rejects_bad_mass(tmp_path):
     src.write_text(json.dumps({"size": 2, "mass": [0.9] + [0.0] * 7}))
     result = run(["pid", "--input", str(src)])
     assert result.exit_code == 2
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err["error"] == "invalid-distribution"
+
+
+def test_pid_command_denormal_joint_fails_cleanly(tmp_path):
+    # 5e-324 cells make the solver's marginal fit overflow; that must end as
+    # a solver failure, not as a report carrying NaN (which is not JSON)
+    mass = [5e-324] * 125
+    mass[1], mass[12], mass[0] = 0.8, 0.2, 0.0  # cells (0,0,1), (0,2,2), (0,0,0)
+    src = tmp_path / "denormal.json"
+    src.write_text(json.dumps({"size": 5, "mass": mass}))
+    result = run(["pid", "--input", str(src)])
+    assert result.exit_code == 1
+    assert "NaN" not in result.output
+    err = json.loads(result.output.strip().splitlines()[-1])
+    assert err["error"] == "solver-failed"
+
+
+def test_pid_command_rejects_nan_mass(tmp_path):
+    src = tmp_path / "nan.json"
+    src.write_text(json.dumps({"size": 2, "mass": [float("nan")] * 8}))
+    result = run(["pid", "--input", str(src)])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
     err = json.loads(result.output.strip().splitlines()[-1])
     assert err["error"] == "invalid-distribution"
 

@@ -14,6 +14,7 @@ from fusionpid.info import (
     marginal_pair,
     mutual_information,
 )
+from fusionpid.label_space import build_label_space
 from fusionpid.synth import GateSpec, canonical_joint, gate_space
 
 
@@ -46,22 +47,50 @@ def test_joint3_json_roundtrip():
 
 
 def test_empirical_joint_two_equal_cells():
-    data = TripleDataset(space=gate_space(2), samples=[(0, 0, 0, 1.0), (1, 1, 1, 1.0)])
+    data = TripleDataset(space=gate_space(2), samples=[(0, 0, 0), (1, 1, 1)], weights=[1.0, 1.0])
     p = empirical_joint(data)
     assert p.mass[0, 0, 0] == 0.5 and p.mass[1, 1, 1] == 0.5
 
 
 def test_empirical_joint_point_mass_and_weights():
-    single = TripleDataset(space=gate_space(2), samples=[(0, 1, 0, 2.0)])
+    single = TripleDataset(space=gate_space(2), samples=[(0, 1, 0)], weights=[2.0])
     assert empirical_joint(single).mass[0, 1, 0] == 1.0
-    weighted = TripleDataset(space=gate_space(2), samples=[(0, 0, 0, 1.0), (1, 1, 1, 3.0)])
+    weighted = TripleDataset(space=gate_space(2), samples=[(0, 0, 0), (1, 1, 1)], weights=[1.0, 3.0])
     p = empirical_joint(weighted)
     assert p.mass[0, 0, 0] == 0.25 and p.mass[1, 1, 1] == 0.75
 
 
+def test_joint_rejects_nonfinite_mass():
+    mass = np.full((2, 2, 2), 0.125)
+    mass[0, 0, 0] = np.nan
+    with pytest.raises(DistributionError):
+        Joint3(mass)
+    with pytest.raises(DistributionError):
+        Joint3(np.full((2, 2, 2), np.nan))
+
+
+def test_empirical_joint_rejects_negative_or_nan_smoothing():
+    data = TripleDataset(space=gate_space(2), samples=[(0, 0, 0)], weights=[1.0])
+    for smoothing in (-1.0, np.nan):
+        with pytest.raises(ValueError):
+            empirical_joint(data, smoothing=smoothing)
+
+
+def test_empirical_joint_matches_loop_reference():
+    rng = np.random.default_rng(5)
+    samples = rng.integers(0, 4, (500, 3))
+    weights = rng.random(500) + 0.01
+    space = build_label_space({"kind": "nominal", "values": list("abcd")})
+    counts = np.zeros((4, 4, 4))
+    for (y1, y2, y), w in zip(samples, weights):
+        counts[y1, y2, y] += w
+    p = empirical_joint(TripleDataset(space, samples, weights), smoothing=0.5)
+    assert np.array_equal(p.mass, (counts + 0.5) / (counts + 0.5).sum())
+
+
 def test_empirical_joint_empty_is_error():
     with pytest.raises(DistributionError):
-        empirical_joint(TripleDataset(space=gate_space(2), samples=[]))
+        empirical_joint(TripleDataset(space=gate_space(2), samples=np.zeros((0, 3), int), weights=[]))
 
 
 def test_entropy_values():

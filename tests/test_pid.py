@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fusionpid.dataset import TripleDataset
-from fusionpid.info import Joint3, conditional_entropy_output, joint_mi
+from fusionpid.info import Joint3, conditional_entropy_output
 from fusionpid.pid import (
     InfeasibleError,
     MarginalConstraints,
@@ -227,7 +227,7 @@ def test_convert_copy_samples():
 
 
 def test_convert_constant_dataset_all_zero():
-    data = TripleDataset(space=gate_space(2), samples=[(1, 1, 1, 1.0)] * 7)
+    data = TripleDataset(space=gate_space(2), samples=[(1, 1, 1)] * 7, weights=[1.0] * 7)
     res = convert(data)
     assert components(res) == pytest.approx(np.zeros(4), abs=1e-12)
 
@@ -349,3 +349,21 @@ def test_property_certified_or_infeasible_and_swap_symmetric(p):
     assert diag["feasibility_residual"] <= 1e-9, diag
     assert a.consistency["passed"], a.consistency
     assert components(a) == pytest.approx(components(b)[[0, 2, 1, 3]], abs=1e-6)
+
+
+def denormal_joint():
+    """Two heavy cells, one zero cell and 5e-324 in every other cell: `recover`
+    overflows exp(log q) here and used to hand back a NaN q*."""
+    m = np.full((5, 5, 5), 5e-324)
+    m[0, 0, 1], m[0, 2, 2], m[0, 0, 0] = 0.8, 0.2, 0.0
+    return Joint3(m)
+
+
+def test_denormal_joint_certified_or_infeasible():
+    try:
+        res = pid_from_joint(denormal_joint())
+    except InfeasibleError:
+        return
+    assert np.all(np.isfinite(res.q_star.mass))
+    assert np.isfinite(res.feasibility_residual)
+    assert res.converged and res.consistency["passed"], res.consistency
