@@ -4,6 +4,7 @@ __version__ = "0.1.0"
 
 from .label_space import LabelSpace, build_label_space, decode, encode, qa_binarize
 from .dataset import (
+    AnnotationTable,
     CounterfactualRecord,
     DecompositionRecord,
     PartialRecord,
@@ -39,5 +40,5 @@ from .pid import (
     pid_from_solution,
     solve_qstar,
 )
-from .agreement import AlphaResult, RatingsMatrix, krippendorff_alpha, mean_confidence
+from .agreement import AlphaResult, Ratings, RatingsMatrix, krippendorff_alpha, mean_confidence
 from .synth import GateSpec, canonical_joint, sample

@@ -11,6 +11,32 @@ class AgreementError(ValueError):
     pass
 
 
+class CategoryError(ValueError):
+    """Category values the metric cannot order or measure, such as 1 and "x"."""
+
+
+@dataclass
+class Ratings:
+    """Ratings as code arrays: rating k gives unit unit[k] the category categories[code[k]].
+
+    units counts the units, including those with fewer than 2 ratings.
+    """
+
+    units: int
+    unit: np.ndarray
+    code: np.ndarray
+    categories: list
+    metric: str = "nominal"
+
+    def __post_init__(self):
+        if self.metric not in METRICS:
+            raise AgreementError(f"metric must be one of {METRICS}")
+        if self.units < 2:
+            raise AgreementError("need at least 2 items")
+        if not (np.bincount(self.unit, minlength=self.units) >= 2).any():
+            raise AgreementError("no item has 2 or more ratings")
+
+
 @dataclass
 class RatingsMatrix:
     """item x annotator grid of values; None marks a missing rating."""
@@ -21,17 +47,17 @@ class RatingsMatrix:
     metric: str = "nominal"
 
     def __post_init__(self):
-        if self.metric not in METRICS:
-            raise AgreementError(f"metric must be one of {METRICS}")
-        if len(self.items) < 2:
-            raise AgreementError("need at least 2 items")
         if len(self.values) != len(self.items):
             raise AgreementError("values rows must match items")
-        pairable = sum(
-            1 for row in self.values if sum(v is not None for v in row) >= 2
-        )
-        if pairable < 1:
-            raise AgreementError("no item has 2 or more ratings")
+        self.ratings()  # raises AgreementError for unusable ratings
+
+    def ratings(self):
+        """The grid's ratings as code arrays; equal values are one category."""
+        cells = [(u, v) for u, row in enumerate(self.values) for v in row if v is not None]
+        index = {}
+        code = [index.setdefault(v, len(index)) for _, v in cells]
+        unit = np.array([u for u, _ in cells], np.intp)
+        return Ratings(len(self.items), unit, np.array(code, np.intp), list(index), self.metric)
 
 
 @dataclass
@@ -51,6 +77,11 @@ class AlphaResult:
 def _distances(cats, totals, metric):
     """Pairwise squared distances delta^2 between category values."""
     k = len(cats)
+    if metric == "interval":
+        try:
+            x = [float(c) for c in cats]
+        except (TypeError, ValueError):
+            raise CategoryError(f"the interval metric needs numeric labels, got {cats}") from None
     d = np.zeros((k, k))
     for i in range(k):
         for j in range(k):
@@ -59,7 +90,7 @@ def _distances(cats, totals, metric):
             if metric == "nominal":
                 d[i, j] = 1.0
             elif metric == "interval":
-                d[i, j] = (float(cats[i]) - float(cats[j])) ** 2
+                d[i, j] = (x[i] - x[j]) ** 2
             else:  # ordinal: cumulative-frequency rank distance
                 lo, hi = min(i, j), max(i, j)
                 span = totals[lo : hi + 1].sum()
@@ -68,65 +99,69 @@ def _distances(cats, totals, metric):
 
 
 def krippendorff_alpha(m):
-    """alpha = 1 - D_o / D_e over the coincidence matrix.
+    """alpha = 1 - D_o / D_e over the coincidence matrix, for `Ratings` or a `RatingsMatrix`.
 
-    Units with fewer than 2 ratings are excluded; returns AlphaResult with
-    alpha None when every pairable value is identical (D_e = 0, undefined).
+    Units with fewer than 2 ratings are excluded. The coincidence matrix is
+    counted per unit (Krippendorff, "Computing Krippendorff's
+    alpha-reliability", 2011): with N[u, c] the count of category c in unit
+    u and w_u = 1 / (m_u - 1) for its m_u ratings,
+    o = N^T diag(w) N - diag(sum_u w_u N[u]). Categories are sorted by value;
+    values that cannot be sorted together raise CategoryError. Returns
+    AlphaResult with alpha None when every pairable value is identical
+    (D_e = 0, undefined).
     """
-    units = [[v for v in row if v is not None] for row in m.values]
-    pairable = [u for u in units if len(u) >= 2]
-    if not pairable:
+    r = m.ratings() if isinstance(m, RatingsMatrix) else m
+    per_unit = np.bincount(r.unit, minlength=r.units)
+    pairable = per_unit >= 2
+    n_pairable = int(pairable.sum())
+    if not n_pairable:
         raise AgreementError("no unit has 2 or more ratings")
-    cats = sorted({v for u in pairable for v in u})
-    index = {v: i for i, v in enumerate(cats)}
+    kept = pairable[r.unit]
+    present = np.unique(r.code[kept])
+    values = [r.categories[c] for c in present.tolist()]
+    try:
+        rank = sorted(range(len(values)), key=values.__getitem__)
+    except TypeError:
+        kinds = sorted({type(v).__name__ for v in values})
+        raise CategoryError(f"labels of types {kinds} cannot be ordered together") from None
+    cats = [values[i] for i in rank]
     k = len(cats)
-    o = np.zeros((k, k))
-    for u in pairable:
-        w = 1.0 / (len(u) - 1)
-        for a in range(len(u)):
-            for b in range(len(u)):
-                if a != b:
-                    o[index[u[a]], index[u[b]]] += w
+    category = np.empty(len(r.categories), np.intp)
+    category[present[rank]] = np.arange(k)
+    unit = (np.cumsum(pairable) - 1)[r.unit[kept]]
+    counts = np.bincount(unit * k + category[r.code[kept]], minlength=n_pairable * k)
+    counts = counts.reshape(n_pairable, k).astype(float)
+    weighted = counts * (1.0 / (per_unit[pairable] - 1))[:, None]
+    o = weighted.T @ counts - np.diag(weighted.sum(axis=0))
     totals = o.sum(axis=1)
     n = totals.sum()
-    d = _distances(cats, totals, m.metric)
+    d = _distances(cats, totals, r.metric)
     d_e = float((np.outer(totals, totals) * d).sum()) / (n * (n - 1))
     if d_e == 0.0:
-        return AlphaResult(alpha=None, n_units=len(units), n_pairable=len(pairable))
+        return AlphaResult(alpha=None, n_units=r.units, n_pairable=n_pairable)
     d_o = float((o * d).sum()) / n
-    return AlphaResult(
-        alpha=1.0 - d_o / d_e, n_units=len(units), n_pairable=len(pairable)
-    )
+    return AlphaResult(alpha=1.0 - d_o / d_e, n_units=r.units, n_pairable=n_pairable)
 
 
-def mean_confidence(records, selector):
-    """Arithmetic mean of a confidence field; selector is a callable or field name."""
-    if isinstance(selector, str):
-        name = selector
-        selector = lambda rec: getattr(rec, name)
-    picked = [selector(rec) for rec in records]
-    picked = [v for v in picked if v is not None]
-    if not picked:
+def mean_confidence(values):
+    """Arithmetic mean of confidence ratings (integers in [0, 5])."""
+    values = np.asarray(values)
+    if not len(values):
         raise AgreementError("empty confidence selection")
-    out = sum(picked) / len(picked)
+    out = int(values.sum()) / len(values)
     if not 0 <= out <= 5:
         raise AgreementError(f"mean confidence {out} outside [0, 5]")
     return out
 
 
-def matrix_from_records(records, value_of, metric="nominal"):
-    """Build a RatingsMatrix from record objects.
+def matrix_from_records(item, value, categories, metric="nominal"):
+    """Ratings of annotation rows: row k rates the item with code item[k]
+    with the category categories[value[k]].
 
-    value_of(record) returns the rated value for that record or None to skip;
-    records must expose item_id and annotator_id.
+    Units are the items rated here; equal category values (1 and 1.0, or
+    two labels with one index in a label space) are one category.
     """
-    items = sorted({rec.item_id for rec in records})
-    annotators = sorted({rec.annotator_id for rec in records})
-    pos_i = {it: i for i, it in enumerate(items)}
-    pos_a = {an: i for i, an in enumerate(annotators)}
-    grid = [[None] * len(annotators) for _ in items]
-    for rec in records:
-        v = value_of(rec)
-        if v is not None:
-            grid[pos_i[rec.item_id]][pos_a[rec.annotator_id]] = v
-    return RatingsMatrix(items=items, annotators=annotators, values=grid, metric=metric)
+    rated = np.bincount(item) > 0
+    index = {}
+    same = np.array([index.setdefault(v, len(index)) for v in categories], np.intp)
+    return Ratings(int(rated.sum()), (np.cumsum(rated) - 1)[item], same[value], list(index), metric)

@@ -9,11 +9,13 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .agreement import AgreementError, krippendorff_alpha, matrix_from_records, mean_confidence
+from .agreement import AgreementError, CategoryError, krippendorff_alpha, matrix_from_records, mean_confidence
 from .dataset import (
+    CHOICES,
     CONDITIONS,
+    RATINGS,
     SchemaError,
-    label_encoder,
+    label_indices,
     parse_counterfactual,
     parse_partial,
     parse_decomposition,
@@ -70,7 +72,7 @@ def _open_input(path):
         _fail("input-not-found", f"input file not found: {path}")
 
 
-def _parse_records(path, fmt, schema):
+def _parse_table(path, fmt, schema):
     parsers = {
         "partial": parse_partial,
         "counterfactual": parse_counterfactual,
@@ -83,12 +85,11 @@ def _parse_records(path, fmt, schema):
             _fail("invalid-records", str(exc))
 
 
-def _report_schema():
-    text = resources.files("fusionpid").joinpath("schemas/run_report.json").read_text()
-    return json.loads(text)
-
-
-def _write_report(report, out):
+def _write_report(report, out, schema=None):
+    """Validate `report` against the named shipped schema, if any, then write it."""
+    if schema is not None:
+        text = resources.files("fusionpid").joinpath(f"schemas/{schema}.json").read_text()
+        jsonschema.validate(report, json.loads(text))
     text = json.dumps(report, indent=2, sort_keys=True)
     if out is None:
         click.echo(text)
@@ -98,18 +99,16 @@ def _write_report(report, out):
             fh.write(text)
 
 
-def _alpha_json(records, value_of, metric):
+def _alpha_json(item, value, categories, metric):
     try:
-        return krippendorff_alpha(matrix_from_records(records, value_of, metric)).to_json()
+        return krippendorff_alpha(matrix_from_records(item, value, categories, metric)).to_json()
     except AgreementError as exc:
         return {"alpha": "undefined", "message": str(exc)}
 
 
-def _agreement_summary(records, schema, metric, space=None):
+def _agreement_summary(table, schema, metric, space=None):
     """Alpha and mean confidence per measure; each measure rates one label
-    field over the records whose condition or order has the given value."""
-    # decomposition ratings are 0-5 numbers (interval-style by default), never encoded
-    enc = (lambda raw: raw) if space is None or schema == "decomposition" else label_encoder(space)
+    field over the rows whose condition or order has the given value."""
     if schema == "partial":
         measures = {c: ("condition", c, "label", "confidence") for c in CONDITIONS}
     elif schema == "counterfactual":
@@ -121,12 +120,22 @@ def _agreement_summary(records, schema, metric, space=None):
         }
     else:
         measures = {name: (None, None, name, f"conf_{name}") for name in ("r", "u1", "u2", "s")}
+    categories = {}
+    for field in dict.fromkeys(field for _, _, field, _ in measures.values()):
+        col = table[field]
+        if schema == "decomposition":  # 0-5 ratings (interval-style by default), never encoded
+            categories[field] = col, RATINGS
+        else:
+            categories[field] = col.codes, col.levels if space is None else label_indices(col, space).tolist()
+    item = table["item_id"].codes
     alphas, confidences = {}, {}
     for name, (key, value, field, conf_field) in measures.items():
-        sel = records if key is None else [r for r in records if getattr(r, key) == value]
-        alphas[name] = _alpha_json(sel, lambda r, f=field: enc(getattr(r, f)), metric)
-        if sel:
-            confidences[name] = mean_confidence(sel, conf_field)
+        rows = slice(None) if key is None else table[key].codes == CHOICES[key].index(value)
+        codes, cats = categories[field]
+        alphas[name] = _alpha_json(item[rows], codes[rows], cats, metric)
+        conf = table[conf_field][rows]
+        if len(conf):
+            confidences[name] = mean_confidence(conf)
     return alphas, confidences
 
 
@@ -171,12 +180,12 @@ def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_obje
     cfg = _solver_config(tol_objective, max_iter)
     if not smoothing >= 0:
         _fail("invalid-config", f"--smoothing must be nonnegative, got {smoothing}")
-    records = _parse_records(path, fmt, schema)
+    table = _parse_table(path, fmt, schema)
     try:
         if schema == "partial":
-            data = triples_from_partial(records, space, pairing=pairing)
+            data = triples_from_partial(table, space, pairing=pairing)
         else:
-            data = triples_from_counterfactual(records, space)
+            data = triples_from_counterfactual(table, space)
         from .pid import convert as run_convert
 
         result = run_convert(data, smoothing=smoothing, cfg=cfg)
@@ -184,7 +193,7 @@ def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_obje
         _fail("conversion-failed", str(exc))
     except InfeasibleError as exc:
         _fail("solver-failed", str(exc), EXIT_NONCONVERGED)
-    alphas, confidences = _agreement_summary(records, schema, metric, space=space)
+    alphas, confidences = _agreement_summary(table, schema, metric, space=space)
     report = {
         "tool": {"name": "fusionpid", "version": __version__},
         "input": {
@@ -200,8 +209,7 @@ def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_obje
         "agreement": alphas,
         "confidence": confidences,
     }
-    jsonschema.validate(report, _report_schema())
-    _write_report(report, out)
+    _write_report(report, out, "run_report")
     if not result.converged:
         sys.exit(EXIT_NONCONVERGED)
 
@@ -218,12 +226,12 @@ def agreement(path, fmt, schema, metric, label_space, out):
     if metric is None:
         metric = "interval" if schema == "decomposition" else "nominal"
     space = _load_label_space(label_space) if label_space else None
-    records = _parse_records(path, fmt, schema)
-    if not records:
+    table = _parse_table(path, fmt, schema)
+    if not len(table):
         _fail("invalid-records", "no records in input")
     try:
-        alphas, confidences = _agreement_summary(records, schema, metric, space=space)
-    except (AgreementError, LabelSpaceError) as exc:
+        alphas, confidences = _agreement_summary(table, schema, metric, space=space)
+    except (AgreementError, CategoryError, LabelSpaceError) as exc:
         _fail("agreement-failed", str(exc))
     report = {
         "tool": {"name": "fusionpid", "version": __version__},
@@ -231,7 +239,7 @@ def agreement(path, fmt, schema, metric, label_space, out):
         "agreement": alphas,
         "confidence": confidences,
     }
-    _write_report(report, out)
+    _write_report(report, out, "agreement_report")
 
 
 @main.command()

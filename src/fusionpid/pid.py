@@ -377,31 +377,48 @@ def _slice_parametrization(r, c):
 MAX_GRID_POINTS = 2 * 10**8
 
 
+def _plogp_sum(q, axis):
+    """-sum q log2 q over `axis`, with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return -np.sum(np.where(q > 0, q * np.log2(q), 0.0), axis=axis)
+
+
+def _slice_terms(base, basis, grids, index):
+    """One y-slice at flat indices of its own parameter grid: its cells
+    (clipped at 0), whether each point is feasible, and -sum q log2 q."""
+    q = base.ravel()[None, :]
+    if grids:
+        coords = np.unravel_index(index, tuple(len(g) for g in grids))
+        q = q + np.stack([g[i] for g, i in zip(grids, coords)], axis=1) @ basis
+    else:
+        q = np.broadcast_to(q, (len(index), q.shape[1]))
+    feasible = np.all(q >= -1e-12, axis=1)
+    q = np.clip(q, 0.0, None)
+    return q, feasible, _plogp_sum(q, 1)
+
+
 def brute_force_qstar(c, grid_resolution=1000):
     """Independent grid-search oracle for the same max-entropy program.
 
     Parametrizes each y-slice of the polytope as a transportation polytope
     and exhaustively grid-searches the free parameters, returning the best
     feasible grid point. Tractable only for a handful of free parameters.
+    H(Y | Y1, Y2) = H(Y1, Y2, Y) - H(Y1, Y2), and H(Y1, Y2, Y) is one term
+    per y-slice that depends on that slice's parameters only, so each term
+    is computed on the slice's own grid and only H(Y1, Y2) on the product
+    grid.
     """
     if grid_resolution < 2:
         raise OracleError("grid_resolution must be at least 2")
     n = c.size
-    base = np.zeros((n, n, n))
-    bases, grids = [], []
+    slices = []
     for k in range(n):
-        sl_base, sl_bases, sl_bounds = _slice_parametrization(
-            c.m1y.mass[:, k], c.m2y.mass[:, k]
-        )
-        base[:, :, k] = sl_base
-        for d, (lo, hi) in zip(sl_bases, sl_bounds):
-            full = np.zeros((n, n, n))
-            full[:, :, k] = d
-            bases.append(full)
-            grids.append(np.linspace(lo, hi, grid_resolution))
-    n_par = len(bases)
+        base, bases, bounds = _slice_parametrization(c.m1y.mass[:, k], c.m2y.mass[:, k])
+        basis = np.stack([d.ravel() for d in bases]) if bases else None
+        slices.append((base, basis, [np.linspace(lo, hi, grid_resolution) for lo, hi in bounds]))
+    n_par = sum(len(grids) for _, _, grids in slices)
     if n_par == 0:
-        return Joint3(base)
+        return Joint3(np.stack([base for base, _, _ in slices], axis=2))
     if n_par > 6:
         raise OracleError(f"{n_par} free parameters is too many to enumerate")
     total_points = grid_resolution**n_par
@@ -409,30 +426,36 @@ def brute_force_qstar(c, grid_resolution=1000):
         raise OracleError(
             f"grid of {total_points} points exceeds cap; lower the resolution"
         )
-    basis = np.stack([d.ravel() for d in bases])  # (P, n^3)
-    flat_base = base.ravel()
+    # the product grid in C order, the first slice's parameters varying
+    # slowest, as (leading slices) x (last slice) blocks of at most `chunk` points
+    sizes = [grid_resolution ** len(grids) for _, _, grids in slices]
+    chunk = 1 << 16
+    cached = [_slice_terms(*s, np.arange(size)) if size <= chunk else None for s, size in zip(slices, sizes)]
+
+    def terms(k, index):
+        return _slice_terms(*slices[k], index) if cached[k] is None else tuple(a[index] for a in cached[k])
+
+    last = sizes[-1]
+    rows, cols = max(1, chunk // last), min(last, chunk)
+    leading = total_points // last
     best_val, best_q = -math.inf, None
-    chunk = 1 << 15
-    shape = (grid_resolution,) * n_par
-    for start in range(0, total_points, chunk):
-        idx = np.arange(start, min(start + chunk, total_points))
-        coords = np.unravel_index(idx, shape)
-        t = np.stack([grids[p][coords[p]] for p in range(n_par)], axis=1)  # (B, P)
-        qs = flat_base[None, :] + t @ basis  # (B, n^3)
-        feasible = np.all(qs >= -1e-12, axis=1)
-        if not feasible.any():
-            continue
-        qs = np.clip(qs[feasible], 0.0, None)
-        cube = qs.reshape(-1, n, n, n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h3 = -np.sum(np.where(cube > 0, cube * np.log2(cube), 0.0), axis=(1, 2, 3))
-            m12 = cube.sum(axis=3)
-            h2 = -np.sum(np.where(m12 > 0, m12 * np.log2(m12), 0.0), axis=(1, 2))
-        vals = h3 - h2
-        j = int(np.argmax(vals))
-        if vals[j] > best_val:
-            best_val = float(vals[j])
-            best_q = cube[j]
+    for a in range(0, leading, rows):
+        lead = [terms(k, i) for k, i in enumerate(np.unravel_index(np.arange(a, min(a + rows, leading)), sizes[:-1]))]
+        q_lead = sum((q for q, _, _ in lead[1:]), lead[0][0])
+        h_lead = sum(h for _, _, h in lead)
+        f_lead = np.logical_and.reduce([f for _, f, _ in lead])
+        for b in range(0, last, cols):
+            q, f, h = terms(n - 1, np.arange(b, min(b + cols, last)))
+            feasible = f_lead[:, None] & f[None, :]
+            if not feasible.any():
+                continue
+            h2 = _plogp_sum((q_lead[:, None, :] + q[None, :, :]).reshape(-1, n, n), (1, 2))
+            vals = np.where(feasible.ravel(), (h_lead[:, None] + h[None, :]).ravel() - h2, -np.inf)
+            j = int(np.argmax(vals))
+            if vals[j] > best_val:
+                best_val = float(vals[j])
+                row, col = divmod(j, len(h))
+                best_q = np.stack([t[0][row].reshape(n, n) for t in lead] + [q[col].reshape(n, n)], axis=2)
     if best_q is None:
         raise OracleError("no feasible grid point found")
     return Joint3(best_q / best_q.sum())

@@ -1,13 +1,16 @@
+import numpy as np
 import pytest
 
 from fusionpid.agreement import (
     AgreementError,
+    CategoryError,
+    Ratings,
     RatingsMatrix,
     krippendorff_alpha,
     matrix_from_records,
     mean_confidence,
 )
-from fusionpid.dataset import PartialRecord
+from fusionpid.dataset import CONDITIONS, AnnotationTable, PartialRecord
 
 
 def matrix(rows, metric="nominal"):
@@ -89,15 +92,19 @@ def test_ordinal_metric_runs_and_orders():
     assert res.alpha <= 1.0
 
 
+def partial_table(recs):
+    return AnnotationTable.from_records(PartialRecord, recs)
+
+
 def test_mean_confidence_values():
     recs = [
         PartialRecord("i1", "a", "m1", "x", 5),
         PartialRecord("i2", "a", "m1", "x", 5),
         PartialRecord("i3", "a", "m1", "x", 5),
     ]
-    assert mean_confidence(recs, "confidence") == 5
+    assert mean_confidence(partial_table(recs)["confidence"]) == 5
     recs = [PartialRecord("i1", "a", "m1", "x", 0), PartialRecord("i2", "a", "m1", "x", 5)]
-    assert mean_confidence(recs, "confidence") == 2.5
+    assert mean_confidence(partial_table(recs)["confidence"]) == 2.5
 
 
 def test_mean_confidence_multimodal_above_unimodal():
@@ -107,15 +114,17 @@ def test_mean_confidence_multimodal_above_unimodal():
         [("m1", 3), ("m1", 3), ("m2", 2), ("m2", 2), ("both", 5), ("both", 4)]
     ):
         recs.append(PartialRecord(f"i{i}", "a", cond, "x", conf))
-    both = mean_confidence([r for r in recs if r.condition == "both"], "confidence")
-    m1 = mean_confidence([r for r in recs if r.condition == "m1"], "confidence")
-    m2 = mean_confidence([r for r in recs if r.condition == "m2"], "confidence")
-    assert both > max(m1, m2)
+    table = partial_table(recs)
+
+    def mean(cond):
+        return mean_confidence(table["confidence"][table["condition"].codes == CONDITIONS.index(cond)])
+
+    assert mean("both") > max(mean("m1"), mean("m2"))
 
 
 def test_mean_confidence_empty_is_error():
     with pytest.raises(AgreementError):
-        mean_confidence([], "confidence")
+        mean_confidence([])
 
 
 def test_matrix_from_records():
@@ -125,6 +134,66 @@ def test_matrix_from_records():
         PartialRecord("i2", "a", "m1", "no", 4),
         PartialRecord("i2", "b", "m1", "no", 4),
     ]
-    m = matrix_from_records(recs, lambda r: r.label)
-    assert m.items == ["i1", "i2"]
+    table = partial_table(recs)
+    m = matrix_from_records(table["item_id"].codes, table["label"].codes, table["label"].levels)
+    assert table["item_id"].levels == ["i1", "i2"]
+    assert m.units == 2
     assert krippendorff_alpha(m).alpha == pytest.approx(1.0)
+
+
+def loop_alpha(units, metric):
+    """Krippendorff's alpha by the per-unit pair loop: every ordered pair of
+    ratings within a unit of m ratings adds 1 / (m - 1) to the coincidence matrix."""
+    pairable = [u for u in units if len(u) >= 2]
+    cats = sorted({v for u in pairable for v in u})
+    index = {v: i for i, v in enumerate(cats)}
+    k = len(cats)
+    o = np.zeros((k, k))
+    for u in pairable:
+        w = 1.0 / (len(u) - 1)
+        for a in range(len(u)):
+            for b in range(len(u)):
+                if a != b:
+                    o[index[u[a]], index[u[b]]] += w
+    totals = o.sum(axis=1)
+    n = totals.sum()
+    d = np.zeros((k, k))
+    for i in range(k):
+        for j in range(k):
+            if metric == "nominal":
+                d[i, j] = float(i != j)
+            elif metric == "interval":
+                d[i, j] = (float(cats[i]) - float(cats[j])) ** 2
+            else:
+                lo, hi = min(i, j), max(i, j)
+                d[i, j] = (totals[lo : hi + 1].sum() - (totals[i] + totals[j]) / 2.0) ** 2 if i != j else 0.0
+    d_e = float((np.outer(totals, totals) * d).sum()) / (n * (n - 1))
+    return 1.0 - float((o * d).sum()) / n / d_e
+
+
+@pytest.mark.parametrize("metric", ["nominal", "ordinal", "interval"])
+def test_count_based_alpha_matches_pair_loop(metric):
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        n_units = int(rng.integers(2, 40))
+        size = int(rng.integers(2, 7))
+        units = [list(rng.integers(0, size, rng.integers(2, 7)) * 2 - 3) for _ in range(n_units)]
+        units[0] = [1, 3]  # never all identical
+        rows = [u + [None] * (6 - len(u)) for u in units]
+        m = RatingsMatrix([f"i{k}" for k in range(n_units)], list("abcdef"), rows, metric)
+        assert krippendorff_alpha(m).alpha == pytest.approx(loop_alpha(units, metric), abs=1e-12)
+
+
+def test_alpha_from_codes_counts_units_and_pairable():
+    # unit 0: two ratings, unit 1: one rating, unit 2: none rated here
+    r = Ratings(3, np.array([0, 0, 1]), np.array([0, 1, 1]), ["x", "y"])
+    res = krippendorff_alpha(r)
+    assert (res.n_units, res.n_pairable) == (3, 1)
+
+
+def test_mixed_type_labels_cannot_be_ordered():
+    m = matrix([[1, "x"], ["x", "x"], [1, 1]])
+    with pytest.raises(CategoryError):
+        krippendorff_alpha(m)
+    with pytest.raises(CategoryError):
+        krippendorff_alpha(matrix([["a", "b"], ["b", "b"]], "interval"))

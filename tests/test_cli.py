@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import pytest
 from click.testing import CliRunner
 
@@ -180,6 +181,57 @@ def test_agreement_decomposition_metric_default(tmp_path):
     report = json.loads(result.output)
     assert report["input"]["metric"] == "interval"
     assert report["confidence"]["s"] == 5.0
+
+
+def test_agreement_counts_only_items_rated_in_the_measure(tmp_path):
+    lines = ["item_id,annotator_id,condition,label,confidence"]
+    for i in range(5):
+        for cond in ("m1", "m2", "both") if i < 4 else ("m1", "both"):
+            lines += [f"i{i},a1,{cond},{i % 2},4", f"i{i},a2,{cond},{i % 3 % 2},4"]
+    src = tmp_path / "partial.csv"
+    src.write_text("\n".join(lines) + "\n")
+    result = run(["agreement", "--input", str(src), "--schema", "partial"])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.output)
+    assert report["agreement"]["m1"]["n_units"] == 5
+    assert report["agreement"]["m2"]["n_units"] == 4
+    assert report["agreement"]["m2"]["n_pairable"] == 4
+
+
+@pytest.mark.parametrize("labels, metric", [((1, "x"), "nominal"), (("yes", "no"), "interval")])
+def test_agreement_labels_the_metric_cannot_compare_fail_cleanly(tmp_path, labels, metric):
+    rows = [
+        {"item_id": f"i{i}", "annotator_id": ann, "condition": "m1", "label": labels[(i + k) % 2], "confidence": 3}
+        for i in range(3)
+        for k, ann in enumerate(("a", "b"))
+    ]
+    src = tmp_path / "rows.json"
+    src.write_text(json.dumps(rows))
+    result = run(["agreement", "--input", str(src), "--format", "json", "--schema", "partial", "--metric", metric])
+    assert result.exit_code == 2
+    assert "Traceback" not in result.output
+    assert json.loads(result.output.strip().splitlines()[-1])["error"] == "agreement-failed"
+
+
+def test_agreement_report_is_validated_before_writing(tmp_path, monkeypatch):
+    src = tmp_path / "partial.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
+    out = tmp_path / "report.json"
+    args = ["agreement", "--input", str(src), "--schema", "partial", "--out", str(out)]
+    assert run(args).exit_code == 0
+    monkeypatch.setattr("fusionpid.cli._agreement_summary", lambda *a, **k: ({}, {"m1": 7.0}))
+    out.unlink()
+    with pytest.raises(jsonschema.ValidationError):
+        run(args)
+    assert not out.exists()
+
+
+def test_malformed_json_input_is_invalid_records(tmp_path):
+    src = tmp_path / "rows.json"
+    src.write_text('[{"item_id": ')
+    result = run(["agreement", "--input", str(src), "--format", "json", "--schema", "partial"])
+    assert result.exit_code == 2
+    assert json.loads(result.output.strip().splitlines()[-1])["error"] == "invalid-records"
 
 
 def test_pid_command_and_joint(tmp_path):

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from fusionpid.dataset import (
+    AnnotationTable,
     CounterfactualRecord,
+    DecompositionRecord,
     PartialRecord,
     SchemaError,
     TripleDataset,
@@ -35,7 +37,7 @@ def partial_csv(rows):
 
 
 def test_parse_partial_single_row():
-    recs = parse_partial(partial_csv(["i1,a1,m1,yes,4"]))
+    recs = parse_partial(partial_csv(["i1,a1,m1,yes,4"])).records()
     assert len(recs) == 1
     assert recs[0].condition == "m1"
     assert recs[0].confidence == 4
@@ -59,7 +61,7 @@ def test_parse_partial_duplicate_key():
 
 def test_parse_partial_json():
     rows = [{"item_id": "i1", "annotator_id": "a1", "condition": "both", "label": "no", "confidence": 0}]
-    recs = parse_partial(io.StringIO(json.dumps(rows)), "json")
+    recs = parse_partial(io.StringIO(json.dumps(rows)), "json").records()
     assert recs[0].label == "no"
 
 
@@ -78,7 +80,7 @@ def test_parse_json_label_must_be_text_or_number():
 def test_parse_json_keeps_numeric_labels_and_stringifies_ids():
     row = {"item_id": 7, "annotator_id": 3, "order": "first-m1", "label_first": -2,
            "label_both": 1.5, "confidence_first": 4, "confidence_both": 5}
-    rec = parse_counterfactual(io.StringIO(json.dumps([row])), "json")[0]
+    rec = parse_counterfactual(io.StringIO(json.dumps([row])), "json").records()[0]
     assert (rec.item_id, rec.annotator_id, rec.label_first, rec.label_both) == ("7", "3", -2, 1.5)
 
 
@@ -88,13 +90,14 @@ def test_parse_counterfactual_bad_order():
 
 
 def test_parse_counterfactual_empty_warns():
-    with pytest.warns(UserWarning):
-        recs = parse_counterfactual(io.StringIO(CF_HEADER))
-    assert recs == []
+    for text in (CF_HEADER, ""):
+        with pytest.warns(UserWarning):
+            recs = parse_counterfactual(io.StringIO(text))
+        assert len(recs) == 0 and recs.records() == []
 
 
 def test_parse_decomposition_values():
-    recs = parse_decomposition(io.StringIO(DECOMP_HEADER + "i1,a1,0,0,0,5,4,4,4,4"))
+    recs = parse_decomposition(io.StringIO(DECOMP_HEADER + "i1,a1,0,0,0,5,4,4,4,4")).records()
     assert recs[0].s == 5
 
 
@@ -110,11 +113,93 @@ def test_parse_decomposition_duplicate():
 
 
 def test_records_roundtrip_csv_and_json():
-    recs = parse_partial(partial_csv(["i1,a1,m1,yes,4", "i1,a2,m2,no,3", "i1,a3,both,yes,5"]))
+    recs = parse_partial(partial_csv(["i1,a1,m1,yes,4", "i1,a2,m2,no,3", "i1,a3,both,yes,5"])).records()
     for fmt in ("csv", "json"):
         text = serialize_records(recs, fmt)
         again = parse_partial(io.StringIO(text), fmt)
-        assert again == recs
+        assert again.records() == recs
+
+
+def test_csv_reads_like_dictreader():
+    # blank lines skipped, quoted commas kept, extra trailing columns ignored,
+    # a repeated column name read from its last column
+    text = (
+        "item_id,annotator_id,condition,label,confidence,label\n"
+        "\n"
+        'i1,a1,m1,no,4,"yes, sure",extra,more\n'
+        "\n"
+        "i1,a2,m2,no,3,no\n"
+    )
+    recs = parse_partial(io.StringIO(text)).records()
+    assert recs == [PartialRecord("i1", "a1", "m1", "yes, sure", 4), PartialRecord("i1", "a2", "m2", "no", 3)]
+
+
+# each file has one bad row; the messages are the ones the row-by-row parser gave
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["i1,a1,m1,yes,4", "i1,a2,m2"],
+         "missing field 'label' in row {'item_id': 'i1', 'annotator_id': 'a2', 'condition': 'm2', "
+         "'label': None, 'confidence': None}"),
+        (["i1,a1,m1,yes,4", "i1,a2,m9"], "condition must be one of ('m1', 'm2', 'both'), got 'm9'"),
+        (["i1,a1,m1,yes,4", "i1,a2,m2,no,x"], "confidence must be an integer: 'x'"),
+        (["i1,a1,m1,yes,4", "i1,a2,m2,no,6"], "confidence=6 outside [0, 5]"),
+        (["i1,a1,m1,yes,4", "i2,a1,m1,no,2", "i1,a1,m1,no,2"], "duplicate record key ('i1', 'a1', 'm1')"),
+    ],
+)
+def test_one_bad_row_message(rows, message):
+    with pytest.raises(SchemaError) as err:
+        parse_partial(partial_csv(rows))
+    assert str(err.value) == message
+
+
+def test_short_row_names_every_header_column():
+    text = "item_id,x,annotator_id,condition,label,confidence\ni1,q,a1,m1,yes\n"
+    with pytest.raises(SchemaError) as err:
+        parse_partial(io.StringIO(text))
+    assert str(err.value) == (
+        "missing field 'confidence' in row {'item_id': 'i1', 'x': 'q', 'annotator_id': 'a1', "
+        "'condition': 'm1', 'label': 'yes', 'confidence': None}"
+    )
+
+
+def test_json_null_field_is_missing_and_list_ids_become_text():
+    row = {"item_id": "i1", "annotator_id": "a", "condition": "m1", "label": "x", "confidence": 3}
+    with pytest.raises(SchemaError) as err:
+        parse_partial(io.StringIO(json.dumps([row, dict(row, annotator_id="b", label=None)])), "json")
+    assert str(err.value) == (
+        "missing field 'label' in row {'item_id': 'i1', 'annotator_id': 'b', 'condition': 'm1', "
+        "'label': None, 'confidence': 3}"
+    )
+    recs = parse_partial(io.StringIO(json.dumps([dict(row, item_id=["a"])])), "json").records()
+    assert recs[0].item_id == "['a']"
+
+
+def test_malformed_json_is_schema_error():
+    with pytest.raises(SchemaError):
+        parse_partial(io.StringIO('[{"item_id": '), "json")
+
+
+def test_json_labels_one_and_one_point_zero_stay_distinct():
+    rows = [
+        {"item_id": 7, "annotator_id": "a", "condition": "m1", "label": 1, "confidence": 3},
+        {"item_id": "7", "annotator_id": "b", "condition": "m1", "label": 1.0, "confidence": 3},
+        {"item_id": 8, "annotator_id": "a", "condition": "m1", "label": 1, "confidence": 3},
+    ]
+    table = parse_partial(io.StringIO(json.dumps(rows)), "json")
+    assert table["item_id"].levels == ["7", "8"]
+    assert table["item_id"].codes.tolist() == [0, 0, 1]
+    labels = table["label"]
+    assert [type(v) for v in labels.levels] == [int, float]
+    assert labels.codes.tolist() == [0, 1, 0]
+    assert [type(r.label) for r in table.records()] == [int, float, int]
+
+
+def test_table_from_records_round_trips_and_validates():
+    recs = [PartialRecord("i2", "b", "both", "no", 1), PartialRecord("i1", "a", "m1", 2.5, 5)]
+    assert AnnotationTable.from_records(PartialRecord, recs).records() == recs
+    with pytest.raises(SchemaError):
+        AnnotationTable.from_records(PartialRecord, [PartialRecord("i1", "a", "m1", "no", 9)])
 
 
 def three_annotator_item(item="i1"):
@@ -204,7 +289,7 @@ def test_pairing_matches_loop_reference_on_uneven_items(pairing):
             for ann in rng.choice(["z", "a10", "a9", "B", "c"], size=rng.integers(1, 5), replace=False):
                 records.append(PartialRecord(f"i{i}", str(ann), cond, str(rng.choice(["no", "yes"])), 3))
     records = [records[j] for j in rng.permutation(len(records))]
-    data = triples_from_partial(records, NOMINAL, pairing=pairing)
+    data = triples_from_partial(AnnotationTable.from_records(PartialRecord, records), NOMINAL, pairing=pairing)
     samples, weights = reference_triples(records, NOMINAL, pairing)
     assert data.samples.tolist() == samples
     assert data.weights.tolist() == weights
@@ -217,8 +302,9 @@ def test_counterfactual_rounding_rule_for_every_pair():
         mid = (size - 1) / 2
         for i12 in range(size):
             for i21 in range(size):
-                recs = [CounterfactualRecord("i", "a", "first-m1", 0, i12, 3, 3),
-                        CounterfactualRecord("i", "b", "first-m2", 0, i21, 3, 3)]
+                recs = AnnotationTable.from_records(CounterfactualRecord, [
+                    CounterfactualRecord("i", "a", "first-m1", 0, i12, 3, 3),
+                    CounterfactualRecord("i", "b", "first-m2", 0, i21, 3, 3)])
                 lo, hi = (i12 + i21) // 2, (i12 + i21 + 1) // 2
                 want = hi if abs(hi - mid) >= abs(lo - mid) else lo
                 assert triples_from_counterfactual(recs, space).samples[0, 2] == want
@@ -280,4 +366,4 @@ def test_summarize_pure_synergy_pattern():
 
 def test_summarize_empty_is_error():
     with pytest.raises(SchemaError):
-        summarize_decomposition([])
+        summarize_decomposition(AnnotationTable.from_records(DecompositionRecord, []))
