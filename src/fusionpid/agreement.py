@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import Codes, _runs
+
 METRICS = ("nominal", "ordinal", "interval")
 
 
@@ -105,7 +107,9 @@ def krippendorff_alpha(m):
     counted per unit (Krippendorff, "Computing Krippendorff's
     alpha-reliability", 2011): with N[u, c] the count of category c in unit
     u and w_u = 1 / (m_u - 1) for its m_u ratings,
-    o = N^T diag(w) N - diag(sum_u w_u N[u]). Categories are sorted by value;
+    o = N^T diag(w) N - diag(sum_u w_u N[u]), summed over the pairs of
+    nonzero counts within each unit, so memory grows with those pairs and
+    not with units x categories. Categories are sorted by value;
     values that cannot be sorted together raise CategoryError. Returns
     AlphaResult with alpha None when every pairable value is identical
     (D_e = 0, undefined).
@@ -129,10 +133,17 @@ def krippendorff_alpha(m):
     category = np.empty(len(r.categories), np.intp)
     category[present[rank]] = np.arange(k)
     unit = (np.cumsum(pairable) - 1)[r.unit[kept]]
-    counts = np.bincount(unit * k + category[r.code[kept]], minlength=n_pairable * k)
-    counts = counts.reshape(n_pairable, k).astype(float)
-    weighted = counts * (1.0 / (per_unit[pairable] - 1))[:, None]
-    o = weighted.T @ counts - np.diag(weighted.sum(axis=0))
+    # the nonzero entries of N, as (unit, category) cells sorted by unit
+    cells, count = np.unique(unit * k + category[r.code[kept]], return_counts=True)
+    cell_unit, cell_category = np.divmod(cells, k)
+    # every ordered pair (a, b) of one unit's cells, a cell with itself included
+    nnz = np.bincount(cell_unit, minlength=n_pairable)
+    pair_unit, pos = _runs(nnz**2)
+    first = (np.cumsum(nnz) - nnz)[pair_unit]
+    a, b = first + pos // nnz[pair_unit], first + pos % nnz[pair_unit]
+    w = (1.0 / (per_unit[pairable] - 1))[pair_unit]
+    weight = w * (count[a] * (count[b] - (a == b)))
+    o = np.bincount(cell_category[a] * k + cell_category[b], weight, minlength=k * k).reshape(k, k)
     totals = o.sum(axis=1)
     n = totals.sum()
     d = _distances(cats, totals, r.metric)
@@ -154,14 +165,22 @@ def mean_confidence(values):
     return out
 
 
-def matrix_from_records(item, value, categories, metric="nominal"):
-    """Ratings of annotation rows: row k rates the item with code item[k]
-    with the category categories[value[k]].
+def matrix_from_records(rows, value, metric="nominal"):
+    """Ratings of annotation rows, each rating its item with one category.
+
+    Columnar: `rows` holds each row's item code and `value` is a `Codes`
+    column of the rows' categories. Records: `rows` is a sequence of
+    records and `value(record)` gives a record's category; they are turned
+    into codes and take the same path.
 
     Units are the items rated here; equal category values (1 and 1.0, or
     two labels with one index in a label space) are one category.
     """
-    rated = np.bincount(item) > 0
+    if callable(value):
+        rows = list(rows)
+        value = Codes([value(r) for r in rows], np.arange(len(rows)))
+        rows = np.unique([r.item_id for r in rows], return_inverse=True)[1]
+    rated = np.bincount(rows) > 0
     index = {}
-    same = np.array([index.setdefault(v, len(index)) for v in categories], np.intp)
-    return Ratings(int(rated.sum()), (np.cumsum(rated) - 1)[item], same[value], list(index), metric)
+    same = np.array([index.setdefault(v, len(index)) for v in value.levels], np.intp)
+    return Ratings(int(rated.sum()), (np.cumsum(rated) - 1)[rows], same[value.codes], list(index), metric)

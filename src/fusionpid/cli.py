@@ -14,6 +14,7 @@ from .dataset import (
     CHOICES,
     CONDITIONS,
     RATINGS,
+    Codes,
     SchemaError,
     label_indices,
     parse_counterfactual,
@@ -99,9 +100,9 @@ def _write_report(report, out, schema=None):
             fh.write(text)
 
 
-def _alpha_json(item, value, categories, metric):
+def _alpha_json(item, value, metric):
     try:
-        return krippendorff_alpha(matrix_from_records(item, value, categories, metric)).to_json()
+        return krippendorff_alpha(matrix_from_records(item, value, metric)).to_json()
     except AgreementError as exc:
         return {"alpha": "undefined", "message": str(exc)}
 
@@ -132,7 +133,7 @@ def _agreement_summary(table, schema, metric, space=None):
     for name, (key, value, field, conf_field) in measures.items():
         rows = slice(None) if key is None else table[key].codes == CHOICES[key].index(value)
         codes, cats = categories[field]
-        alphas[name] = _alpha_json(item[rows], codes[rows], cats, metric)
+        alphas[name] = _alpha_json(item[rows], Codes(cats, codes[rows]), metric)
         conf = table[conf_field][rows]
         if len(conf):
             confidences[name] = mean_confidence(conf)

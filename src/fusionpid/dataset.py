@@ -88,7 +88,6 @@ class AnnotationTable:
 
     record: type
     columns: dict
-    __iter__ = None  # rows are columns here; `records()` lists them as records
 
     def __len__(self):
         return len(self.columns["item_id"].codes)
@@ -100,6 +99,9 @@ class AnnotationTable:
         """The rows as records, in input order."""
         cols = [c.values() if isinstance(c, Codes) else c.tolist() for c in self.columns.values()]
         return list(map(self.record, *cols))
+
+    def __iter__(self):
+        return iter(self.records())
 
     @classmethod
     def from_records(cls, record, records):

@@ -135,10 +135,28 @@ def test_matrix_from_records():
         PartialRecord("i2", "b", "m1", "no", 4),
     ]
     table = partial_table(recs)
-    m = matrix_from_records(table["item_id"].codes, table["label"].codes, table["label"].levels)
+    m = matrix_from_records(table["item_id"].codes, table["label"])
     assert table["item_id"].levels == ["i1", "i2"]
     assert m.units == 2
     assert krippendorff_alpha(m).alpha == pytest.approx(1.0)
+
+
+def test_matrix_from_records_takes_records_and_a_value_function():
+    recs = [
+        PartialRecord("i2", "a", "m1", 1, 4),
+        PartialRecord("i1", "a", "m1", 0, 4),
+        PartialRecord("i1", "b", "m1", 1, 4),
+        PartialRecord("i2", "b", "m1", 1, 4),
+        PartialRecord("i3", "a", "m1", 2, 4),
+        PartialRecord("i3", "b", "m1", 2.0, 4),
+    ]
+    table = partial_table(recs)
+    assert list(table) == recs
+    columnar = krippendorff_alpha(matrix_from_records(table["item_id"].codes, table["label"]))
+    by_record = krippendorff_alpha(matrix_from_records(table, lambda r: r.label))
+    assert by_record == columnar
+    assert (by_record.n_units, by_record.n_pairable) == (3, 3)
+    assert krippendorff_alpha(matrix_from_records(recs[:4], lambda r: r.label)).n_units == 2
 
 
 def loop_alpha(units, metric):
@@ -182,6 +200,22 @@ def test_count_based_alpha_matches_pair_loop(metric):
         rows = [u + [None] * (6 - len(u)) for u in units]
         m = RatingsMatrix([f"i{k}" for k in range(n_units)], list("abcdef"), rows, metric)
         assert krippendorff_alpha(m).alpha == pytest.approx(loop_alpha(units, metric), abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["nominal", "ordinal", "interval"])
+def test_count_based_alpha_matches_pair_loop_with_hundreds_of_categories(metric):
+    rng = np.random.default_rng(12)
+    units = [list(rng.integers(0, 400, rng.integers(2, 7))) for _ in range(300)]
+    units[0] = list(rng.permutation(400)[:60])  # one unit with 60 distinct ratings
+    ratings = Ratings(
+        len(units),
+        np.repeat(np.arange(len(units)), [len(u) for u in units]),
+        np.concatenate(units),
+        list(range(400)),
+        metric,
+    )
+    assert len({v for u in units for v in u}) > 300
+    assert krippendorff_alpha(ratings).alpha == pytest.approx(loop_alpha(units, metric), abs=1e-12)
 
 
 def test_alpha_from_codes_counts_units_and_pairable():
