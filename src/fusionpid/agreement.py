@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Codes, _runs
+from .dataset import Codes, _levels, _runs
 
 METRICS = ("nominal", "ordinal", "interval")
 
@@ -54,12 +54,10 @@ class RatingsMatrix:
         self.ratings()  # raises AgreementError for unusable ratings
 
     def ratings(self):
-        """The grid's ratings as code arrays; equal values are one category."""
+        """The grid's ratings as code arrays, one category per rating."""
         cells = [(u, v) for u, row in enumerate(self.values) for v in row if v is not None]
-        index = {}
-        code = [index.setdefault(v, len(index)) for _, v in cells]
         unit = np.array([u for u, _ in cells], np.intp)
-        return Ratings(len(self.items), unit, np.array(code, np.intp), list(index), self.metric)
+        return Ratings(len(self.items), unit, np.arange(len(cells)), [v for _, v in cells], self.metric)
 
 
 @dataclass
@@ -76,28 +74,25 @@ class AlphaResult:
         }
 
 
-def _distances(cats, totals, metric):
-    """Pairwise squared distances delta^2 between category values."""
-    k = len(cats)
-    if metric == "interval":
-        try:
-            x = [float(c) for c in cats]
-        except (TypeError, ValueError):
-            raise CategoryError(f"the interval metric needs numeric labels, got {cats}") from None
-    d = np.zeros((k, k))
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            if metric == "nominal":
-                d[i, j] = 1.0
-            elif metric == "interval":
-                d[i, j] = (x[i] - x[j]) ** 2
-            else:  # ordinal: cumulative-frequency rank distance
-                lo, hi = min(i, j), max(i, j)
-                span = totals[lo : hi + 1].sum()
-                d[i, j] = (span - (totals[i] + totals[j]) / 2.0) ** 2
-    return d
+def _categories(values):
+    """Each value's category, one value per category and, if all are finite numbers, their numbers."""
+    try:
+        number = np.array([float(v) for v in values])
+    except (TypeError, ValueError, OverflowError):
+        number = np.array([np.nan])
+    numeric = np.isfinite(number).all()
+    # among values of one number, texts after numbers and equal texts side by side
+    keys = list(zip(number.tolist(), [isinstance(v, str) for v in values], map(str, values))) if numeric else values
+    try:
+        rank = sorted(range(len(values)), key=keys.__getitem__)
+    except TypeError:
+        kinds = sorted({type(v).__name__ for v in values})
+        raise CategoryError(f"labels of types {kinds} cannot be ordered together") from None
+    ordered = [values[i] for i in rank]
+    first = np.array([True] + [a != b for a, b in zip(ordered, ordered[1:])])
+    distinct = [v for v, new in zip(ordered, first) if new]
+    x = number[rank][first] if numeric else None
+    return (np.cumsum(first) - 1)[np.argsort(rank)], distinct, x
 
 
 def krippendorff_alpha(m):
@@ -109,8 +104,16 @@ def krippendorff_alpha(m):
     u and w_u = 1 / (m_u - 1) for its m_u ratings,
     o = N^T diag(w) N - diag(sum_u w_u N[u]), summed over the pairs of
     nonzero counts within each unit, so memory grows with those pairs and
-    not with units x categories. Categories are sorted by value;
-    values that cannot be sorted together raise CategoryError. Returns
+    not with units x categories.
+
+    Only this function decides what a category is. The values present sort
+    by number when all are finite numbers or numeric text ("-3" before "-1"),
+    else by value; values that cannot be sorted together raise
+    CategoryError. Equal values (1, 1.0 and True; labels with one index in a
+    label space) are one category. Squared distances: nominal 1 - I;
+    interval (x_c - x_c')^2 on the values; ordinal the same on the mid-ranks
+    x_c = sum_{g<=c} n_g - n_c / 2 of the totals n_g, which equals
+    Krippendorff's (sum_{g=c..c'} n_g - (n_c + n_c') / 2)^2. Returns
     AlphaResult with alpha None when every pairable value is identical
     (D_e = 0, undefined).
     """
@@ -122,16 +125,12 @@ def krippendorff_alpha(m):
         raise AgreementError("no unit has 2 or more ratings")
     kept = pairable[r.unit]
     present = np.unique(r.code[kept])
-    values = [r.categories[c] for c in present.tolist()]
-    try:
-        rank = sorted(range(len(values)), key=values.__getitem__)
-    except TypeError:
-        kinds = sorted({type(v).__name__ for v in values})
-        raise CategoryError(f"labels of types {kinds} cannot be ordered together") from None
-    cats = [values[i] for i in rank]
+    merged, cats, x = _categories([r.categories[c] for c in present.tolist()])
+    if r.metric == "interval" and x is None:
+        raise CategoryError(f"the interval metric needs numeric labels, got {cats}")
     k = len(cats)
     category = np.empty(len(r.categories), np.intp)
-    category[present[rank]] = np.arange(k)
+    category[present] = merged
     unit = (np.cumsum(pairable) - 1)[r.unit[kept]]
     # the nonzero entries of N, as (unit, category) cells sorted by unit
     cells, count = np.unique(unit * k + category[r.code[kept]], return_counts=True)
@@ -146,7 +145,9 @@ def krippendorff_alpha(m):
     o = np.bincount(cell_category[a] * k + cell_category[b], weight, minlength=k * k).reshape(k, k)
     totals = o.sum(axis=1)
     n = totals.sum()
-    d = _distances(cats, totals, r.metric)
+    if r.metric == "ordinal":
+        x = np.cumsum(totals) - totals / 2.0  # mid-ranks
+    d = 1.0 - np.eye(k) if r.metric == "nominal" else (x[:, None] - x) ** 2
     d_e = float((np.outer(totals, totals) * d).sum()) / (n * (n - 1))
     if d_e == 0.0:
         return AlphaResult(alpha=None, n_units=r.units, n_pairable=n_pairable)
@@ -173,14 +174,12 @@ def matrix_from_records(rows, value, metric="nominal"):
     records and `value(record)` gives a record's category; they are turned
     into codes and take the same path.
 
-    Units are the items rated here; equal category values (1 and 1.0, or
-    two labels with one index in a label space) are one category.
+    Units are the items rated here; `krippendorff_alpha` decides which
+    category values are equal.
     """
     if callable(value):
         rows = list(rows)
-        value = Codes([value(r) for r in rows], np.arange(len(rows)))
+        value = Codes(*_levels([value(r) for r in rows]))
         rows = np.unique([r.item_id for r in rows], return_inverse=True)[1]
     rated = np.bincount(rows) > 0
-    index = {}
-    same = np.array([index.setdefault(v, len(index)) for v in value.levels], np.intp)
-    return Ratings(int(rated.sum()), (np.cumsum(rated) - 1)[rows], same[value.codes], list(index), metric)
+    return Ratings(int(rated.sum()), (np.cumsum(rated) - 1)[rows], value.codes, value.levels, metric)

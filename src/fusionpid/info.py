@@ -11,13 +11,13 @@ class DistributionError(ValueError):
     pass
 
 
-def _check_mass(mass, tol=MASS_TOL):
+def _check_mass(mass):
     if not np.all(np.isfinite(mass)):
         raise DistributionError("non-finite probability mass")
-    if np.any(mass < -tol):
+    if np.any(mass < -MASS_TOL):
         raise DistributionError("negative probability mass")
     total = float(mass.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > MASS_TOL:
         raise DistributionError(f"total mass {total} != 1")
 
 
@@ -108,7 +108,7 @@ def marginal_pair(dist, which):
     return Joint2(m.sum(axis=axis))
 
 
-def conditional_mi(dist, pair=None, given="y"):
+def conditional_mi(dist, given="y"):
     """I(A; B | C) for a Joint3, where C is the `given` axis and (A, B) the rest.
 
     Cells with p(c) = 0 contribute 0.
@@ -116,10 +116,6 @@ def conditional_mi(dist, pair=None, given="y"):
     m = _as_mass(dist)
     c = AXES[given] if isinstance(given, str) else int(given)
     a, b = [ax for ax in (0, 1, 2) if ax != c]
-    if pair is not None:
-        want = sorted(AXES[x] if isinstance(x, str) else int(x) for x in pair)
-        if want != [a, b]:
-            raise ValueError("pair and given must cover all three variables")
     # I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C)
     return (
         entropy(m.sum(axis=b))

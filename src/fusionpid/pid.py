@@ -29,6 +29,10 @@ from .info import (
 FEAS_TOL = 1e-9
 CLAMP_TOL = 1e-6
 DEGENERATE_TOTAL = 1e-9
+CONSISTENCY_TOL = 1e-4
+# Marginal entries at or below the smallest normal float are zero support:
+# the dual variables of denormal mass would overflow exp() in `recover`.
+TINY = np.finfo(float).tiny
 
 
 class InfeasibleError(ValueError):
@@ -65,11 +69,10 @@ class MarginalConstraints:
 @dataclass
 class SolverConfig:
     tol_objective: float = 1e-6
-    tol_feasibility: float = 1e-9
     max_iterations: int = 10000
 
     def __post_init__(self):
-        if self.tol_objective <= 0 or self.tol_feasibility <= 0:
+        if self.tol_objective <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -77,7 +80,7 @@ class SolverConfig:
     def to_json(self):
         return {
             "tol_objective": self.tol_objective,
-            "tol_feasibility": self.tol_feasibility,
+            "tol_feasibility": FEAS_TOL,
             "max_iterations": self.max_iterations,
         }
 
@@ -182,14 +185,14 @@ class _DualBarrier:
         n = c.size
         m1, m2 = c.m1y.mass, c.m2y.mass
         self.marg = np.concatenate([m1.ravel(), m2.ravel()])
-        self.cells = (m1[:, None, :] > 0) & (m2[None, :, :] > 0)
+        self.cells = (m1[:, None, :] > TINY) & (m2[None, :, :] > TINY)
         ci, cj, ck = np.nonzero(self.cells)  # ordered by block (i, j)
         self.col_a = ci * n + ck
         self.col_b = n * n + cj * n + ck
         new_block = np.r_[True, (ci[1:] != ci[:-1]) | (cj[1:] != cj[:-1])]
         self.starts = np.flatnonzero(new_block)
         self.block_of = np.cumsum(new_block) - 1
-        free = self.marg > 0
+        free = self.marg > TINY
         free[n * n + np.argmax(m2, axis=0) * n + np.arange(n)] = False
         self.free = np.flatnonzero(free)
         incidence = np.zeros((len(ci), len(self.marg)))
@@ -281,8 +284,8 @@ def solve_qstar(c, cfg=None):
     # dual point of q0 (a_ik + b_jk = -log q0_ijk), moved one nat inside
     with np.errstate(divide="ignore", invalid="ignore"):
         half = 0.5 * np.log(c.py)
-        a = np.where(c.m1y.mass > 0, half + 1.0 - np.log(c.m1y.mass), 0.0)
-        b = np.where(c.m2y.mass > 0, half - np.log(c.m2y.mass), 0.0)
+        a = np.where(c.m1y.mass > TINY, half + 1.0 - np.log(c.m1y.mass), 0.0)
+        b = np.where(c.m2y.mass > TINY, half - np.log(c.m2y.mass), 0.0)
     x = np.concatenate([a.ravel(), b.ravel()])
     s, g, p = prog.blocks(x)
     t = prog.n_blocks / (float(prog.marg @ x) - LN2 * conditional_entropy_output(q0))
@@ -302,7 +305,7 @@ def solve_qstar(c, cfg=None):
             x, s, g, p = moved
         barrier_gap = prog.n_blocks / t
         if barrier_gap <= target or it >= cfg.max_iterations:
-            q[prog.cells] = prog.recover(s, g, t, 0.01 * cfg.tol_feasibility)
+            q[prog.cells] = prog.recover(s, g, t, 0.01 * FEAS_TOL)
             objective = conditional_entropy_output(q)
             # a uniform shift of a restores any rounding-level infeasibility
             dual = (float(prog.marg @ x) + max(0.0, float(g.max()))) / LN2
@@ -317,7 +320,7 @@ def solve_qstar(c, cfg=None):
     # written so that NaN fails them: overflow in `recover` can leave NaN in q
     if not (np.isfinite(gap) and np.all(np.isfinite(q))):
         raise InfeasibleError("solver broke down numerically")
-    if not residual <= cfg.tol_feasibility * 100:
+    if not residual <= FEAS_TOL * 100:
         raise InfeasibleError(f"solver left the feasible set (residual {residual})")
     diagnostics = {
         "iterations": it,
@@ -498,7 +501,7 @@ def pid_from_solution(p, q_star, diagnostics=None):
     return result
 
 
-def check_consistency(result, p, tol=1e-4):
+def check_consistency(result, p, tol=CONSISTENCY_TOL):
     """Residuals of the five bookkeeping identities tying R/U1/U2/S to p."""
     i1 = mutual_information(p.mass.sum(axis=1))
     i2 = mutual_information(p.mass.sum(axis=0))
@@ -519,14 +522,14 @@ def check_consistency(result, p, tol=1e-4):
     }
 
 
-def convert(data, smoothing=0.0, cfg=None, consistency_tol=1e-4):
+def convert(data, smoothing=0.0, cfg=None):
     """Full pipeline: triples -> joint -> q* -> PIDResult with consistency report."""
     cfg = cfg or SolverConfig()
     p = empirical_joint(data, smoothing=smoothing)
-    return pid_from_joint(p, cfg=cfg, consistency_tol=consistency_tol)
+    return pid_from_joint(p, cfg=cfg)
 
 
-def pid_from_joint(p, cfg=None, consistency_tol=1e-4):
+def pid_from_joint(p, cfg=None):
     cfg = cfg or SolverConfig()
     c = constraints_from_joint(p)
     if joint_mi(p) <= DEGENERATE_TOTAL:
@@ -537,5 +540,5 @@ def pid_from_joint(p, cfg=None, consistency_tol=1e-4):
     else:
         q_star, diagnostics = solve_qstar(c, cfg)
         result = pid_from_solution(p, q_star, diagnostics)
-    result.consistency.update(check_consistency(result, p, tol=consistency_tol))
+    result.consistency.update(check_consistency(result, p))
     return result

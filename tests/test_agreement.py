@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,7 @@ from fusionpid.agreement import (
     matrix_from_records,
     mean_confidence,
 )
-from fusionpid.dataset import CONDITIONS, AnnotationTable, PartialRecord
+from fusionpid.dataset import CONDITIONS, AnnotationTable, PartialRecord, parse_partial
 
 
 def matrix(rows, metric="nominal"):
@@ -231,3 +234,33 @@ def test_mixed_type_labels_cannot_be_ordered():
         krippendorff_alpha(m)
     with pytest.raises(CategoryError):
         krippendorff_alpha(matrix([["a", "b"], ["b", "b"]], "interval"))
+
+
+@pytest.mark.parametrize("metric", ["nominal", "ordinal", "interval"])
+def test_equal_numbers_and_numeric_text_match_pair_loop(metric):
+    rng = np.random.default_rng(13)
+    units = [[int(v) * 5 for v in rng.integers(-3, 4, rng.integers(2, 5))] for _ in range(40)]
+    units[0] = [5, 15]  # never all identical
+    want = loop_alpha(units, metric)
+    # JSON 5 and 5.0 are two labels of the table and one category of alpha
+    rows = [
+        {"item_id": f"i{u}", "annotator_id": f"a{k}", "condition": "m1", "label": float(v) if k % 2 else v, "confidence": 3}
+        for u, unit in enumerate(units)
+        for k, v in enumerate(unit)
+    ]
+    table = parse_partial(io.StringIO(json.dumps(rows)), "json")
+    assert 5 in table["label"].levels and any(type(v) is float for v in table["label"].levels)
+    got = krippendorff_alpha(matrix_from_records(table["item_id"].codes, table["label"], metric))
+    assert got.alpha == pytest.approx(want, abs=1e-12)
+    # numeric text orders by number: "-5" after "-10", "10" after "5"
+    text = [[str(v) for v in u] + [None] * (4 - len(u)) for u in units]
+    m = RatingsMatrix([f"i{u}" for u in range(len(units))], list("abcd"), text, metric)
+    assert krippendorff_alpha(m).alpha == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["nominal", "ordinal", "interval"])
+def test_numbers_and_numeric_text_order_together(metric):
+    numbers = [[1, 2], [2, 2], [1, 1], [3, 1], [2, 3]]
+    mixed = [[1, "2"], ["2", "2"], [1, 1], ["3", 1], ["2", "3"]]
+    want = krippendorff_alpha(matrix(numbers, metric)).alpha
+    assert krippendorff_alpha(matrix(mixed, metric)).alpha == pytest.approx(want, abs=1e-12)

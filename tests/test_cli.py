@@ -213,6 +213,23 @@ def test_agreement_labels_the_metric_cannot_compare_fail_cleanly(tmp_path, label
     assert json.loads(result.output.strip().splitlines()[-1])["error"] == "agreement-failed"
 
 
+def test_agreement_orders_numeric_text_labels_by_number(tmp_path):
+    # 7-point labels as CSV text; sorted as text, "-1" would come before "-3"
+    first = [-3, -2, -1, 0, 1, 2, 3, -1]
+    second = [-3, -2, 0, 0, 1, 2, 3, -1]  # the annotators differ only on -1 vs 0
+    lines = ["item_id,annotator_id,order,label_first,label_both,confidence_first,confidence_both"]
+    for i, labels in enumerate(zip(first, second)):
+        for ann, y in zip(("a1", "a2"), labels):
+            lines += [f"i{i},{ann},{order},{y},{y},3,3" for order in ("first-m1", "first-m2")]
+    src = tmp_path / "cf.csv"
+    src.write_text("\n".join(lines) + "\n")
+    args = ["agreement", "--input", str(src), "--schema", "counterfactual", "--metric", "ordinal"]
+    plain = run(args)
+    spaced = run(args + ["--label-space", '{"kind": "ordinal", "range": [-3, 3]}'])
+    assert plain.exit_code == spaced.exit_code == 0, plain.output + spaced.output
+    assert json.loads(plain.output)["agreement"] == json.loads(spaced.output)["agreement"]
+
+
 def test_agreement_report_is_validated_before_writing(tmp_path, monkeypatch):
     src = tmp_path / "partial.csv"
     write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
@@ -262,18 +279,18 @@ def test_pid_command_rejects_bad_mass(tmp_path):
     assert err["error"] == "invalid-distribution"
 
 
-def test_pid_command_denormal_joint_fails_cleanly(tmp_path):
-    # 5e-324 cells make the solver's marginal fit overflow; that must end as
-    # a solver failure, not as a report carrying NaN (which is not JSON)
+def test_pid_command_denormal_joint_certified(tmp_path):
+    # 5e-324 cells are zero support to the solver, so the joint certifies
+    # and the report carries no NaN (which is not JSON)
     mass = [5e-324] * 125
     mass[1], mass[12], mass[0] = 0.8, 0.2, 0.0  # cells (0,0,1), (0,2,2), (0,0,0)
     src = tmp_path / "denormal.json"
     src.write_text(json.dumps({"size": 5, "mass": mass}))
     result = run(["pid", "--input", str(src)])
-    assert result.exit_code == 1
+    assert result.exit_code == 0, result.output
     assert "NaN" not in result.output
-    err = json.loads(result.output.strip().splitlines()[-1])
-    assert err["error"] == "solver-failed"
+    report = json.loads(result.output)
+    assert report["converged"] and report["consistency"]["passed"], report
 
 
 def test_pid_command_rejects_nan_mass(tmp_path):

@@ -281,11 +281,22 @@ def assert_certified(p):
 # Sparse, degenerate and near-deterministic joints, and n >= 5, are where
 # max-entropy PID solvers break down (Makkeh, Theis & Vicente, Entropy 2018).
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_sparse_joints_certified(n):
     rng = np.random.default_rng(40 + n)
     for _ in range(8):
         assert_certified(sparse_joint(rng, n))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [6, 7])
+def test_sparse_relabeling_invariance(n):
+    # y1, y2 and y relabelled independently: every component keeps its value
+    rng = np.random.default_rng(70 + n)
+    for _ in range(4):
+        p = sparse_joint(rng, n)
+        q = Joint3(p.mass[np.ix_(*(rng.permutation(n) for _ in range(3)))])
+        assert components(pid_from_joint(p)) == pytest.approx(components(pid_from_joint(q)), abs=1e-6)
 
 
 @pytest.mark.filterwarnings("error")
@@ -351,19 +362,15 @@ def test_property_certified_or_infeasible_and_swap_symmetric(p):
     assert components(a) == pytest.approx(components(b)[[0, 2, 1, 3]], abs=1e-6)
 
 
-def denormal_joint():
-    """Two heavy cells, one zero cell and 5e-324 in every other cell: `recover`
-    overflows exp(log q) here and used to hand back a NaN q*."""
-    m = np.full((5, 5, 5), 5e-324)
+def denormal_joint(n):
+    """Two heavy cells, one zero cell and 5e-324 in every other cell: the
+    denormal marginals must count as zero support, or exp(log q) overflows."""
+    m = np.full((n, n, n), 5e-324)
     m[0, 0, 1], m[0, 2, 2], m[0, 0, 0] = 0.8, 0.2, 0.0
     return Joint3(m)
 
 
-def test_denormal_joint_certified_or_infeasible():
-    try:
-        res = pid_from_joint(denormal_joint())
-    except InfeasibleError:
-        return
-    assert np.all(np.isfinite(res.q_star.mass))
-    assert np.isfinite(res.feasibility_residual)
-    assert res.converged and res.consistency["passed"], res.consistency
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_denormal_joint_certified(n):
+    assert_certified(denormal_joint(n))
