@@ -75,23 +75,31 @@ class AlphaResult:
 
 
 def _categories(values):
-    """Each value's category, one value per category and, if all are finite numbers, their numbers."""
+    """Each value's category, one value per category and, if all are finite numbers, their numbers.
+
+    Values that all read as finite numbers (numbers and numeric text alike)
+    sort and merge by number, so 5, 5.0 and "5" are one category; other
+    values sort and merge by value.
+    """
     try:
         number = np.array([float(v) for v in values])
     except (TypeError, ValueError, OverflowError):
         number = np.array([np.nan])
-    numeric = np.isfinite(number).all()
-    # among values of one number, texts after numbers and equal texts side by side
-    keys = list(zip(number.tolist(), [isinstance(v, str) for v in values], map(str, values))) if numeric else values
-    try:
-        rank = sorted(range(len(values)), key=keys.__getitem__)
-    except TypeError:
-        kinds = sorted({type(v).__name__ for v in values})
-        raise CategoryError(f"labels of types {kinds} cannot be ordered together") from None
-    ordered = [values[i] for i in rank]
-    first = np.array([True] + [a != b for a, b in zip(ordered, ordered[1:])])
-    distinct = [v for v, new in zip(ordered, first) if new]
-    x = number[rank][first] if numeric else None
+    if np.isfinite(number).all():
+        rank = np.argsort(number, kind="stable")
+        ordered = number[rank]
+        first = np.r_[True, ordered[1:] != ordered[:-1]]
+        x = ordered[first]
+    else:
+        try:
+            rank = np.array(sorted(range(len(values)), key=values.__getitem__))
+        except TypeError:
+            kinds = sorted({type(v).__name__ for v in values})
+            raise CategoryError(f"labels of types {kinds} cannot be ordered together") from None
+        ordered = [values[i] for i in rank]
+        first = np.array([True] + [a != b for a, b in zip(ordered, ordered[1:])])
+        x = None
+    distinct = [values[i] for i in rank[first]]
     return (np.cumsum(first) - 1)[np.argsort(rank)], distinct, x
 
 
@@ -107,13 +115,13 @@ def krippendorff_alpha(m):
     not with units x categories.
 
     Only this function decides what a category is. The values present sort
-    by number when all are finite numbers or numeric text ("-3" before "-1"),
-    else by value; values that cannot be sorted together raise
-    CategoryError. Equal values (1, 1.0 and True; labels with one index in a
-    label space) are one category. Squared distances: nominal 1 - I;
-    interval (x_c - x_c')^2 on the values; ordinal the same on the mid-ranks
-    x_c = sum_{g<=c} n_g - n_c / 2 of the totals n_g, which equals
-    Krippendorff's (sum_{g=c..c'} n_g - (n_c + n_c') / 2)^2. Returns
+    and merge by number when all are finite numbers or numeric text ("-3"
+    before "-1"; 5, 5.0 and "5" one category), else by value (equal values,
+    such as labels with one index in a label space, one category); values
+    that cannot be sorted together raise CategoryError. Squared distances:
+    nominal 1 - I; interval (x_c - x_c')^2 on the values; ordinal the same
+    on the mid-ranks x_c = sum_{g<=c} n_g - n_c / 2 of the totals n_g, which
+    equals Krippendorff's (sum_{g=c..c'} n_g - (n_c + n_c') / 2)^2. Returns
     AlphaResult with alpha None when every pairable value is identical
     (D_e = 0, undefined).
     """

@@ -5,8 +5,8 @@ import io
 import json
 import warnings
 from dataclasses import asdict, dataclass, fields
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, cycle, repeat
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -22,9 +22,6 @@ RATINGS = range(6)
 
 # a raw label as read from CSV (always text) or JSON (text or a number)
 Label = str | int | float
-
-# CSV rows read per block: bounds the raw text held at once
-_CSV_BLOCK = 1 << 16
 
 
 class SchemaError(ValueError):
@@ -83,11 +80,14 @@ class AnnotationTable:
     `item_id` and `annotator_id` are `Codes` over the sorted distinct ids;
     `condition` / `order` are `Codes` over CHOICES; labels are `Codes` over
     the distinct raw labels, told apart by type as well as value (JSON 1 and
-    1.0 are two labels); 0..5 ratings are int64 arrays.
+    1.0 are two labels); 0..5 ratings are int64 arrays. `key_order` holds
+    the row positions sorted by the record key: item, then condition / order
+    (if the record has one) in the order of its choices, then annotator.
     """
 
     record: type
     columns: dict
+    key_order: np.ndarray
 
     def __len__(self):
         return len(self.columns["item_id"].codes)
@@ -147,11 +147,6 @@ class _Index(dict):
         return position
 
 
-def _codes(index, keys):
-    """The position of every key in `index`, one dict lookup each."""
-    return np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
-
-
 def _levels(values):
     """(levels, codes) of raw values, 1, 1.0 and True being three levels.
 
@@ -162,7 +157,7 @@ def _levels(values):
     keys = list(zip(map(type, values), values))
     index = _Index()
     try:
-        codes = _codes(index, keys)
+        codes = np.fromiter(map(index.__getitem__, keys), np.intp, len(keys))
     except TypeError:
         return list(values), np.arange(len(values))
     return [value for _, value in index], codes
@@ -173,7 +168,9 @@ def _csv_columns(stream, names):
 
     Reads like csv.DictReader: blank lines are skipped, extra trailing
     columns ignored, a repeated column name reads its last column, and a
-    field beyond a short row's end is missing (None).
+    field beyond a short row's end is missing (None). Rows stream through
+    C-level iterators, padded with None and cut to the last column read,
+    into one (rows, width) array of codes, one `_Index` per column.
     """
     reader = csv.reader(stream)
     header = next(reader, names)  # an empty file reads as a header-only one
@@ -183,28 +180,18 @@ def _csv_columns(stream, names):
     last = {name: i for i, name in enumerate(header)}
     positions = [last[name] for name in names]
     width = max(positions) + 1
-    short = {}
+    rows = map(itemgetter(slice(width)), map(add, filter(None, reader), repeat([None] * width)))
+    index = [_Index() for _ in range(width)]
+    lookups = map(dict.__getitem__, cycle(index), chain.from_iterable(rows))
+    codes = np.fromiter(lookups, np.intp).reshape(-1, width)
+    levels = [list(seen) for seen in index]
 
-    def padded(rows):
-        for number, row in enumerate(rows):
-            if len(row) < width:
-                short[number] = row
-                row = row + [None] * (width - len(row))
-            yield row
-
-    rows = map(itemgetter(*positions), padded(filter(None, reader)))
-    index = [_Index() for _ in names]
-    parts = [[np.empty(0, np.intp)] for _ in names]
-    while block := list(islice(rows, _CSV_BLOCK)):
-        for values, seen, part in zip(zip(*block), index, parts):
-            part.append(_codes(seen, values))
-    columns = [(list(seen), np.concatenate(part)) for seen, part in zip(index, parts)]
-
-    def row_at(number):
-        row = short[number]
+    def row_at(number):  # a short row: its fields end at the first None
+        row = list(map(list.__getitem__, levels, codes[number].tolist()))
+        row = row[: row.index(None)]
         return {**dict(zip(header, row)), **dict.fromkeys(header[len(row) :])}
 
-    return columns, row_at
+    return [(levels[p], codes[:, p]) for p in positions], row_at
 
 
 def _json_columns(stream, names):
@@ -276,19 +263,26 @@ def _column(f, levels, codes, row_at):
 
 
 def _table(record, raw, row_at):
-    """The validated table of `record` rows from (levels, codes) per field."""
-    table = AnnotationTable(record, {f.name: _column(f, *col, row_at) for f, col in zip(fields(record), raw)})
-    key = [table[name] for name in ("item_id", "annotator_id", *CHOICES) if name in table.columns]
-    combined = np.zeros(len(table), np.int64)
-    for col in key:
+    """The validated table of `record` rows from (levels, codes) per field.
+
+    One stable sort of the record key gives the table's key order, and
+    equal neighbours in it are duplicates: the first repeat in input order
+    is reported.
+    """
+    columns = {f.name: _column(f, *col, row_at) for f, col in zip(fields(record), raw)}
+    item, annotator = columns["item_id"], columns["annotator_id"]
+    choice = [columns[name] for name in CHOICES if name in columns]
+    combined = item.codes.astype(np.int64)
+    for col in (*choice, annotator):
         combined = combined * len(col.levels) + col.codes
-    _, first = np.unique(combined, return_index=True)
-    if len(first) < len(table):
-        repeat = np.ones(len(table), bool)
-        repeat[first] = False
-        i = int(np.argmax(repeat))
-        raise SchemaError(f"duplicate record key {tuple(col.levels[col.codes[i]] for col in key)}")
-    return table
+    order = np.argsort(combined, kind="stable")
+    key = combined[order]
+    repeats = order[1:][key[1:] == key[:-1]]
+    if len(repeats):
+        i = int(repeats.min())
+        shown = tuple(col.levels[col.codes[i]] for col in (item, annotator, *choice))
+        raise SchemaError(f"duplicate record key {shown}")
+    return AnnotationTable(record, columns, order)
 
 
 def _parse(stream, fmt, record, what):
@@ -338,17 +332,17 @@ def label_indices(labels, space):
 
 
 def _grouped(table, field):
-    """Sort rows by item, then by `field` in the order of its choices, then by annotator.
+    """The (item, `field`) runs of a table's key order.
 
-    Returns (order, start, count): the row positions in that order, and
+    Returns (order, start, count): the row positions in key order (by item,
+    then by `field` in the order of its choices, then by annotator), and
     the offset in `order` and the length of every (item, group) run as
     (items, groups) arrays, items in sorted order. Every item needs every group.
     """
     if not len(table):
         raise SchemaError("no triples produced")
-    item, annotator, group = table["item_id"], table["annotator_id"], table[field]
+    item, group = table["item_id"], table[field]
     groups = group.levels
-    order = np.lexsort((annotator.codes, group.codes, item.codes))
     count = np.bincount(item.codes * len(groups) + group.codes, minlength=len(item.levels) * len(groups))
     count = count.reshape(len(item.levels), len(groups))
     lacking = np.flatnonzero((count == 0).any(axis=1))
@@ -357,7 +351,7 @@ def _grouped(table, field):
         missing = [g for g, c in zip(groups, count[i]) if c == 0]
         raise SchemaError(f"item {item.levels[i]!r} missing {field}(s) {missing}")
     start = np.cumsum(count).reshape(count.shape) - count
-    return order, start, count
+    return table.key_order, start, count
 
 
 def _runs(sizes):

@@ -264,3 +264,23 @@ def test_numbers_and_numeric_text_order_together(metric):
     mixed = [[1, "2"], ["2", "2"], [1, 1], ["3", 1], ["2", "3"]]
     want = krippendorff_alpha(matrix(numbers, metric)).alpha
     assert krippendorff_alpha(matrix(mixed, metric)).alpha == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("metric", ["nominal", "ordinal", "interval"])
+def test_number_and_its_text_are_one_category(metric):
+    units = [[5, 5], [5, 5], [1, 3], [3, 3], [1, 5]]
+    forms = [[5, "5"], ["5.0", 5.0], [1, "3"], ["3", 3], ["1", 5]]
+    assert krippendorff_alpha(matrix(forms, metric)).alpha == pytest.approx(loop_alpha(units, metric), abs=1e-12)
+    rng = np.random.default_rng(14)
+    units = [[int(v) for v in rng.integers(-3, 4, rng.integers(2, 5))] for _ in range(40)]
+    units[0] = [1, 3]  # never all identical
+    # every label written at random as JSON 5, 5.0, "5" or "5.0"
+    write = (int, float, str, lambda v: str(float(v)))
+    rows = [
+        {"item_id": f"i{u}", "annotator_id": f"a{k}", "condition": "m1", "label": write[rng.integers(4)](v), "confidence": 3}
+        for u, unit in enumerate(units)
+        for k, v in enumerate(unit)
+    ]
+    table = parse_partial(io.StringIO(json.dumps(rows)), "json")
+    got = krippendorff_alpha(matrix_from_records(table["item_id"].codes, table["label"], metric))
+    assert got.alpha == pytest.approx(loop_alpha(units, metric), abs=1e-12)

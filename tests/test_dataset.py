@@ -1,10 +1,14 @@
+import csv
 import io
 import json
+from dataclasses import fields
+from itertools import product
 
 import numpy as np
 import pytest
 
 from fusionpid.dataset import (
+    CHOICES,
     AnnotationTable,
     CounterfactualRecord,
     DecompositionRecord,
@@ -161,6 +165,115 @@ def test_short_row_names_every_header_column():
         "missing field 'confidence' in row {'item_id': 'i1', 'x': 'q', 'annotator_id': 'a1', "
         "'condition': 'm1', 'label': 'yes', 'confidence': None}"
     )
+
+
+# raw CSV text per column (by name prefix), and, for files meant to fail, the bad values
+CSV_TEXT = {
+    "item_id": ("i1", "i2", "i10", "i9"),
+    "annotator_id": ("a", "b", "B", "a10"),
+    "condition": CHOICES["condition"],
+    "order": CHOICES["order"],
+    "label": ("no", "yes", "yes, sure", "two\nlines", 'say "hi"', "", "-3"),
+    "confidence": ("0", "1", "2", "3", "4", "5", " 4"),
+    "note": ("", "n, b", "x\ny"),
+}
+CSV_BAD = {"condition": ("m9",), "order": ("first-m3",), "confidence": ("7", "x", "2.0")}
+
+
+def csv_text(rng, name, fault):
+    prefix = next(p for p in CSV_TEXT if name.startswith(p))
+    pool = CSV_BAD.get(prefix, ()) if fault == "value" and rng.random() < 0.05 else ()
+    return str(rng.choice(pool or CSV_TEXT[prefix]))
+
+
+def random_csv(rng, record):
+    """CSV text of `record` rows as csv.writer quotes it: schema columns
+    shuffled, an unrelated column among them, one column name repeated,
+    blank lines and extra trailing fields; a file meant to fail also gets
+    short rows, bad values or repeated keys."""
+    names = [f.name for f in fields(record)]
+    header = [str(n) for n in rng.permutation(names)]
+    header.insert(int(rng.integers(1, len(header))), "note")
+    header.insert(int(rng.integers(0, len(header) + 1)), str(rng.choice(names)))
+    last = {name: i for i, name in enumerate(header)}
+    fault = rng.choice(["none", "short", "value", "repeat"])
+    key_names = ["item_id", "annotator_id", next(n for n in names if n in CHOICES)]
+    keys = list(product(*(CSV_TEXT[n] for n in key_names)))
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for k in rng.choice(len(keys), 20, replace=fault == "repeat"):
+        key = dict(zip(key_names, keys[k]))
+        row = [key[n] if last[n] == i and n in key else csv_text(rng, n, fault) for i, n in enumerate(header)]
+        if rng.random() < 0.2:
+            row += ["extra"] * int(rng.integers(1, 3))
+        if fault == "short" and rng.random() < 0.1:
+            row = row[: rng.integers(1, len(header))]
+        if rng.random() < 0.1:
+            writer.writerow([])
+        writer.writerow(row)
+    return out.getvalue()
+
+
+def dictreader_reference(text, record):
+    """Row loop over csv.DictReader: each field checked down the rows in
+    record order, its first bad row reported, then the first repeated key."""
+    reader = csv.DictReader(io.StringIO(text))
+    rows = list(reader)
+    names = [f.name for f in fields(record)]
+    missing = set(names) - set(reader.fieldnames)
+    if missing:
+        raise SchemaError(f"missing columns: {sorted(missing)}")
+    columns = []
+    for f in fields(record):
+        column = []
+        for row in rows:
+            raw = row[f.name]
+            if raw is None:
+                raise SchemaError(f"missing field {f.name!r} in row {row!r}")
+            if f.type is int:
+                try:
+                    raw = int(raw)
+                except ValueError:
+                    raise SchemaError(f"{f.name} must be an integer: {raw!r}")
+                if not 0 <= raw <= 5:
+                    raise SchemaError(f"{f.name}={raw} outside [0, 5]")
+            elif f.name in CHOICES and raw not in CHOICES[f.name]:
+                raise SchemaError(f"{f.name} must be one of {CHOICES[f.name]}, got {raw!r}")
+            column.append(raw)
+        columns.append(column)
+    records = [record(*values) for values in zip(*columns)]
+    seen = set()
+    for rec in records:
+        key = tuple(getattr(rec, n) for n in ("item_id", "annotator_id", *CHOICES) if hasattr(rec, n))
+        if key in seen:
+            raise SchemaError(f"duplicate record key {key}")
+        seen.add(key)
+    return records
+
+
+@pytest.mark.parametrize("record, parse", [(PartialRecord, parse_partial), (CounterfactualRecord, parse_counterfactual)])
+def test_csv_parser_matches_dictreader_reference(record, parse):
+    rng = np.random.default_rng(21)
+    outcomes = set()
+    for _ in range(80):
+        text = random_csv(rng, record)
+        try:
+            want = dictreader_reference(text, record)
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as err:
+                parse(io.StringIO(text))
+            assert str(err.value) == str(exc)
+            outcomes.add(next(k for k in ("missing field", "must be", "outside", "duplicate") if k in str(exc)))
+            continue
+        table = parse(io.StringIO(text))
+        assert table.records() == want
+        # the one key sort is lexsort's order of (item, choice, annotator)
+        choice = next(table[n] for n in CHOICES if n in table.columns)
+        keys = (table["annotator_id"].codes, choice.codes, table["item_id"].codes)
+        assert table.key_order.tolist() == np.lexsort(keys).tolist()
+        outcomes.add("parsed")
+    assert outcomes == {"parsed", "missing field", "must be", "outside", "duplicate"}
 
 
 def test_json_null_field_is_missing_and_list_ids_become_text():

@@ -362,6 +362,28 @@ def test_property_certified_or_infeasible_and_swap_symmetric(p):
     assert components(a) == pytest.approx(components(b)[[0, 2, 1, 3]], abs=1e-6)
 
 
+@st.composite
+def sparse_joints_n6_n7(draw):
+    n = draw(st.sampled_from([6, 7]))
+    cells = draw(st.lists(st.integers(0, n**3 - 1), min_size=n**3 // 10, max_size=n**3 // 2, unique=True))
+    mass = np.zeros(n**3)
+    mass[cells] = draw(st.lists(st.floats(1e-6, 1.0), min_size=len(cells), max_size=len(cells)))
+    return Joint3(mass.reshape(n, n, n) / mass.sum())
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=40, deadline=None)
+@given(sparse_joints_n6_n7())
+def test_property_sparse_n6_n7_certified_and_swap_symmetric(p):
+    cfg = SolverConfig()
+    a = pid_from_joint(p, cfg)
+    assert a.converged and a.objective_gap <= cfg.tol_objective, a.to_json()
+    assert a.feasibility_residual <= 1e-9 and a.consistency["passed"], a.to_json()
+    assert feasible_residual(a.q_star.mass, constraints_from_joint(p)) <= 1e-9
+    b = pid_from_joint(Joint3(np.transpose(p.mass, (1, 0, 2))), cfg)
+    assert components(a) == pytest.approx(components(b)[[0, 2, 1, 3]], abs=1e-6)
+
+
 def denormal_joint(n):
     """Two heavy cells, one zero cell and 5e-324 in every other cell: the
     denormal marginals must count as zero support, or exp(log q) overflows."""
