@@ -291,7 +291,10 @@ def oracle_check(trials, sizes, seed, resolution, tolerance):
         n = int(rng.choice(size_list))
         mass = rng.exponential(size=(n, n, n))
         p = Joint3(mass / mass.sum())
-        solved = pid_from_joint(p)
+        try:
+            solved = pid_from_joint(p)
+        except InfeasibleError as exc:
+            _fail("solver-failed", str(exc), EXIT_NONCONVERGED)
         try:
             q_oracle = brute_force_qstar(constraints_from_joint(p), resolution)
         except OracleError as exc:

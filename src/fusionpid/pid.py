@@ -15,16 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info import (
-    Joint2,
-    Joint3,
-    conditional_entropy_output,
-    conditional_mi,
-    empirical_joint,
-    interaction_information,
-    joint_mi,
-    mutual_information,
-)
+from .info import Joint2, Joint3, conditional_entropy_output, empirical_joint
 
 FEAS_TOL = 1e-9
 CLAMP_TOL = 1e-6
@@ -72,8 +63,8 @@ class SolverConfig:
     max_iterations: int = 10000
 
     def __post_init__(self):
-        if self.tol_objective <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (math.isfinite(self.tol_objective) and self.tol_objective > 0):
+            raise ValueError(f"tol_objective must be positive and finite, got {self.tol_objective}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -153,11 +144,10 @@ def _newton_solve(hess, rhs):
     A variable with no curvature (every weight it touches underflowed to 0)
     gets a zero step.
     """
-    diag = np.diag(hess)
-    scale = np.zeros_like(diag)
-    scale[diag > 0] = 1.0 / np.sqrt(diag[diag > 0])
+    diag = hess.diagonal()
+    scale = np.divide(1.0, np.sqrt(diag), out=np.zeros(len(diag)), where=diag > 0)
     scaled = hess * scale[:, None] * scale[None, :]
-    scaled[np.diag_indices_from(scaled)] += RIDGE
+    scaled.flat[:: len(diag) + 1] += RIDGE
     return scale * np.linalg.solve(scaled, scale * rhs)
 
 
@@ -195,10 +185,18 @@ class _DualBarrier:
         free = self.marg > TINY
         free[n * n + np.argmax(m2, axis=0) * n + np.arange(n)] = False
         self.free = np.flatnonzero(free)
-        incidence = np.zeros((len(ci), len(self.marg)))
-        incidence[np.arange(len(ci)), self.col_a] = 1.0
-        incidence[np.arange(len(ci)), self.col_b] = 1.0
-        self.incidence = incidence[:, self.free]
+        # Newton systems are assembled by index arithmetic in rows of width
+        # F + 1: the F free variables, then a spare slot, sliced off, for the
+        # fixed and untouched ones. pos_a, pos_b: each cell's two variables.
+        self.width = width = len(self.free) + 1
+        pos = np.full(len(self.marg), width - 1)
+        pos[self.free] = np.arange(width - 1)
+        pa, pb = self.pos_a, self.pos_b = pos[self.col_a], pos[self.col_b]
+        # E^T diag(w) E has a cell's w at (a, a), (b, b), (a, b) and (b, a);
+        # the block rows v have its p at (block, a) and (block, b)
+        self.cell_index = np.concatenate([pa * width + pa, pb * width + pb, pa * width + pb, pb * width + pa])
+        self.row_index = np.concatenate([self.block_of * width + pa, self.block_of * width + pb])
+        self.cell_rep, self.row_rep = np.tile(np.arange(len(ci)), 4), np.tile(np.arange(len(ci)), 2)
 
     @property
     def n_blocks(self):
@@ -217,29 +215,43 @@ class _DualBarrier:
         total = np.add.reduceat(e, self.starts)
         return s, top + np.log(total), e / total[self.block_of]
 
+    def _cell_term(self, w):
+        """E^T diag(w) E over the free variables, E the cells' 0/1 incidence rows."""
+        return np.bincount(self.cell_index, w[self.cell_rep], self.width**2).reshape(self.width, -1)[:-1, :-1]
+
     def newton_step(self, t, g, p):
-        """Newton direction of the barrier objective t <x, m> + sum -log(1 - exp(g)), and its decrement."""
+        """Newton direction of the barrier objective t <x, m> + sum -log(1 - exp(g)), its decrement,
+        and the step along it at and beyond which some block leaves the feasible set."""
         u = np.exp(g) / -np.expm1(g)  # derivative of the barrier in g
         w = u[self.block_of] * p  # t * q on the central path
         grad = (t * self.marg - self.margins(w))[self.free]
-        e = self.incidence
-        v = np.add.reduceat(p[:, None] * e, self.starts, axis=0)
-        hess = (e.T * w) @ e + (v.T * (u * u)) @ v
+        v = np.bincount(self.row_index, p[self.row_rep], self.n_blocks * self.width).reshape(-1, self.width)[:, :-1]
+        hess = self._cell_term(w) + (v.T * (u * u)) @ v
+        step = -_newton_solve(hess, grad)
         dx = np.zeros(len(self.marg))
-        dx[self.free] = -_newton_solve(hess, grad)
-        return dx, -float(grad @ dx[self.free])
+        dx[self.free] = step
+        # g_ij is convex along dx with slope -(v dx)_ij at 0, so it is >= 0 from
+        # where its tangent reaches 0 on: the limit is the least such step over
+        # the rising blocks, widened by a relative 1e-9 against rounding
+        rate = float(((v @ step) / g).max())
+        limit = (1.0 + 1e-9) / rate if rate > 0 else math.inf
+        return dx, -float(grad @ step), limit
 
-    def line_search(self, x, dx, t, g, decrement, step):
-        """Backtrack from `step` until the point stays strictly feasible and the barrier objective drops."""
+    def line_search(self, x, dx, t, g, decrement, step, limit):
+        """Backtrack from `step` until the point stays strictly feasible and the barrier objective drops.
+
+        Steps at or beyond `limit` are infeasible and are halved without being tried.
+        """
         for _ in range(30):
-            x_new = x + step * dx
-            s, g_new, p = self.blocks(x_new)
-            if np.all(g_new < 0):
-                # the change in t <x, m>, from the step actually taken
-                change = t * float(self.marg @ (x_new - x))
-                change += float(np.sum(np.log(-np.expm1(g)) - np.log(-np.expm1(g_new))))
-                if change <= -0.1 * step * decrement:
-                    return x_new, s, g_new, p
+            if step < limit:
+                x_new = x + step * dx
+                s, g_new, p = self.blocks(x_new)
+                if np.all(g_new < 0):
+                    # the change in t <x, m>, from the step actually taken
+                    change = t * float(self.marg @ (x_new - x))
+                    change += float(np.sum(np.log(-np.expm1(g)) - np.log(-np.expm1(g_new))))
+                    if change <= -0.1 * step * decrement:
+                        return x_new, s, g_new, p
             step *= 0.5
         return None
 
@@ -252,13 +264,13 @@ class _DualBarrier:
         with each rescaling found by Newton's method on the log scalings).
         """
         log_q = s - np.log(-t * np.expm1(g))[self.block_of]
-        e = self.incidence
         for _ in range(FIT_STEPS):
             q = np.exp(log_q)
             excess = self.margins(q) - self.marg
             if np.max(np.abs(excess)) <= tol:
                 break
-            log_q -= e @ _newton_solve((e.T * q) @ e, excess[self.free])
+            y = np.append(_newton_solve(self._cell_term(q), excess[self.free]), 0.0)
+            log_q -= y[self.pos_a] + y[self.pos_b]
         return q
 
 
@@ -294,11 +306,11 @@ def solve_qstar(c, cfg=None):
     it, step = 0, 1.0
     while True:
         while it < cfg.max_iterations:
-            dx, decrement = prog.newton_step(t, g, p)
+            dx, decrement, limit = prog.newton_step(t, g, p)
             if not decrement > 2 * CENTERING_TOL:  # centered, or NaN
                 break
             it += 1
-            moved = prog.line_search(x, dx, t, g, decrement, step)
+            moved = prog.line_search(x, dx, t, g, decrement, step, limit)
             step = 1.0
             if moved is None:
                 break
@@ -471,18 +483,43 @@ def _clamp(value, failures, name):
     return max(value, 0.0)
 
 
+def _information(dist):
+    """Information terms of a Joint3, in bits, from its 7 entropies computed in one pass.
+
+    Returns I(Y1;Y), I(Y2;Y), I(Y1;Y|Y2), I(Y2;Y|Y1), I(Y1;Y2;Y) and I(Y1,Y2;Y).
+    """
+    m = dist.mass
+    n = len(m)
+    parts = np.concatenate(
+        [m.ravel(), m.sum(axis=2).ravel(), m.sum(axis=1).ravel(), m.sum(axis=0).ravel()]
+        + [m.sum(axis=(1, 2)), m.sum(axis=(0, 2)), m.sum(axis=(0, 1))]
+    )
+    xlogx = parts * np.log2(parts, out=np.zeros(len(parts)), where=parts > 0)
+    offsets = np.cumsum([0, n**3, n * n, n * n, n * n, n, n])
+    h, h12, h1y, h2y, h1, h2, hy = (-np.add.reduceat(xlogx, offsets)).tolist()
+    return {
+        "i1": h1 + hy - h1y,
+        "i2": h2 + hy - h2y,
+        "c1": h12 + h2y - h - h2,
+        "c2": h12 + h1y - h - h1,
+        "ii": (h1 + h2 - h12) - (h1y + h2y - h - hy),
+        "total": h12 + hy - h,
+    }
+
+
 def pid_from_solution(p, q_star, diagnostics=None):
     """Extract R, U1, U2, S (in bits) from the optimizing distribution."""
     c = constraints_from_joint(p)
     resid = feasible_residual(q_star.mass, c)
     if resid > 1e-6:
         raise InfeasibleError(f"q_star violates the marginal constraints ({resid:.2e})")
-    total = joint_mi(p)
+    total = _information(p)["total"]
+    info = _information(q_star)
     failures = []
-    r = _clamp(interaction_information(q_star), failures, "R")
-    u1 = _clamp(conditional_mi(q_star, given="y2"), failures, "U1")
-    u2 = _clamp(conditional_mi(q_star, given="y1"), failures, "U2")
-    s = _clamp(total - joint_mi(q_star), failures, "S")
+    r = _clamp(info["ii"], failures, "R")
+    u1 = _clamp(info["c1"], failures, "U1")
+    u2 = _clamp(info["c2"], failures, "U2")
+    s = _clamp(total - info["total"], failures, "S")
     diagnostics = diagnostics or {}
     result = PIDResult(
         r=r,
@@ -503,17 +540,13 @@ def pid_from_solution(p, q_star, diagnostics=None):
 
 def check_consistency(result, p, tol=CONSISTENCY_TOL):
     """Residuals of the five bookkeeping identities tying R/U1/U2/S to p."""
-    i1 = mutual_information(p.mass.sum(axis=1))
-    i2 = mutual_information(p.mass.sum(axis=0))
-    c1 = conditional_mi(p, given="y2")
-    c2 = conditional_mi(p, given="y1")
-    ii = interaction_information(p)
+    info = _information(p)
     residuals = {
-        "r_plus_u1": abs(result.r + result.u1 - i1),
-        "r_plus_u2": abs(result.r + result.u2 - i2),
-        "u1_plus_s": abs(result.u1 + result.s - c1),
-        "u2_plus_s": abs(result.u2 + result.s - c2),
-        "r_minus_s": abs(result.r - result.s - ii),
+        "r_plus_u1": abs(result.r + result.u1 - info["i1"]),
+        "r_plus_u2": abs(result.r + result.u2 - info["i2"]),
+        "u1_plus_s": abs(result.u1 + result.s - info["c1"]),
+        "u2_plus_s": abs(result.u2 + result.s - info["c2"]),
+        "r_minus_s": abs(result.r - result.s - info["ii"]),
     }
     return {
         "residuals": residuals,
@@ -532,7 +565,7 @@ def convert(data, smoothing=0.0, cfg=None):
 def pid_from_joint(p, cfg=None):
     cfg = cfg or SolverConfig()
     c = constraints_from_joint(p)
-    if joint_mi(p) <= DEGENERATE_TOTAL:
+    if _information(p)["total"] <= DEGENERATE_TOTAL:
         # no task information: the sum identity forces every component to 0
         result = PIDResult(
             r=0.0, u1=0.0, u2=0.0, s=0.0, total=0.0, q_star=feasible_initial(c)

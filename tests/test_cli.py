@@ -357,3 +357,31 @@ def test_synth_csv_output(tmp_path):
 def test_synth_deterministic():
     args = ["synth", "--gate", "AND", "--count", "50", "--seed", "9"]
     assert run(args).output == run(args).output
+
+
+@pytest.mark.parametrize("command", ["convert", "pid"])
+def test_non_finite_tolerance_is_one_config_error(tmp_path, command):
+    if command == "convert":
+        src = tmp_path / "xor.csv"
+        write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 50, seed=1))
+        args = ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE]
+    else:
+        src = tmp_path / "and.json"
+        src.write_text(json.dumps(canonical_joint(GateSpec("AND")).to_json()))
+        args = ["pid", "--input", str(src)]
+    result = run(args + ["--tol-objective", "nan"])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line)["error"] == "invalid-config"
+
+
+def test_oracle_check_solver_failure_is_one_line_json_error(monkeypatch):
+    def failing_pid(p, cfg=None):
+        raise InfeasibleError("solver broke down numerically")
+
+    monkeypatch.setattr("fusionpid.cli.pid_from_joint", failing_pid)
+    result = run(["oracle-check", "--trials", "2", "--resolution", "50"])
+    assert result.exit_code == 1
+    assert "Traceback" not in result.output
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": "solver-failed", "message": "solver broke down numerically"}

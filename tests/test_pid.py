@@ -396,3 +396,10 @@ def denormal_joint(n):
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_denormal_joint_certified(n):
     assert_certified(denormal_joint(n))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
+def test_solver_config_rejects_non_finite_tolerance(tol):
+    # NaN never ends the outer loop; inf reports an uncertified q* as converged
+    with pytest.raises(ValueError):
+        SolverConfig(tol_objective=tol)
