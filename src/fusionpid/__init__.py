@@ -30,7 +30,6 @@ from .info import (
 from .pid import (
     MarginalConstraints,
     PIDResult,
-    SolverConfig,
     brute_force_qstar,
     check_consistency,
     constraints_from_joint,

@@ -1,6 +1,7 @@
 """Command-line pipeline: ingestion, PID conversion, agreement, synthesis."""
 
 import json
+import math
 import sys
 from importlib import resources
 
@@ -27,9 +28,11 @@ from .info import DistributionError, Joint3
 # `encode` stays a name of this module: perfbench counts the calls made through it
 from .label_space import LabelSpaceError, build_label_space, encode  # noqa: F401
 from .pid import (
+    FEAS_TOL,
+    MAX_ITERATIONS,
+    OBJECTIVE_TOL,
     InfeasibleError,
     OracleError,
-    SolverConfig,
     brute_force_qstar,
     constraints_from_joint,
     pid_from_joint,
@@ -146,25 +149,6 @@ def main():
     """Convert multimodal annotations into interaction values and score agreement."""
 
 
-solver_options = [
-    click.option("--tol-objective", type=float, default=1e-6, show_default=True),
-    click.option("--max-iter", type=int, default=10000, show_default=True, help="cap on Newton steps"),
-]
-
-
-def with_solver_options(fn):
-    for opt in reversed(solver_options):
-        fn = opt(fn)
-    return fn
-
-
-def _solver_config(tol_objective, max_iter):
-    try:
-        return SolverConfig(tol_objective=tol_objective, max_iterations=max_iter)
-    except ValueError as exc:
-        _fail("invalid-config", str(exc))
-
-
 @main.command()
 @click.option("--input", "path", required=True, type=str)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
@@ -173,12 +157,10 @@ def _solver_config(tol_objective, max_iter):
 @click.option("--pairing", type=click.Choice(["rotation", "all-pairs"]), default="rotation", show_default=True)
 @click.option("--smoothing", type=float, default=0.0, show_default=True)
 @click.option("--metric", type=click.Choice(["nominal", "ordinal", "interval"]), default="nominal", show_default=True)
-@with_solver_options
 @click.option("--out", type=str, default=None, help="report path (stdout if omitted)")
-def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_objective, max_iter, out):
+def convert(path, fmt, schema, label_space, pairing, smoothing, metric, out):
     """Convert partial or counterfactual annotations into R/U1/U2/S."""
     space = _load_label_space(label_space)
-    cfg = _solver_config(tol_objective, max_iter)
     if not smoothing >= 0:
         _fail("invalid-config", f"--smoothing must be nonnegative, got {smoothing}")
     table = _parse_table(path, fmt, schema)
@@ -189,7 +171,7 @@ def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_obje
             data = triples_from_counterfactual(table, space)
         from .pid import convert as run_convert
 
-        result = run_convert(data, smoothing=smoothing, cfg=cfg)
+        result = run_convert(data, smoothing=smoothing)
     except (SchemaError, LabelSpaceError, DistributionError) as exc:
         _fail("conversion-failed", str(exc))
     except InfeasibleError as exc:
@@ -205,7 +187,9 @@ def convert(path, fmt, schema, label_space, pairing, smoothing, metric, tol_obje
             "pairing": pairing,
             "smoothing": smoothing,
         },
-        "config": {"solver": cfg.to_json()},
+        "config": {
+            "solver": {"tol_objective": OBJECTIVE_TOL, "tol_feasibility": FEAS_TOL, "max_iterations": MAX_ITERATIONS}
+        },
         "pid": result.to_json(),
         "agreement": alphas,
         "confidence": confidences,
@@ -245,11 +229,9 @@ def agreement(path, fmt, schema, metric, label_space, out):
 
 @main.command()
 @click.option("--input", "path", required=True, type=str, help="Joint3 JSON file")
-@with_solver_options
 @click.option("--out", type=str, default=None)
-def pid(path, tol_objective, max_iter, out):
+def pid(path, out):
     """Decompose a stored joint distribution into R/U1/U2/S."""
-    cfg = _solver_config(tol_objective, max_iter)
     with _open_input(path) as fh:
         try:
             obj = json.load(fh)
@@ -260,7 +242,7 @@ def pid(path, tol_objective, max_iter, out):
     except (DistributionError, KeyError, TypeError, ValueError) as exc:
         _fail("invalid-distribution", str(exc))
     try:
-        result = pid_from_joint(p, cfg=cfg)
+        result = pid_from_joint(p)
     except InfeasibleError as exc:
         _fail("solver-failed", str(exc), EXIT_NONCONVERGED)
     _write_report(result.to_json(), out)
@@ -282,8 +264,10 @@ def oracle_check(trials, sizes, seed, resolution, tolerance):
         size_list = [int(s) for s in sizes.split(",") if s]
     except ValueError:
         _fail("invalid-config", f"bad --sizes value {sizes!r}")
-    if any(n < 2 or n > 3 for n in size_list):
-        _fail("invalid-config", "sizes must lie in {2, 3} for oracle tractability")
+    if not size_list or any(n < 2 or n > 3 for n in size_list):
+        _fail("invalid-config", f"--sizes must list supports in {{2, 3}} for oracle tractability, got {sizes!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        _fail("invalid-config", f"--tolerance must be positive and finite, got {tolerance}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = 0

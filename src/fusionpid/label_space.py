@@ -39,7 +39,7 @@ class LabelSpace:
             if self.bin_edges is None or len(self.bin_edges) < 3:
                 raise LabelSpaceError("binned-continuous needs at least 3 bin edges")
             edges = list(self.bin_edges)
-            if any(b <= a for a, b in zip(edges, edges[1:])):
+            if not all(b > a for a, b in zip(edges, edges[1:])):
                 raise LabelSpaceError("bin edges must be strictly ascending")
             if len(self.values) != len(edges) - 1:
                 raise LabelSpaceError("bin count must be edge count minus one")
@@ -77,18 +77,25 @@ def build_label_space(config):
     kind = config["kind"]
     if kind == "qa-binary":
         return LabelSpace(kind=kind, values=(SAME, DIFFERENT))
-    if kind == "binned-continuous":
-        edges = tuple(float(e) for e in config.get("bin_edges", DEFAULT_CONTINUOUS_EDGES))
-        names = tuple(f"[{a:g},{b:g}]" for a, b in zip(edges, edges[1:]))
-        return LabelSpace(kind=kind, values=names, bin_edges=edges)
-    if kind == "ordinal" and "range" in config:
-        lo, hi = config["range"]
-        lo, hi = int(lo), int(hi)
-        if hi <= lo:
-            raise LabelSpaceError("ordinal range must be increasing")
-        return LabelSpace(kind=kind, values=tuple(range(lo, hi + 1)))
-    if kind in ("nominal", "ordinal"):
-        return LabelSpace(kind=kind, values=tuple(config.get("values", ())))
+    try:
+        if kind == "binned-continuous":
+            edges = tuple(float(e) for e in config.get("bin_edges", DEFAULT_CONTINUOUS_EDGES))
+            names = tuple(f"[{a:g},{b:g}]" for a, b in zip(edges, edges[1:]))
+            return LabelSpace(kind=kind, values=names, bin_edges=edges)
+        if kind == "ordinal" and "range" in config:
+            lo, hi = config["range"]
+            lo, hi = int(lo), int(hi)
+            if hi <= lo:
+                raise LabelSpaceError("ordinal range must be increasing")
+            return LabelSpace(kind=kind, values=tuple(range(lo, hi + 1)))
+        if kind in ("nominal", "ordinal"):
+            return LabelSpace(kind=kind, values=tuple(config.get("values", ())))
+    except LabelSpaceError:
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        # wrong shapes and types in the JSON: a range that is not two
+        # integers, non-numeric bin edges, unhashable label values
+        raise LabelSpaceError(f"malformed {kind} label space: {exc}") from None
     raise LabelSpaceError(f"unknown label-space kind: {kind!r}")
 
 
@@ -139,7 +146,3 @@ def qa_binarize(answer, reference):
     if not a or not b:
         raise LabelSpaceError("empty answer after normalization")
     return 0 if a == b else 1
-
-
-def qa_space():
-    return LabelSpace(kind="qa-binary", values=(SAME, DIFFERENT))

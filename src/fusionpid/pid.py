@@ -21,6 +21,10 @@ FEAS_TOL = 1e-9
 CLAMP_TOL = 1e-6
 DEGENERATE_TOTAL = 1e-9
 CONSISTENCY_TOL = 1e-4
+# A solve is converged when its certified gap to the optimum is at most
+# OBJECTIVE_TOL bits; MAX_ITERATIONS caps the Newton steps as a safety bound.
+OBJECTIVE_TOL = 1e-6
+MAX_ITERATIONS = 10000
 # Marginal entries at or below the smallest normal float are zero support:
 # the dual variables of denormal mass would overflow exp() in `recover`.
 TINY = np.finfo(float).tiny
@@ -55,25 +59,6 @@ class MarginalConstraints:
     @property
     def py(self):
         return self.m1y.mass.sum(axis=0)
-
-
-@dataclass
-class SolverConfig:
-    tol_objective: float = 1e-6
-    max_iterations: int = 10000
-
-    def __post_init__(self):
-        if not (math.isfinite(self.tol_objective) and self.tol_objective > 0):
-            raise ValueError(f"tol_objective must be positive and finite, got {self.tol_objective}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-    def to_json(self):
-        return {
-            "tol_objective": self.tol_objective,
-            "tol_feasibility": FEAS_TOL,
-            "max_iterations": self.max_iterations,
-        }
 
 
 @dataclass
@@ -129,7 +114,7 @@ LN2 = math.log(2.0)
 BARRIER_GROWTH = 50.0
 CENTERING_TOL = 1e-6
 # The barrier's own duality gap (blocks / t) is driven below this share of
-# tol_objective before q* is read off, leaving the rest of the tolerance to
+# OBJECTIVE_TOL before q* is read off, leaving the rest of the tolerance to
 # the marginal fit.
 GAP_SHARE = 0.1
 FIT_STEPS = 20
@@ -274,23 +259,23 @@ class _DualBarrier:
         return q
 
 
-def solve_qstar(c, cfg=None):
+def solve_qstar(c):
     """Maximize H_q(Y | Y1, Y2) over the marginal polytope through its dual.
 
     Damped log-barrier Newton method on the geometric-program dual (see
     `_DualBarrier`), started from the dual point of the conditional-product
     coupling q0 and followed along the central path until the barrier gap
-    (blocks / t) is a small share of `tol_objective`. q* is read off the
+    (blocks / t) is a small share of OBJECTIVE_TOL. q* is read off the
     central-path multipliers, q_ijk = lambda_ij softmax_k(-a_ik - b_jk), and
     a per-y rescaling of its rows and columns in the log domain makes its
     marginals exact. The reported objective_gap is the certificate: the dual
     value at the strictly feasible dual point minus H(Y | Y1, Y2) at the
-    returned q*, a sound upper bound on the distance to the optimum.
-    `max_iterations` caps the Newton steps.
+    returned q*, a sound upper bound on the distance to the optimum, and
+    the solve is converged when it is at most OBJECTIVE_TOL. MAX_ITERATIONS
+    caps the Newton steps; a solve stopped there returns unconverged.
 
     Returns (Joint3, diagnostics dict).
     """
-    cfg = cfg or SolverConfig()
     prog = _DualBarrier(c)
     q0 = feasible_initial(c).mass
     # dual point of q0 (a_ik + b_jk = -log q0_ijk), moved one nat inside
@@ -301,11 +286,11 @@ def solve_qstar(c, cfg=None):
     x = np.concatenate([a.ravel(), b.ravel()])
     s, g, p = prog.blocks(x)
     t = prog.n_blocks / (float(prog.marg @ x) - LN2 * conditional_entropy_output(q0))
-    target = GAP_SHARE * cfg.tol_objective * LN2
+    target = GAP_SHARE * OBJECTIVE_TOL * LN2
     q = np.zeros(prog.cells.shape)
     it, step = 0, 1.0
     while True:
-        while it < cfg.max_iterations:
+        while it < MAX_ITERATIONS:
             dx, decrement, limit = prog.newton_step(t, g, p)
             if not decrement > 2 * CENTERING_TOL:  # centered, or NaN
                 break
@@ -316,13 +301,13 @@ def solve_qstar(c, cfg=None):
                 break
             x, s, g, p = moved
         barrier_gap = prog.n_blocks / t
-        if barrier_gap <= target or it >= cfg.max_iterations:
+        if barrier_gap <= target or it >= MAX_ITERATIONS:
             q[prog.cells] = prog.recover(s, g, t, 0.01 * FEAS_TOL)
             objective = conditional_entropy_output(q)
             # a uniform shift of a restores any rounding-level infeasibility
             dual = (float(prog.marg @ x) + max(0.0, float(g.max()))) / LN2
             gap = max(dual - objective, 0.0)
-            if gap <= cfg.tol_objective or it >= cfg.max_iterations or barrier_gap <= 1e-3 * target:
+            if gap <= OBJECTIVE_TOL or it >= MAX_ITERATIONS or barrier_gap <= 1e-3 * target:
                 break
         t *= BARRIER_GROWTH
         # x(t) approaches the optimum like 1/t, so the first Newton step after
@@ -338,7 +323,7 @@ def solve_qstar(c, cfg=None):
         "iterations": it,
         "objective_gap": gap,
         "feasibility_residual": residual,
-        "converged": gap <= cfg.tol_objective,
+        "converged": gap <= OBJECTIVE_TOL,
         "objective": objective,
     }
     return Joint3(q / q.sum()), diagnostics
@@ -555,15 +540,12 @@ def check_consistency(result, p, tol=CONSISTENCY_TOL):
     }
 
 
-def convert(data, smoothing=0.0, cfg=None):
+def convert(data, smoothing=0.0):
     """Full pipeline: triples -> joint -> q* -> PIDResult with consistency report."""
-    cfg = cfg or SolverConfig()
-    p = empirical_joint(data, smoothing=smoothing)
-    return pid_from_joint(p, cfg=cfg)
+    return pid_from_joint(empirical_joint(data, smoothing=smoothing))
 
 
-def pid_from_joint(p, cfg=None):
-    cfg = cfg or SolverConfig()
+def pid_from_joint(p):
     c = constraints_from_joint(p)
     if _information(p)["total"] <= DEGENERATE_TOTAL:
         # no task information: the sum identity forces every component to 0
@@ -571,7 +553,7 @@ def pid_from_joint(p, cfg=None):
             r=0.0, u1=0.0, u2=0.0, s=0.0, total=0.0, q_star=feasible_initial(c)
         )
     else:
-        q_star, diagnostics = solve_qstar(c, cfg)
+        q_star, diagnostics = solve_qstar(c)
         result = pid_from_solution(p, q_star, diagnostics)
     result.consistency.update(check_consistency(result, p))
     return result

@@ -17,25 +17,20 @@ DOMINANT = {"XOR": "s", "AND": "s", "OR": "s", "COPY": "r", "UNIQUE1": "u1", "UN
 @dataclass(frozen=True)
 class GateSpec:
     gate: str
-    size: int = 2
     noise: float = 0.0  # probability of flipping the output label
 
     def __post_init__(self):
         if self.gate not in GATES:
             raise ValueError(f"unknown gate {self.gate!r}")
-        if self.size != 2:
-            raise ValueError("gates are defined on binary supports")
         if not 0.0 <= self.noise < 0.5:
             raise ValueError("flip probability must lie in [0, 0.5)")
 
 
 def canonical_joint(spec):
-    """Exact joint p(y1, y2, y) for a gate, inputs uniform (COPY: shared bit)."""
-    n = spec.size
-    mass = np.zeros((n, n, n))
+    """Exact joint p(y1, y2, y) for a binary gate, inputs uniform (COPY: shared bit)."""
+    mass = np.zeros((2, 2, 2))
     if spec.gate == "COPY":
-        v = np.arange(n)
-        mass[v, v, v] = 1.0 / n
+        mass[[0, 1], [0, 1], [0, 1]] = 0.5
     else:
         out = {
             "XOR": lambda a, b: a ^ b,
@@ -44,8 +39,8 @@ def canonical_joint(spec):
             "UNIQUE1": lambda a, b: a,
             "UNIQUE2": lambda a, b: b,
         }[spec.gate]
-        a, b = np.indices((n, n))
-        mass[a, b, out(a, b)] = 1.0 / (n * n)
+        a, b = np.indices((2, 2))
+        mass[a, b, out(a, b)] = 0.25
     if spec.noise > 0:
         mass = (1.0 - spec.noise) * mass + spec.noise * mass[:, :, ::-1]
     return Joint3(mass)

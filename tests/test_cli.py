@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 from click.testing import CliRunner
 
+from fusionpid import pid
 from fusionpid.cli import main
 from fusionpid.pid import InfeasibleError
 from fusionpid.synth import GateSpec, canonical_joint, sample
@@ -303,21 +304,24 @@ def test_pid_command_rejects_nan_mass(tmp_path):
     assert err["error"] == "invalid-distribution"
 
 
-@pytest.mark.parametrize("command", ["convert", "pid"])
-def test_solver_failure_is_one_line_json_error(tmp_path, monkeypatch, command):
-    def failing_solve(c, cfg=None):
-        raise InfeasibleError("solver left the feasible set (residual 1.0)")
-
-    monkeypatch.setattr("fusionpid.pid.solve_qstar", failing_solve)
+def solver_args(tmp_path, command):
+    """`convert` on sampled XOR annotations or `pid` on the AND joint."""
     if command == "convert":
         src = tmp_path / "xor.csv"
         write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 500, seed=1))
-        args = ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE]
-    else:
-        src = tmp_path / "and.json"
-        src.write_text(json.dumps(canonical_joint(GateSpec("AND")).to_json()))
-        args = ["pid", "--input", str(src)]
-    result = run(args)
+        return ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE]
+    src = tmp_path / "and.json"
+    src.write_text(json.dumps(canonical_joint(GateSpec("AND")).to_json()))
+    return ["pid", "--input", str(src)]
+
+
+@pytest.mark.parametrize("command", ["convert", "pid"])
+def test_solver_failure_is_one_line_json_error(tmp_path, monkeypatch, command):
+    def failing_solve(c):
+        raise InfeasibleError("solver left the feasible set (residual 1.0)")
+
+    monkeypatch.setattr("fusionpid.pid.solve_qstar", failing_solve)
+    result = run(solver_args(tmp_path, command))
     assert result.exit_code == 1
     assert "Traceback" not in result.output
     err = json.loads(result.output.strip().splitlines()[-1])
@@ -359,24 +363,8 @@ def test_synth_deterministic():
     assert run(args).output == run(args).output
 
 
-@pytest.mark.parametrize("command", ["convert", "pid"])
-def test_non_finite_tolerance_is_one_config_error(tmp_path, command):
-    if command == "convert":
-        src = tmp_path / "xor.csv"
-        write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 50, seed=1))
-        args = ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE]
-    else:
-        src = tmp_path / "and.json"
-        src.write_text(json.dumps(canonical_joint(GateSpec("AND")).to_json()))
-        args = ["pid", "--input", str(src)]
-    result = run(args + ["--tol-objective", "nan"])
-    assert result.exit_code == 2
-    [line] = result.output.strip().splitlines()
-    assert json.loads(line)["error"] == "invalid-config"
-
-
 def test_oracle_check_solver_failure_is_one_line_json_error(monkeypatch):
-    def failing_pid(p, cfg=None):
+    def failing_pid(p):
         raise InfeasibleError("solver broke down numerically")
 
     monkeypatch.setattr("fusionpid.cli.pid_from_joint", failing_pid)
@@ -385,3 +373,50 @@ def test_oracle_check_solver_failure_is_one_line_json_error(monkeypatch):
     assert "Traceback" not in result.output
     [line] = result.output.strip().splitlines()
     assert json.loads(line) == {"error": "solver-failed", "message": "solver broke down numerically"}
+
+
+@pytest.mark.parametrize("command", ["convert", "pid"])
+def test_unconverged_solve_writes_report_and_exits_1(tmp_path, monkeypatch, command):
+    solve = pid.solve_qstar
+
+    def unconverged(c):
+        q, diag = solve(c)
+        return q, {**diag, "converged": False}
+
+    monkeypatch.setattr("fusionpid.pid.solve_qstar", unconverged)
+    out = tmp_path / "report.json"
+    result = run(solver_args(tmp_path, command) + ["--out", str(out)])
+    assert result.exit_code == 1, result.output
+    report = json.loads(out.read_text())
+    assert (report["pid"] if command == "convert" else report)["converged"] is False
+
+
+@pytest.mark.parametrize("command", ["convert", "agreement"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        '{"kind": "ordinal", "range": [1]}',
+        '{"kind": "ordinal", "range": 5}',
+        '{"kind": "ordinal", "range": ["a", "b"]}',
+        '{"kind": "binned-continuous", "bin_edges": ["x", 1, 2]}',
+        '{"kind": "binned-continuous", "bin_edges": [0, NaN, 2]}',
+        '{"kind": "nominal", "values": [[1], [2]]}',
+    ],
+)
+def test_malformed_label_space_is_one_config_error(tmp_path, command, config):
+    src = tmp_path / "xor.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
+    result = run([command, "--input", str(src), "--schema", "partial", "--label-space", config])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line)["error"] == "invalid-label-space"
+
+
+@pytest.mark.parametrize(
+    "option", [["--sizes", ""], ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "-1e-3"]]
+)
+def test_oracle_check_bad_option_is_one_config_error(option):
+    result = run(["oracle-check", "--trials", "1", "--resolution", "50"] + option)
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line)["error"] == "invalid-config"

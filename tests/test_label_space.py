@@ -7,7 +7,6 @@ from fusionpid.label_space import (
     decode,
     encode,
     qa_binarize,
-    qa_space,
 )
 
 
@@ -102,4 +101,4 @@ def test_qa_binarize_empty_rejected():
 
 
 def test_qa_space_values():
-    assert qa_space().values == ("SAME", "DIFFERENT")
+    assert build_label_space({"kind": "qa-binary"}).values == ("SAME", "DIFFERENT")

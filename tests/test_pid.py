@@ -7,10 +7,10 @@ from hypothesis.extra.numpy import arrays
 from fusionpid.dataset import TripleDataset
 from fusionpid.info import Joint3, conditional_entropy_output
 from fusionpid.pid import (
+    OBJECTIVE_TOL,
     InfeasibleError,
     MarginalConstraints,
     OracleError,
-    SolverConfig,
     brute_force_qstar,
     check_consistency,
     constraints_from_joint,
@@ -238,13 +238,6 @@ def test_convert_with_smoothing_still_consistent():
     assert res.consistency["passed"]
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tol_objective=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
-
-
 def test_result_json_fields():
     res = pid_from_joint(gate("AND"))
     obj = res.to_json()
@@ -267,14 +260,13 @@ def near_deterministic_joint(rng, n):
 
 
 def assert_certified(p):
-    cfg = SolverConfig()
     c = constraints_from_joint(p)
-    q, diag = solve_qstar(c, cfg)
+    q, diag = solve_qstar(c)
     assert diag["converged"], diag
-    assert diag["objective_gap"] <= cfg.tol_objective, diag
+    assert diag["objective_gap"] <= OBJECTIVE_TOL, diag
     assert diag["feasibility_residual"] <= 1e-9, diag
     assert feasible_residual(q.mass, c) <= 1e-9
-    res = pid_from_joint(p, cfg)
+    res = pid_from_joint(p)
     assert res.converged and res.consistency["passed"], res.consistency
 
 
@@ -333,7 +325,7 @@ def test_near_deterministic_n7_certified_or_infeasible():
         except InfeasibleError:
             continue
         assert np.all(np.isfinite(q.mass))
-        assert diag["converged"] and diag["objective_gap"] <= SolverConfig().tol_objective, diag
+        assert diag["converged"] and diag["objective_gap"] <= OBJECTIVE_TOL, diag
         assert diag["feasibility_residual"] <= 1e-9, diag
 
 
@@ -349,14 +341,13 @@ def joints_with_zero_cells(draw):
 @settings(max_examples=60, deadline=None)
 @given(joints_with_zero_cells())
 def test_property_certified_or_infeasible_and_swap_symmetric(p):
-    cfg = SolverConfig()
     try:
-        q, diag = solve_qstar(constraints_from_joint(p), cfg)
+        q, diag = solve_qstar(constraints_from_joint(p))
         swapped = Joint3(np.transpose(p.mass, (1, 0, 2)))
-        a, b = pid_from_joint(p, cfg), pid_from_joint(swapped, cfg)
+        a, b = pid_from_joint(p), pid_from_joint(swapped)
     except InfeasibleError:
         return
-    assert diag["converged"] and diag["objective_gap"] <= cfg.tol_objective, diag
+    assert diag["converged"] and diag["objective_gap"] <= OBJECTIVE_TOL, diag
     assert diag["feasibility_residual"] <= 1e-9, diag
     assert a.consistency["passed"], a.consistency
     assert components(a) == pytest.approx(components(b)[[0, 2, 1, 3]], abs=1e-6)
@@ -375,12 +366,11 @@ def sparse_joints_n6_n7(draw):
 @settings(max_examples=40, deadline=None)
 @given(sparse_joints_n6_n7())
 def test_property_sparse_n6_n7_certified_and_swap_symmetric(p):
-    cfg = SolverConfig()
-    a = pid_from_joint(p, cfg)
-    assert a.converged and a.objective_gap <= cfg.tol_objective, a.to_json()
+    a = pid_from_joint(p)
+    assert a.converged and a.objective_gap <= OBJECTIVE_TOL, a.to_json()
     assert a.feasibility_residual <= 1e-9 and a.consistency["passed"], a.to_json()
     assert feasible_residual(a.q_star.mass, constraints_from_joint(p)) <= 1e-9
-    b = pid_from_joint(Joint3(np.transpose(p.mass, (1, 0, 2))), cfg)
+    b = pid_from_joint(Joint3(np.transpose(p.mass, (1, 0, 2))))
     assert components(a) == pytest.approx(components(b)[[0, 2, 1, 3]], abs=1e-6)
 
 
@@ -397,9 +387,3 @@ def denormal_joint(n):
 def test_denormal_joint_certified(n):
     assert_certified(denormal_joint(n))
 
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf")])
-def test_solver_config_rejects_non_finite_tolerance(tol):
-    # NaN never ends the outer loop; inf reports an uncertified q* as converged
-    with pytest.raises(ValueError):
-        SolverConfig(tol_objective=tol)

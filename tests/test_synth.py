@@ -38,8 +38,6 @@ def test_gate_spec_validation():
         GateSpec("NAND")
     with pytest.raises(ValueError):
         GateSpec("XOR", noise=0.5)
-    with pytest.raises(ValueError):
-        GateSpec("XOR", size=3)
 
 
 def test_sample_point_mass():
