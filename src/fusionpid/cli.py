@@ -50,43 +50,61 @@ def _fail(code, message, exit_code=EXIT_INPUT_ERROR):
     sys.exit(exit_code)
 
 
+def _read(path, parse, error):
+    """`parse` of the text file at `path`, opened for it.
+
+    A file that is missing, or cannot be read or decoded as UTF-8, is one
+    `input-not-found` or `input-unreadable` line; content that `parse`
+    rejects (`SchemaError`, `JSONDecodeError`) is one `error` line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh)
+    except FileNotFoundError:
+        _fail("input-not-found", f"input file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail("input-unreadable", f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        _fail(error, f"malformed JSON in {path}: {exc}")
+    except SchemaError as exc:
+        _fail(error, str(exc))
+
+
+def _write(text, out):
+    """Write `text` to the file `out`, or to stdout ending in a newline."""
+    if out is None:
+        click.echo(text, nl=not text.endswith("\n"))
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        _fail("output-unwritable", f"cannot write {out}: {exc}")
+
+
 def _load_label_space(text):
     if text is None:
         _fail("missing-label-space", "--label-space is required for this command")
     try:
-        if text.lstrip().startswith("{"):
-            cfg = json.loads(text)
-        else:
-            with open(text, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-    except FileNotFoundError:
-        _fail("input-not-found", f"label-space file not found: {text}")
+        cfg = json.loads(text) if text.lstrip().startswith("{") else _read(text, json.load, "invalid-label-space")
+        return build_label_space(cfg)
     except json.JSONDecodeError as exc:
         _fail("invalid-label-space", f"label-space JSON is malformed: {exc}")
-    try:
-        return build_label_space(cfg)
     except LabelSpaceError as exc:
         _fail("invalid-label-space", str(exc))
 
 
-def _open_input(path):
-    try:
-        return open(path, encoding="utf-8")
-    except FileNotFoundError:
-        _fail("input-not-found", f"input file not found: {path}")
-
-
 def _parse_table(path, fmt, schema):
-    parsers = {
+    """The annotation table in the file at `path`; an empty one is an input error."""
+    parse = {
         "partial": parse_partial,
         "counterfactual": parse_counterfactual,
         "decomposition": parse_decomposition,
-    }
-    with _open_input(path) as fh:
-        try:
-            return parsers[schema](fh, fmt)
-        except SchemaError as exc:
-            _fail("invalid-records", str(exc))
+    }[schema]
+    table = _read(path, lambda fh: parse(fh, fmt), "invalid-records")
+    if not len(table):
+        _fail("invalid-records", "no records in input")
+    return table
 
 
 def _write_report(report, out, schema=None):
@@ -94,13 +112,8 @@ def _write_report(report, out, schema=None):
     if schema is not None:
         text = resources.files("fusionpid").joinpath(f"schemas/{schema}.json").read_text()
         jsonschema.validate(report, json.loads(text))
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if out is None:
-        click.echo(text)
-    else:
-        # build and validate fully before touching the output path
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    # build and validate fully before touching the output path
+    _write(json.dumps(report, indent=2, sort_keys=True), out)
 
 
 def _alpha_json(item, value, metric):
@@ -161,8 +174,8 @@ def main():
 def convert(path, fmt, schema, label_space, pairing, smoothing, metric, out):
     """Convert partial or counterfactual annotations into R/U1/U2/S."""
     space = _load_label_space(label_space)
-    if not smoothing >= 0:
-        _fail("invalid-config", f"--smoothing must be nonnegative, got {smoothing}")
+    if not (math.isfinite(smoothing) and smoothing >= 0):
+        _fail("invalid-config", f"--smoothing must be finite and nonnegative, got {smoothing}")
     table = _parse_table(path, fmt, schema)
     try:
         if schema == "partial":
@@ -212,8 +225,6 @@ def agreement(path, fmt, schema, metric, label_space, out):
         metric = "interval" if schema == "decomposition" else "nominal"
     space = _load_label_space(label_space) if label_space else None
     table = _parse_table(path, fmt, schema)
-    if not len(table):
-        _fail("invalid-records", "no records in input")
     try:
         alphas, confidences = _agreement_summary(table, schema, metric, space=space)
     except (AgreementError, CategoryError, LabelSpaceError) as exc:
@@ -232,11 +243,7 @@ def agreement(path, fmt, schema, metric, label_space, out):
 @click.option("--out", type=str, default=None)
 def pid(path, out):
     """Decompose a stored joint distribution into R/U1/U2/S."""
-    with _open_input(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            _fail("invalid-distribution", f"malformed JSON: {exc}")
+    obj = _read(path, json.load, "invalid-distribution")
     try:
         p = Joint3.from_json(obj)
     except (DistributionError, KeyError, TypeError, ValueError) as exc:
@@ -252,28 +259,22 @@ def pid(path, out):
 
 @main.command("oracle-check")
 @click.option("--trials", type=int, required=True)
-@click.option("--sizes", type=str, default="2", show_default=True, help="comma-separated supports")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--resolution", type=int, default=2000, show_default=True)
 @click.option("--tolerance", type=float, default=2e-3, show_default=True)
-def oracle_check(trials, sizes, seed, resolution, tolerance):
-    """Compare the solver against the grid-search oracle on random joints."""
+def oracle_check(trials, seed, resolution, tolerance):
+    """Compare the solver against the grid-search oracle on random n = 2 joints."""
     if trials < 1:
         _fail("invalid-config", "--trials must be positive")
-    try:
-        size_list = [int(s) for s in sizes.split(",") if s]
-    except ValueError:
-        _fail("invalid-config", f"bad --sizes value {sizes!r}")
-    if not size_list or any(n < 2 or n > 3 for n in size_list):
-        _fail("invalid-config", f"--sizes must list supports in {{2, 3}} for oracle tractability, got {sizes!r}")
+    if resolution < 2:
+        _fail("invalid-config", f"--resolution must be at least 2, got {resolution}")
     if not (math.isfinite(tolerance) and tolerance > 0):
         _fail("invalid-config", f"--tolerance must be positive and finite, got {tolerance}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     failures = 0
     for _ in range(trials):
-        n = int(rng.choice(size_list))
-        mass = rng.exponential(size=(n, n, n))
+        mass = rng.exponential(size=(2, 2, 2))
         p = Joint3(mass / mass.sum())
         try:
             solved = pid_from_joint(p)
@@ -295,7 +296,6 @@ def oracle_check(trials, sizes, seed, resolution, tolerance):
             failures += 1
     summary = {
         "trials": trials,
-        "sizes": size_list,
         "seed": seed,
         "resolution": resolution,
         "tolerance": tolerance,
@@ -323,12 +323,7 @@ def synth(gate, noise, count, seed, out):
         _fail("invalid-config", str(exc))
     lines = ["y1,y2,y,weight"]
     lines += [f"{a},{b},{c},{w:g}" for (a, b, c), w in zip(data.samples.tolist(), data.weights.tolist())]
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + "\n", out)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import warnings
 from dataclasses import asdict, dataclass, fields
 from itertools import chain, cycle, repeat
 from operator import add, itemgetter
@@ -151,8 +150,8 @@ def _levels(values):
     """(levels, codes) of raw values, 1, 1.0 and True being three levels.
 
     A list or an object (from JSON) cannot be a key; such a column keeps
-    every row as its own level, for the field's converter to reject or, for
-    ids, turn into text.
+    every row as its own level, for `_column` to reject or, for ids, to
+    turn into text.
     """
     keys = list(zip(map(type, values), values))
     index = _Index()
@@ -208,58 +207,49 @@ def _json_columns(stream, names):
     return [_levels([row.get(name) for row in rows]) for name in names], rows.__getitem__
 
 
-def _converter(f):
-    """Validating converter of one record field's raw value."""
-    name = f.name
-    if f.type is int:
-
-        def rating(raw):
-            try:
-                v = int(raw)
-            except (TypeError, ValueError, OverflowError):
-                raise SchemaError(f"{name} must be an integer: {raw!r}")
-            if v not in RATINGS:
-                raise SchemaError(f"{name}={v} outside [0, 5]")
-            return v
-
-        return rating
-    if f.type is str and name not in CHOICES:
-        return str
-    if name in CHOICES:
-        ok, want = CHOICES[name].__contains__, f"one of {CHOICES[name]}"
-    else:
-        ok, want = (lambda raw: isinstance(raw, Label)), "a string or a number"
-
-    def checked(raw):
-        if not ok(raw):
-            raise SchemaError(f"{name} must be {want}, got {raw!r}")
-        return raw
-
-    return checked
-
-
 def _column(f, levels, codes, row_at):
     """One validated table column from a field's raw levels and codes.
 
-    The converter runs once per level, in order of first appearance, so the
-    first bad level is the column's first bad row.
+    Levels are checked in order of first appearance, so the first bad level
+    is the column's first bad row. A rating becomes an int64 array, a choice
+    `Codes` over its CHOICES, an id `Codes` over its sorted text (levels
+    that read the same merged) and a label `Codes` over its raw values.
     """
-    convert = _converter(f)
-    values = []
-    for j, raw in enumerate(levels):
-        if raw is None:
-            row = row_at(int(np.argmax(codes == j)))
-            raise SchemaError(f"missing field {f.name!r} in row {row!r}")
-        values.append(convert(raw))
+    name = f.name
+
+    def present():
+        for j, raw in enumerate(levels):
+            if raw is None:
+                raise SchemaError(f"missing field {name!r} in row {row_at(int(np.argmax(codes == j)))!r}")
+            yield raw
+
     if f.type is int:
-        return np.array(values, np.int64)[codes]
-    if f.name in CHOICES:
-        return Codes(CHOICES[f.name], np.array([CHOICES[f.name].index(v) for v in values], np.intp)[codes])
-    if f.type is str:  # ids: sorted, with levels that read the same merged
-        ids = sorted(set(values))
-        rank = {v: i for i, v in enumerate(ids)}
-        return Codes(ids, np.array([rank[v] for v in values], np.intp)[codes])
-    return Codes(values, codes)
+        ratings = []
+        for raw in present():
+            try:
+                value = int(raw)
+            except (TypeError, ValueError, OverflowError):
+                raise SchemaError(f"{name} must be an integer: {raw!r}") from None
+            if value not in RATINGS:
+                raise SchemaError(f"{name}={value} outside [0, 5]")
+            ratings.append(value)
+        return np.array(ratings, np.int64)[codes]
+    if name in CHOICES:
+        choices = CHOICES[name]
+        index = []
+        for raw in present():
+            if raw not in choices:
+                raise SchemaError(f"{name} must be one of {choices}, got {raw!r}")
+            index.append(choices.index(raw))
+        return Codes(choices, np.array(index, np.intp)[codes])
+    if f.type is str:
+        ids = list(map(str, present()))
+        rank = {v: i for i, v in enumerate(sorted(set(ids)))}
+        return Codes(list(rank), np.array([rank[v] for v in ids], np.intp)[codes])
+    for raw in present():
+        if not isinstance(raw, Label):
+            raise SchemaError(f"{name} must be a string or a number, got {raw!r}")
+    return Codes(levels, codes)
 
 
 def _table(record, raw, row_at):
@@ -285,7 +275,7 @@ def _table(record, raw, row_at):
     return AnnotationTable(record, columns, order)
 
 
-def _parse(stream, fmt, record, what):
+def _parse(stream, fmt, record):
     """The table of `record` rows in a CSV or JSON stream, with its fields as the columns."""
     names = [f.name for f in fields(record)]
     if fmt == "csv":
@@ -294,22 +284,19 @@ def _parse(stream, fmt, record, what):
         raw, row_at = _json_columns(stream, names)
     else:
         raise SchemaError(f"unknown format {fmt!r}")
-    table = _table(record, raw, row_at)
-    if not len(table):
-        warnings.warn(f"no {what} records parsed")
-    return table
+    return _table(record, raw, row_at)
 
 
 def parse_partial(stream, fmt="csv"):
-    return _parse(stream, fmt, PartialRecord, "partial-label")
+    return _parse(stream, fmt, PartialRecord)
 
 
 def parse_counterfactual(stream, fmt="csv"):
-    return _parse(stream, fmt, CounterfactualRecord, "counterfactual")
+    return _parse(stream, fmt, CounterfactualRecord)
 
 
 def parse_decomposition(stream, fmt="csv"):
-    return _parse(stream, fmt, DecompositionRecord, "decomposition")
+    return _parse(stream, fmt, DecompositionRecord)
 
 
 def serialize_records(records, fmt="csv"):

@@ -30,10 +30,6 @@ class Joint2:
             raise DistributionError("Joint2 mass must be 2-dimensional")
         _check_mass(self.mass)
 
-    @property
-    def shape(self):
-        return self.mass.shape
-
 
 class Joint3:
     """Joint distribution p(y1, y2, y) on a shared support of size n."""
@@ -89,14 +85,18 @@ def mutual_information(dist):
 
 def empirical_joint(data, smoothing=0.0):
     """Weighted empirical joint over (y1, y2, y), optionally add-lambda smoothed."""
-    if not smoothing >= 0:
-        raise ValueError("smoothing must be nonnegative")
+    if not (np.isfinite(smoothing) and smoothing >= 0):
+        raise ValueError(f"smoothing must be finite and nonnegative, got {smoothing}")
     if not len(data.samples):
         raise DistributionError("empty dataset")
     n = data.space.size
     cells = np.ravel_multi_index(data.samples.T, (n, n, n))
     counts = np.bincount(cells, data.weights, n**3).reshape(n, n, n) + smoothing
-    return Joint3(counts / counts.sum())
+    with np.errstate(over="ignore"):  # an infinite total is rejected just below
+        total = counts.sum()
+    if not np.isfinite(total):
+        raise DistributionError(f"smoothed total mass {total} is not finite")
+    return Joint3(counts / total)
 
 
 def marginal_pair(dist, which):

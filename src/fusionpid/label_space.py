@@ -84,7 +84,8 @@ def build_label_space(config):
             return LabelSpace(kind=kind, values=names, bin_edges=edges)
         if kind == "ordinal" and "range" in config:
             lo, hi = config["range"]
-            lo, hi = int(lo), int(hi)
+            if type(lo) is not int or type(hi) is not int:  # JSON integers: no bools, no floats
+                raise LabelSpaceError(f"ordinal range ends must be integers, got {config['range']!r}")
             if hi <= lo:
                 raise LabelSpaceError("ordinal range must be increasing")
             return LabelSpace(kind=kind, values=tuple(range(lo, hi + 1)))
@@ -93,8 +94,8 @@ def build_label_space(config):
     except LabelSpaceError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
-        # wrong shapes and types in the JSON: a range that is not two
-        # integers, non-numeric bin edges, unhashable label values
+        # wrong shapes and types in the JSON: a range that is not a pair,
+        # non-numeric bin edges, unhashable label values
         raise LabelSpaceError(f"malformed {kind} label space: {exc}") from None
     raise LabelSpaceError(f"unknown label-space kind: {kind!r}")
 

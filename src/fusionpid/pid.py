@@ -523,7 +523,7 @@ def pid_from_solution(p, q_star, diagnostics=None):
     return result
 
 
-def check_consistency(result, p, tol=CONSISTENCY_TOL):
+def check_consistency(result, p):
     """Residuals of the five bookkeeping identities tying R/U1/U2/S to p."""
     info = _information(p)
     residuals = {
@@ -535,8 +535,8 @@ def check_consistency(result, p, tol=CONSISTENCY_TOL):
     }
     return {
         "residuals": residuals,
-        "tolerance": tol,
-        "passed": all(v <= tol for v in residuals.values()),
+        "tolerance": CONSISTENCY_TOL,
+        "passed": all(v <= CONSISTENCY_TOL for v in residuals.values()),
     }
 
 

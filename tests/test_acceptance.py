@@ -67,7 +67,7 @@ def test_consistency_identities_random():
         n = int(rng.choice([2, 3, 4]))
         p = random_joint(rng, n)
         res = pid_from_joint(p)
-        report = check_consistency(res, p, tol=1e-4)
+        report = check_consistency(res, p)
         worst = max(worst, max(report["residuals"].values()))
         assert report["passed"], report
     elapsed = time.perf_counter() - start

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import jsonschema
 import pytest
@@ -117,6 +118,53 @@ def test_convert_negative_smoothing_is_config_error(tmp_path):
     assert json.loads(result.output.strip().splitlines()[-1])["error"] == "invalid-config"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("smoothing, code", [("inf", "invalid-config"), ("1e308", "conversion-failed")])
+def test_convert_smoothing_must_be_finite(tmp_path, smoothing, code):
+    src = tmp_path / "xor.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 50, seed=1))
+    result = run(
+        ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE, "--smoothing", smoothing]
+    )
+    assert result.exit_code == 2
+    [line] = result.stderr.splitlines()
+    assert json.loads(line)["error"] == code
+
+
+def test_convert_binned_continuous_report(tmp_path):
+    data = sample(canonical_joint(GateSpec("XOR")), 2000, seed=4)
+    scores = (-2.5, 1.25)  # label 0 and 1 as scores in the lower and upper bin
+    lines = ["item_id,annotator_id,condition,label,confidence"]
+    for i, row in enumerate(data.samples.tolist()):
+        lines += [f"i{i:05d},a{k},{cond},{scores[y]},4" for k, (cond, y) in enumerate(zip(("m1", "m2", "both"), row))]
+    src = tmp_path / "scores.csv"
+    src.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.json"
+    space = '{"kind": "binned-continuous", "bin_edges": [-3, 0, 3]}'
+    result = run(["convert", "--input", str(src), "--schema", "partial", "--label-space", space, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    report = json.loads(out.read_text())
+    schema = resources.files("fusionpid").joinpath("schemas/run_report.json").read_text()
+    jsonschema.validate(report, json.loads(schema))
+    assert report["input"]["label_space"] == {
+        "kind": "binned-continuous",
+        "values": ["[-3,0]", "[0,3]"],
+        "bin_edges": [-3.0, 0.0, 3.0],
+    }
+    assert abs(report["pid"]["s"] - 1.0) <= 0.05
+
+
+def test_convert_label_space_file_matches_inline(tmp_path):
+    src = tmp_path / "xor.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 200, seed=2))
+    space = tmp_path / "space.json"
+    space.write_text(LABEL_SPACE)
+    args = ["convert", "--input", str(src), "--schema", "partial", "--label-space"]
+    inline, from_file = run(args + [LABEL_SPACE]), run(args + [str(space)])
+    assert inline.exit_code == from_file.exit_code == 0, inline.output + from_file.output
+    assert from_file.output == inline.output
+
+
 def test_convert_json_non_object_row_is_invalid_records(tmp_path):
     row = {"item_id": "i1", "annotator_id": "a1", "condition": "m1", "label": "0", "confidence": 4}
     src = tmp_path / "rows.json"
@@ -126,6 +174,37 @@ def test_convert_json_non_object_row_is_invalid_records(tmp_path):
     )
     assert result.exit_code == 2
     assert json.loads(result.output.strip().splitlines()[-1])["error"] == "invalid-records"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["convert", "--input", "."], "input-unreadable"),
+        (["convert", "--input", "latin1.csv"], "input-unreadable"),
+        (["convert", "--input", "header.csv"], "invalid-records"),
+        (["convert", "--input", "empty.json", "--format", "json"], "invalid-records"),
+        (["agreement", "--input", "header.csv"], "invalid-records"),
+        (["agreement", "--input", "empty.json", "--format", "json"], "invalid-records"),
+        (["pid", "--input", "."], "input-unreadable"),
+        (["convert", "--input", "xor.csv", "--label-space", "."], "input-unreadable"),
+        (["agreement", "--input", "xor.csv", "--out", "."], "output-unwritable"),
+        (["synth", "--gate", "XOR", "--count", "10", "--out", "."], "output-unwritable"),
+    ],
+)
+def test_bad_input_or_output_file_is_one_json_line(tmp_path, monkeypatch, args, code):
+    monkeypatch.chdir(tmp_path)  # "." is a directory
+    write_partial_csv(tmp_path / "xor.csv", sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
+    header = b"item_id,annotator_id,condition,label,confidence\n"
+    (tmp_path / "latin1.csv").write_bytes(header + "i1,a1,m1,é,4\n".encode("latin-1"))
+    (tmp_path / "header.csv").write_bytes(header)
+    (tmp_path / "empty.json").write_text("[]")
+    if args[0] in ("convert", "agreement"):  # a later --label-space wins
+        args = [args[0], "--schema", "partial", "--label-space", LABEL_SPACE, *args[1:]]
+    result = run(args)
+    assert result.exit_code == 2, result.output
+    [line] = result.stderr.splitlines()
+    assert json.loads(line)["error"] == code
 
 
 def test_agreement_unanimous(tmp_path):
@@ -401,6 +480,9 @@ def test_unconverged_solve_writes_report_and_exits_1(tmp_path, monkeypatch, comm
         '{"kind": "binned-continuous", "bin_edges": ["x", 1, 2]}',
         '{"kind": "binned-continuous", "bin_edges": [0, NaN, 2]}',
         '{"kind": "nominal", "values": [[1], [2]]}',
+        '{"kind": "ordinal", "range": [1.5, 3]}',
+        '{"kind": "ordinal", "range": [true, 3]}',
+        '{"kind": "ordinal", "range": [1, 3.9]}',
     ],
 )
 def test_malformed_label_space_is_one_config_error(tmp_path, command, config):
@@ -413,7 +495,7 @@ def test_malformed_label_space_is_one_config_error(tmp_path, command, config):
 
 
 @pytest.mark.parametrize(
-    "option", [["--sizes", ""], ["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "-1e-3"]]
+    "option", [["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "-1e-3"], ["--resolution", "1"]]
 )
 def test_oracle_check_bad_option_is_one_config_error(option):
     result = run(["oracle-check", "--trials", "1", "--resolution", "50"] + option)

@@ -93,10 +93,10 @@ def test_parse_counterfactual_bad_order():
         parse_counterfactual(io.StringIO(CF_HEADER + "i1,a1,first-m3,yes,yes,4,4"))
 
 
-def test_parse_counterfactual_empty_warns():
+@pytest.mark.filterwarnings("error")
+def test_parse_counterfactual_empty_is_empty_table():
     for text in (CF_HEADER, ""):
-        with pytest.warns(UserWarning):
-            recs = parse_counterfactual(io.StringIO(text))
+        recs = parse_counterfactual(io.StringIO(text))
         assert len(recs) == 0 and recs.records() == []
 
 
@@ -155,6 +155,16 @@ def test_one_bad_row_message(rows, message):
     with pytest.raises(SchemaError) as err:
         parse_partial(partial_csv(rows))
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rows", [["i1,a1,m1,yes,x", "i1,a2,m2,no"], ["i1,a1,m1,yes", "i1,a2,m2,no,x"]])
+def test_bad_value_and_missing_field_first_row_wins(rows):
+    text = partial_csv(rows).getvalue()
+    with pytest.raises(SchemaError) as want:
+        dictreader_reference(text, PartialRecord)
+    with pytest.raises(SchemaError) as err:
+        parse_partial(io.StringIO(text))
+    assert str(err.value) == str(want.value)
 
 
 def test_short_row_names_every_header_column():

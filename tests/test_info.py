@@ -76,6 +76,15 @@ def test_empirical_joint_rejects_negative_or_nan_smoothing():
             empirical_joint(data, smoothing=smoothing)
 
 
+@pytest.mark.filterwarnings("error")
+def test_empirical_joint_rejects_infinite_smoothing_or_total():
+    data = TripleDataset(space=gate_space(2), samples=[(0, 0, 0)], weights=[1.0])
+    with pytest.raises(ValueError, match="finite"):
+        empirical_joint(data, smoothing=np.inf)
+    with pytest.raises(DistributionError, match="not finite"):
+        empirical_joint(data, smoothing=1e308)  # 8 cells of 1e308 overflow the total
+
+
 def test_empirical_joint_matches_loop_reference():
     rng = np.random.default_rng(5)
     samples = rng.integers(0, 4, (500, 3))

@@ -161,7 +161,7 @@ def test_check_consistency_gates():
     for name in ("XOR", "COPY", "UNIQUE1", "AND"):
         p = gate(name)
         res = pid_from_joint(p)
-        report = check_consistency(res, p, tol=1e-4)
+        report = check_consistency(res, p)
         assert report["passed"], report
     # degenerate point mass: everything zero
     point = np.zeros((2, 2, 2))
