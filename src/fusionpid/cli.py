@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 import click
@@ -111,7 +112,9 @@ def _write_report(report, out, schema=None):
     """Validate `report` against the named shipped schema, if any, then write it."""
     if schema is not None:
         text = resources.files("fusionpid").joinpath(f"schemas/{schema}.json").read_text()
-        jsonschema.validate(report, json.loads(text))
+        spec = json.loads(text)
+        # the shipped schemas are checked once, by the tests, not on every run
+        jsonschema.validators.validator_for(spec)(spec).validate(report)
     # build and validate fully before touching the output path
     _write(json.dumps(report, indent=2, sort_keys=True), out)
 
@@ -156,7 +159,29 @@ def _agreement_summary(table, schema, metric, space=None):
     return alphas, confidences
 
 
-@click.group()
+@contextmanager
+def _usage_error_is_config_error():
+    try:
+        yield
+    except click.exceptions.NoArgsIsHelpError:  # no command at all: the help text
+        raise
+    except click.UsageError as exc:
+        _fail("invalid-config", exc.format_message())
+
+
+class _Commands(click.Group):
+    """The command group: a malformed command line is one `invalid-config` line, not click's usage text."""
+
+    def make_context(self, *args, **kwargs):  # the group's own options
+        with _usage_error_is_config_error():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):  # the command name and the command's options
+        with _usage_error_is_config_error():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Commands)
 @click.version_option(__version__)
 def main():
     """Convert multimodal annotations into interaction values and score agreement."""

@@ -162,22 +162,164 @@ def _levels(values):
     return [value for _, value in index], codes
 
 
+def _positions(header, names):
+    """The column each of `names` is read from; a repeated column name reads its last column."""
+    missing = set(names) - set(header)
+    if missing:
+        raise SchemaError(f"missing columns: {sorted(missing)}")
+    last = {name: i for i, name in enumerate(header)}
+    return [last[name] for name in names]
+
+
 def _csv_columns(stream, names):
     """(levels, codes) per field from CSV text, and the row for a row number.
 
     Reads like csv.DictReader: blank lines are skipped, extra trailing
     columns ignored, a repeated column name reads its last column, and a
-    field beyond a short row's end is missing (None). Rows stream through
-    C-level iterators, padded with None and cut to the last column read,
-    into one (rows, width) array of codes, one `_Index` per column.
+    field beyond a short row's end is missing (None). Text that needs no
+    CSV quoting rules is coded from its bytes (`_byte_columns`); the text
+    `_NeedsReader` names is read again from its start by csv.reader
+    (`_reader_columns`).
+    """
+    if not stream.seekable():
+        stream = io.StringIO(stream.read())
+    start = stream.tell()
+    try:
+        return _byte_columns(stream, names), None  # no field is missing: a short row needs csv.reader
+    except _NeedsReader:
+        stream.seek(start)
+    try:
+        return _reader_columns(stream, names)
+    except csv.Error as exc:
+        raise SchemaError(f"malformed CSV: {exc}") from None
+
+
+# characters of CSV text read at a time, then extended to the end of their line
+_BLOCK = 1 << 20
+# the bytes at or below "," in UTF-8 text that a field of unquoted CSV
+# cannot hold; any other byte there (a space, say) is field text
+_NUL, _NEWLINE, _RETURN, _QUOTE, _COMMA = b'\0\n\r",'
+# per byte count 0..8, the mask of that many leading bytes of a little-endian word
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+# the most 8-byte words in a field's key: every key of a column is as wide
+# as its widest field, so one long field would cost every row its width
+_KEY_WORDS = 8
+
+
+class _NeedsReader(Exception):
+    """CSV text that csv.reader reads right or in less memory: a quote, a NUL,
+    a "\\r" that does not end a line, a line over the field size limit, a
+    short row, or a field read that is longer than `_KEY_WORDS` words."""
+
+
+def _lines(data, size):
+    """(start, end, commas, first, count) of the lines in `data[:size]`.
+
+    Each line ends at "\\n" or "\\r\\n" (the last one also at `size`);
+    `end` excludes the terminator, and a line's `count` commas are
+    `commas[first:first + count]`.
+    """
+    at = np.flatnonzero(data[:size] <= _COMMA)
+    byte = data[at]
+    returns = at[byte == _RETURN]
+    if (byte == _QUOTE).any() or (byte == _NUL).any() or (data[returns + 1] != _NEWLINE).any():
+        raise _NeedsReader
+    comma, newline = byte == _COMMA, byte == _NEWLINE
+    seen = np.cumsum(comma)  # commas up to each byte looked at
+    newlines, before = at[newline], seen[newline]
+    if data[size - 1] != _NEWLINE:
+        newlines, before = np.append(newlines, size), np.append(before, seen[-1] if len(seen) else 0)
+    start = np.append(0, newlines[:-1] + 1)
+    end = newlines - (data[newlines - 1] == _RETURN)
+    if (end - start).max() > csv.field_size_limit():
+        raise _NeedsReader
+    count = np.diff(before, prepend=0)
+    return start, end, at[comma], before - count, count
+
+
+def _field_keys(words, start, length):
+    """Each field's bytes, zero-padded, as one row of little-endian 8-byte words.
+
+    `words` views the block as one word at every byte offset. A field holds
+    no NUL, so padding never makes two fields' keys equal.
+    """
+    width = -(-int(length.max(initial=1)) // 8)
+    if width > _KEY_WORDS:
+        raise _NeedsReader
+    keys = np.empty((len(start), width), "<u8")
+    for j in range(width):
+        at = np.minimum(start + 8 * j, len(words) - 1)  # past a field's end its mask is 0
+        keys[:, j] = words[at] & _MASKS[np.clip(length - 8 * j, 0, 8)]
+    return keys
+
+
+def _factorised(blocks):
+    """(levels, codes) of a column from its blocks' keys, levels decoded in order of first appearance."""
+    width = max((keys.shape[1] for keys in blocks), default=1)
+    keys = np.zeros((sum(map(len, blocks)), width), "<u8")
+    row = 0
+    while blocks:  # each block is freed once copied
+        block = blocks.pop(0)
+        keys[row : row + len(block), : block.shape[1]] = block
+        row += len(block)
+    # a word at a time (sorting uint64 beats sorting wide void keys, in time and memory),
+    # a key's code is the code of (its code so far, its next word)
+    distinct, inverse = np.unique(keys[:, 0], return_inverse=True)
+    for j in range(1, width):
+        words, word = np.unique(keys[:, j], return_inverse=True)
+        distinct, inverse = np.unique(inverse * len(words) + word, return_inverse=True)
+    first = np.full(len(distinct), len(keys))
+    np.minimum.at(first, inverse, np.arange(len(keys)))
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    text = keys[first[order]].view(f"S{8 * width}").ravel().tolist()  # "S" drops the zero padding
+    return [b.decode("utf-8", "surrogatepass") for b in text], rank[inverse]
+
+
+def _byte_columns(stream, names):
+    """(levels, codes) per field from CSV text that needs no quoting rules.
+
+    The text is read in blocks of whole lines. Each block is encoded once
+    and scanned once for line ends and commas; the fields read become keys
+    of their bytes (`_field_keys`), and each column's keys are factorised
+    with np.unique after the last block, only the distinct values decoded.
+    Raises `_NeedsReader` on text that csv.reader is to read.
+    """
+    positions, blocks = None, [[] for _ in names]
+    while text := stream.read(_BLOCK):
+        # eight NULs after the block, so that a word can start at any of its bytes
+        data = np.frombuffer((text + stream.readline() + "\0" * 8).encode("utf-8", "surrogatepass"), np.uint8)
+        del text
+        words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
+        start, end, commas, first, count = _lines(data, len(data) - 8)
+        rows = end > start  # csv.reader skips blank lines
+        if positions is None:
+            line = data[start[0] : end[0]].tobytes().decode("utf-8", "surrogatepass")
+            positions = _positions(line.split(",") if line else [], names)
+            rows[0] = False
+        rows = np.flatnonzero(rows)
+        first, count = first[rows], count[rows]
+        if (count < max(positions)).any():
+            raise _NeedsReader
+        cuts = np.append(commas, 0)  # the field after a row's last comma ends at the line end
+        for p, column in zip(positions, blocks):
+            field_start = cuts[first + p - 1] + 1 if p else start[rows]
+            field_end = np.where(count > p, cuts[first + p], end[rows])
+            column.append(_field_keys(words, field_start, field_end - field_start))
+    return [_factorised(column) for column in blocks]
+
+
+def _reader_columns(stream, names):
+    """(levels, codes) per field through csv.reader, and the row for a row number.
+
+    Rows stream through C-level iterators, padded with None and cut to the
+    last column read, into one (rows, width) array of codes, one `_Index`
+    per column.
     """
     reader = csv.reader(stream)
     header = next(reader, names)  # an empty file reads as a header-only one
-    missing = set(names) - set(header)
-    if missing:
-        raise SchemaError(f"missing columns: {sorted(missing)}")
-    last = {name: i for i, name in enumerate(header)}
-    positions = [last[name] for name in names]
+    positions = _positions(header, names)
     width = max(positions) + 1
     rows = map(itemgetter(slice(width)), map(add, filter(None, reader), repeat([None] * width)))
     index = [_Index() for _ in range(width)]

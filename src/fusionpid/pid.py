@@ -492,13 +492,16 @@ def _information(dist):
     }
 
 
-def pid_from_solution(p, q_star, diagnostics=None):
-    """Extract R, U1, U2, S (in bits) from the optimizing distribution."""
-    c = constraints_from_joint(p)
+def pid_from_solution(p, q_star, diagnostics=None, c=None, p_info=None):
+    """Extract R, U1, U2, S (in bits) from the optimizing distribution.
+
+    `c` and `p_info` are p's constraints and `_information`, when the caller has them already.
+    """
+    c = constraints_from_joint(p) if c is None else c
     resid = feasible_residual(q_star.mass, c)
     if resid > 1e-6:
         raise InfeasibleError(f"q_star violates the marginal constraints ({resid:.2e})")
-    total = _information(p)["total"]
+    total = (_information(p) if p_info is None else p_info)["total"]
     info = _information(q_star)
     failures = []
     r = _clamp(info["ii"], failures, "R")
@@ -523,9 +526,9 @@ def pid_from_solution(p, q_star, diagnostics=None):
     return result
 
 
-def check_consistency(result, p):
-    """Residuals of the five bookkeeping identities tying R/U1/U2/S to p."""
-    info = _information(p)
+def check_consistency(result, p, p_info=None):
+    """Residuals of the five bookkeeping identities tying R/U1/U2/S to p (`p_info`: its `_information`, if known)."""
+    info = _information(p) if p_info is None else p_info
     residuals = {
         "r_plus_u1": abs(result.r + result.u1 - info["i1"]),
         "r_plus_u2": abs(result.r + result.u2 - info["i2"]),
@@ -547,13 +550,14 @@ def convert(data, smoothing=0.0):
 
 def pid_from_joint(p):
     c = constraints_from_joint(p)
-    if _information(p)["total"] <= DEGENERATE_TOTAL:
+    info = _information(p)
+    if info["total"] <= DEGENERATE_TOTAL:
         # no task information: the sum identity forces every component to 0
         result = PIDResult(
             r=0.0, u1=0.0, u2=0.0, s=0.0, total=0.0, q_star=feasible_initial(c)
         )
     else:
         q_star, diagnostics = solve_qstar(c)
-        result = pid_from_solution(p, q_star, diagnostics)
-    result.consistency.update(check_consistency(result, p))
+        result = pid_from_solution(p, q_star, diagnostics, c, info)
+    result.consistency.update(check_consistency(result, p, info))
     return result

@@ -1,3 +1,4 @@
+import csv
 import json
 from importlib import resources
 
@@ -205,6 +206,34 @@ def test_bad_input_or_output_file_is_one_json_line(tmp_path, monkeypatch, args, 
     assert result.exit_code == 2, result.output
     [line] = result.stderr.splitlines()
     assert json.loads(line)["error"] == code
+
+
+def test_convert_report_same_for_lf_crlf_and_quoted_csv(tmp_path, monkeypatch):
+    data = sample(canonical_joint(GateSpec("AND")), 300, seed=5)
+    rows = [["item_id", "annotator_id", "condition", "label", "confidence"]]
+    for i, row in enumerate(data.samples.tolist()):
+        for k, (cond, y) in enumerate(zip(("m1", "m2", "both"), row)):
+            rows.append([f"item-{i:05d}", f"ann-{k}", cond, str(y), "3"])
+    reports = []
+    for name, options in [("lf", {"lineterminator": "\n"}), ("crlf", {}), ("quoted", {"quoting": csv.QUOTE_ALL})]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # the report echoes the input path
+        with open("in.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, **options).writerows(rows)
+        result = run(["convert", "--input", "in.csv", "--schema", "partial", "--label-space", LABEL_SPACE])
+        assert result.exit_code == 0, result.output
+        reports.append(result.output)
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_csv_field_over_size_limit_is_one_json_line(tmp_path):
+    src = tmp_path / "big.csv"
+    src.write_text("item_id,annotator_id,condition,label,confidence\ni1,a1,m1," + "x" * 200_000 + ",4\n")
+    result = run(["agreement", "--input", str(src), "--schema", "partial"])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    message = "malformed CSV: field larger than field limit (131072)"
+    assert json.loads(line) == {"error": "invalid-records", "message": message}
 
 
 def test_agreement_unanimous(tmp_path):
@@ -502,3 +531,47 @@ def test_oracle_check_bad_option_is_one_config_error(option):
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
     assert json.loads(line)["error"] == "invalid-config"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["convert", "--input", "x.csv", "--schema", "partial", "--label-space", LABEL_SPACE, "--bogus"],
+        ["convert", "--schema", "partial", "--label-space", LABEL_SPACE],
+        ["convert", "--input", "x.csv", "--schema", "partial", "--label-space", LABEL_SPACE, "--smoothing", "abc"],
+        ["agreement", "--input", "x.csv", "--schema", "partial", "--bogus"],
+        ["agreement", "--input", "x.csv"],
+        ["agreement", "--input", "x.csv", "--schema", "partial", "--format", "xml"],
+        ["pid", "--input", "x.json", "--bogus"],
+        ["pid"],
+        ["pid", "--input"],
+        ["oracle-check", "--trials", "2", "--sizes", "3"],
+        ["oracle-check", "--seed", "1"],
+        ["oracle-check", "--trials", "two"],
+        ["synth", "--gate", "XOR", "--count", "10", "--bogus"],
+        ["synth", "--count", "10"],
+        ["synth", "--gate", "XOR", "--count", "abc"],
+        ["no-such-command"],
+        ["--bogus"],
+    ],
+)
+def test_usage_error_is_one_config_error(args):
+    result = run(args)
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line)["error"] == "invalid-config"
+
+
+@pytest.mark.parametrize("args", [["--help"], ["--version"], ["convert", "--help"], ["synth", "--help"]])
+def test_help_and_version_still_print_text(args):
+    result = run(args)
+    assert result.exit_code == 0
+    assert result.output and not result.output.startswith("{")
+
+
+def test_shipped_schemas_are_valid_schemas():
+    schemas = sorted(p.name for p in resources.files("fusionpid").joinpath("schemas").iterdir())
+    assert schemas == ["agreement_report.json", "run_report.json"]
+    for name in schemas:
+        schema = json.loads(resources.files("fusionpid").joinpath(f"schemas/{name}").read_text())
+        jsonschema.validators.validator_for(schema).check_schema(schema)

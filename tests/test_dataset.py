@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from fusionpid import dataset
 from fusionpid.dataset import (
     CHOICES,
     AnnotationTable,
@@ -190,17 +191,27 @@ CSV_TEXT = {
 CSV_BAD = {"condition": ("m9",), "order": ("first-m3",), "confidence": ("7", "x", "2.0")}
 
 
-def csv_text(rng, name, fault):
-    prefix = next(p for p in CSV_TEXT if name.startswith(p))
+# quote-free text per column: wide, non-ASCII and empty fields, two ids that differ past their 8th byte
+PLAIN_TEXT = {
+    **CSV_TEXT,
+    "item_id": ("i1", "i10", "ítem-ü", "exactly8", "item-identifier-01", "item-identifier-02"),
+    "annotator_id": ("a", "B", "ä10", "", "annotator-sixteen"),
+    "label": ("no", "yes", "", "-3", "über", "yes sure", "a label wider than 8 bytes", "w" * 64),
+    "note": ("", "n b", "x y"),
+}
+
+
+def csv_text(rng, name, fault, text=CSV_TEXT):
+    prefix = next(p for p in text if name.startswith(p))
     pool = CSV_BAD.get(prefix, ()) if fault == "value" and rng.random() < 0.05 else ()
-    return str(rng.choice(pool or CSV_TEXT[prefix]))
+    return str(rng.choice(pool or text[prefix]))
 
 
-def random_csv(rng, record):
-    """CSV text of `record` rows as csv.writer quotes it: schema columns
-    shuffled, an unrelated column among them, one column name repeated,
-    blank lines and extra trailing fields; a file meant to fail also gets
-    short rows, bad values or repeated keys."""
+def random_rows(rng, record, text=CSV_TEXT):
+    """The header and rows of a random file of `record` rows: schema
+    columns shuffled, an unrelated column among them, one column name
+    repeated, blank lines ([]) and extra trailing fields; a file meant to
+    fail also gets short rows, bad values or repeated keys."""
     names = [f.name for f in fields(record)]
     header = [str(n) for n in rng.permutation(names)]
     header.insert(int(rng.integers(1, len(header))), "note")
@@ -208,21 +219,33 @@ def random_csv(rng, record):
     last = {name: i for i, name in enumerate(header)}
     fault = rng.choice(["none", "short", "value", "repeat"])
     key_names = ["item_id", "annotator_id", next(n for n in names if n in CHOICES)]
-    keys = list(product(*(CSV_TEXT[n] for n in key_names)))
-    out = io.StringIO()
-    writer = csv.writer(out)
-    writer.writerow(header)
+    keys = list(product(*(text[n] for n in key_names)))
+    rows = [header]
     for k in rng.choice(len(keys), 20, replace=fault == "repeat"):
         key = dict(zip(key_names, keys[k]))
-        row = [key[n] if last[n] == i and n in key else csv_text(rng, n, fault) for i, n in enumerate(header)]
+        row = [key[n] if last[n] == i and n in key else csv_text(rng, n, fault, text) for i, n in enumerate(header)]
         if rng.random() < 0.2:
             row += ["extra"] * int(rng.integers(1, 3))
         if fault == "short" and rng.random() < 0.1:
             row = row[: rng.integers(1, len(header))]
         if rng.random() < 0.1:
-            writer.writerow([])
-        writer.writerow(row)
+            rows.append([])
+        rows.append(row)
+    return rows
+
+
+def random_csv(rng, record):
+    """CSV text of `random_rows` as csv.writer quotes it."""
+    out = io.StringIO()
+    csv.writer(out).writerows(random_rows(rng, record))
     return out.getvalue()
+
+
+def plain_csv(rng, record):
+    """Quote-free CSV text of `random_rows`, with LF or CRLF line ends, the last one sometimes left off."""
+    end = str(rng.choice(["\n", "\r\n"]))
+    text = "".join(",".join(row) + end for row in random_rows(rng, record, PLAIN_TEXT))
+    return text[: -len(end)] if rng.random() < 0.3 else text
 
 
 def dictreader_reference(text, record):
@@ -284,6 +307,94 @@ def test_csv_parser_matches_dictreader_reference(record, parse):
         assert table.key_order.tolist() == np.lexsort(keys).tolist()
         outcomes.add("parsed")
     assert outcomes == {"parsed", "missing field", "must be", "outside", "duplicate"}
+
+
+def short_row(text, record):
+    """Whether a data row of the CSV text ends before the last column a `record` field is read from."""
+    header, *rows = csv.reader(io.StringIO(text)) if text else [[]]
+    names = {f.name for f in fields(record)}
+    width = max((i + 1 for i, name in enumerate(header) if name in names), default=0)
+    return any(0 < len(row) < width for row in rows)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("quote-free CSV reached csv.reader")
+
+
+def reference(text, record):
+    """`dictreader_reference` of `text`, or its `SchemaError`; a `csv.Error` is the parser's "malformed CSV"."""
+    try:
+        return dictreader_reference(text or ",".join(f.name for f in fields(record)), record)  # empty: no header
+    except csv.Error as exc:
+        return SchemaError(f"malformed CSV: {exc}")
+    except SchemaError as exc:
+        return exc
+
+
+def outcome(want, text, parse):
+    """The outcome of `parse` on `text`, checked against `want`: "parsed" or the kind of error."""
+    if not isinstance(want, SchemaError):
+        assert parse(io.StringIO(text)).records() == want
+        return "parsed"
+    with pytest.raises(SchemaError) as err:
+        parse(io.StringIO(text))
+    assert str(err.value) == str(want)
+    kinds = ("missing field", "missing columns", "must be", "outside", "duplicate", "malformed")
+    return next(k for k in kinds if k in str(want))
+
+
+# a 64-character block makes most files several blocks, their fields' widths differing between blocks
+@pytest.mark.parametrize("block", [dataset._BLOCK, 64])
+@pytest.mark.parametrize("record, parse", [(PartialRecord, parse_partial), (CounterfactualRecord, parse_counterfactual)])
+def test_quote_free_csv_matches_dictreader_reference_without_csv_reader(record, parse, block, monkeypatch):
+    monkeypatch.setattr(dataset, "_BLOCK", block)
+    rng = np.random.default_rng(22)
+    names = [f.name for f in fields(record)]
+    texts = [plain_csv(rng, record) for _ in range(80)]
+    texts += ["", ",".join(names), ",".join(names) + "\r\n", ",".join(names[1:]) + "\nx\n"]
+    outcomes = set()
+    for text in texts:
+        want = reference(text, record)
+        with monkeypatch.context() as m:
+            if not short_row(text, record):  # a short row is read again by csv.reader, for its message
+                m.setattr(dataset.csv, "reader", refuse)
+            outcomes.add(outcome(want, text, parse))
+    assert outcomes == {"parsed", "missing field", "missing columns", "must be", "outside", "duplicate"}
+
+
+# one file per input that csv.reader reads right or in less memory, and the field size limit to read it with
+@pytest.mark.parametrize(
+    "rows, limit",
+    [
+        (["i1,a,m1,yes,4", 'i2,a,m1,"yes, sure",4'], 100),
+        (["i1,a,m1,yes,4", "i2,a,m1,ye\0s,4"], 100),
+        (["i1,a,m1,yes,4", "i2,a,m1,no,3\ri3,a,m1,no,3"], 100),
+        (["i1,a,m1,yes,4", "i2,a,m1,no,3\r"], 100),
+        (["i1,a,m1,yes,4", "i2,a,m1,a label of thirty-one characters,4"], 40),
+        (["i1,a,m1,yes,4", "i2,a,m1,no"], 100),
+        (["i1,a,m1,yes,4", "i2,a,m1," + "w" * 65 + ",4"], 100),
+    ],
+    ids=["quote", "nul", "return-inside-line", "return-at-end", "long-line", "short-row", "field-over-64-bytes"],
+)
+def test_csv_reader_reads_what_the_byte_coder_cannot(rows, limit, monkeypatch):
+    text = "\n".join([PARTIAL_HEADER.strip(), *rows])
+    default = csv.field_size_limit(limit)
+    try:
+        want = reference(text, PartialRecord)
+        calls = []
+        reader = csv.reader
+        monkeypatch.setattr(dataset.csv, "reader", lambda *args: calls.append(args) or reader(*args))
+        outcome(want, text, parse_partial)
+    finally:
+        csv.field_size_limit(default)
+    assert calls
+
+
+def test_csv_from_a_stream_that_cannot_seek():
+    text = PARTIAL_HEADER + 'i1,a,m1,yes,4\ni2,a,m1,"no",3\n'
+    stream = io.StringIO(text)
+    stream.seekable = lambda: False
+    assert parse_partial(stream).records() == dictreader_reference(text, PartialRecord)
 
 
 def test_json_null_field_is_missing_and_list_ids_become_text():
