@@ -39,7 +39,7 @@ from .pid import (
     pid_from_joint,
     pid_from_solution,
 )
-from .synth import GATES, GateSpec, canonical_joint, sample
+from .synth import GATES, GateSpec, canonical_joint, cell_counts
 
 
 EXIT_NONCONVERGED = 1
@@ -340,15 +340,15 @@ def oracle_check(trials, seed, resolution, tolerance):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=None)
 def synth(gate, noise, count, seed, out):
-    """Sample a gate distribution and emit a y1,y2,y,weight CSV."""
+    """Sample a gate distribution and emit a y1,y2,y,weight CSV, rows grouped by cell."""
     try:
         spec = GateSpec(gate=gate, noise=noise)
-        data = sample(canonical_joint(spec), count, seed)
+        cells, counts = cell_counts(canonical_joint(spec), count, seed)
     except ValueError as exc:
         _fail("invalid-config", str(exc))
-    lines = ["y1,y2,y,weight"]
-    lines += [f"{a},{b},{c},{w:g}" for (a, b, c), w in zip(data.samples.tolist(), data.weights.tolist())]
-    _write("\n".join(lines) + "\n", out)
+    # the rows of `sample`, one weight-1 line per draw, written one repeated line per cell
+    rows = [f"{a},{b},{c},1\n" * k for (a, b, c), k in zip(cells.tolist(), counts.tolist())]
+    _write("".join(["y1,y2,y,weight\n", *rows]), out)
 
 
 if __name__ == "__main__":

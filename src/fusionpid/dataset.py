@@ -126,11 +126,13 @@ class TripleDataset:
         shape_ok = self.samples.shape[1:] == (3,) and self.weights.shape == self.samples.shape[:1]
         if not shape_ok or self.samples.dtype.kind not in "iu":
             raise SchemaError("samples must be an (N, 3) integer array and weights an (N,) array")
-        bad = ~(self.weights > 0)
-        if bad.any():
-            raise SchemaError(f"nonpositive weight {self.weights[bad][0]}")
+        if not len(self.weights):
+            return
+        # reductions, not (N,)-sized masks; the minimum of weights with a NaN is NaN, which fails `> 0`
+        if not self.weights.min() > 0:
+            raise SchemaError(f"nonpositive weight {self.weights[np.argmin(self.weights > 0)]}")
         n = self.space.size
-        if np.any((self.samples < 0) | (self.samples >= n)):
+        if self.samples.min() < 0 or self.samples.max() >= n:
             raise SchemaError(f"index out of range for space of size {n}")
 
     @property

@@ -50,14 +50,29 @@ def gate_space(n=2):
     return build_label_space({"kind": "nominal", "values": [str(i) for i in range(n)]})
 
 
-def sample(p, count, seed):
-    """Draw `count` i.i.d. triples from p by inverse-CDF over flattened cells."""
+def cell_counts(p, count, seed):
+    """(cells, counts) of `count` i.i.d. draws from p, as one multinomial.
+
+    cells: (k, 3) integer table of the cells with positive mass, in C order;
+    counts: (k,) draws per cell, summing to `count`. Cells at or below 0
+    (a Joint3 admits -MASS_TOL) are never drawn; the rest are renormalised.
+    """
     if count < 1:
         raise ValueError("count must be positive")
-    n = p.size
-    cdf = np.cumsum(p.mass.ravel())
-    cdf[-1] = 1.0
-    rng = np.random.default_rng(seed)
-    flat = np.searchsorted(cdf, rng.random(count), side="right")
-    samples = np.stack(np.unravel_index(flat, (n, n, n)), axis=1)
-    return TripleDataset(gate_space(n), samples, np.ones(count))
+    mass = p.mass.ravel()
+    support = np.flatnonzero(mass > 0)
+    pvals = mass[support]
+    counts = np.random.default_rng(seed).multinomial(count, pvals / pvals.sum())
+    cells = np.stack(np.unravel_index(support, p.mass.shape), axis=1)
+    return cells, counts
+
+
+def sample(p, count, seed):
+    """Draw `count` i.i.d. triples from p, one row of weight 1 per draw.
+
+    The rows come grouped by cell (see `cell_counts`), not in draw order:
+    the multiset of rows has the law of `count` i.i.d. draws, but a prefix
+    of the rows is not a sample of p.
+    """
+    cells, counts = cell_counts(p, count, seed)
+    return TripleDataset(gate_space(p.size), np.repeat(cells, counts, axis=0), np.ones(count))

@@ -466,6 +466,19 @@ def test_synth_csv_output(tmp_path):
     assert int(y) == int(y1) ^ int(y2)
 
 
+@pytest.mark.parametrize("gate, noise, count, seed", [("XOR", 0.0, 100, 1), ("AND", 0.1, 2000, 3), ("COPY", 0.3, 1, 0)])
+def test_synth_csv_equals_per_row_format_of_sample(tmp_path, gate, noise, count, seed):
+    args = ["synth", "--gate", gate, "--noise", str(noise), "--count", str(count), "--seed", str(seed)]
+    out = tmp_path / "synth.csv"
+    result = run(args + ["--out", str(out)])
+    assert result.exit_code == 0, result.output
+    data = sample(canonical_joint(GateSpec(gate, noise=noise)), count, seed)
+    lines = ["y1,y2,y,weight"]
+    lines += [f"{a},{b},{c},{w:g}" for (a, b, c), w in zip(data.samples.tolist(), data.weights.tolist())]
+    assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert run(args).output == out.read_text()  # stdout carries the same text
+
+
 def test_synth_deterministic():
     args = ["synth", "--gate", "AND", "--count", "50", "--seed", "9"]
     assert run(args).output == run(args).output
@@ -521,6 +534,18 @@ def test_malformed_label_space_is_one_config_error(tmp_path, command, config):
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
     assert json.loads(line)["error"] == "invalid-label-space"
+
+
+@pytest.mark.parametrize("command", ["convert", "agreement"])
+def test_oversized_label_space_is_one_config_error(tmp_path, command):
+    src = tmp_path / "xor.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
+    config = '{"kind": "ordinal", "range": [0, 1000000000]}'  # refused from its two ends, no labels built
+    result = run([command, "--input", str(src), "--schema", "partial", "--label-space", config])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "invalid-label-space" and "1000000001 labels" in error["message"]
 
 
 @pytest.mark.parametrize(

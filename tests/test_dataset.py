@@ -24,6 +24,7 @@ from fusionpid.dataset import (
     triples_from_counterfactual,
     triples_from_partial,
 )
+from fusionpid.info import DistributionError, empirical_joint
 from fusionpid.label_space import build_label_space
 
 NOMINAL = build_label_space({"kind": "nominal", "values": ["no", "yes"]})
@@ -494,6 +495,27 @@ def test_triple_dataset_validation():
     for w in (0.0, -1.0, np.nan):
         with pytest.raises(SchemaError):
             TripleDataset(NOMINAL, [(0, 1, 0), (1, 1, 1)], [1.0, w])
+
+
+@pytest.mark.parametrize(
+    "samples, weights, message",
+    [
+        ([(0, 1, 0), (1, 1, 1), (0, 0, 0)], [1.0, 0.0, -2.0], "nonpositive weight 0.0"),
+        ([(0, 1, 0), (1, 1, 1), (0, 0, 0)], [2.0, np.nan, 0.0], "nonpositive weight nan"),
+        ([(0, 1, 0), (1, -1, 1)], [1.0, 1.0], "index out of range for space of size 2"),
+        ([(0, 1, 0), (1, 1, 2)], [1.0, 1.0], "index out of range for space of size 2"),
+    ],
+)
+def test_triple_dataset_messages_name_first_bad_entry(samples, weights, message):
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        TripleDataset(NOMINAL, samples, weights)
+
+
+def test_empty_triple_dataset_constructs_but_has_no_joint():
+    data = TripleDataset(NOMINAL, np.zeros((0, 3), int), [])
+    assert data.samples.shape == (0, 3) and data.total_weight == 0.0
+    with pytest.raises(DistributionError, match="empty dataset"):
+        empirical_joint(data)
 
 
 def reference_triples(records, space, pairing):

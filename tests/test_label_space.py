@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from fusionpid.label_space import (
+    MAX_LABELS,
+    LabelSpace,
     LabelSpaceError,
     build_label_space,
     decode,
@@ -38,6 +40,22 @@ def test_binned_continuous_bin_count():
 def test_invalid_configs_rejected(config):
     with pytest.raises(LabelSpaceError):
         build_label_space(config)
+
+
+def test_label_count_is_bounded_before_labels_are_built():
+    assert build_label_space({"kind": "ordinal", "range": [1, MAX_LABELS]}).size == MAX_LABELS
+    assert LabelSpace("nominal", tuple(range(MAX_LABELS))).size == MAX_LABELS
+    with pytest.raises(LabelSpaceError, match="1000000001 labels"):
+        build_label_space({"kind": "ordinal", "range": [0, 10**9]})  # would be a billion-entry tuple
+    too_many = [
+        {"kind": "ordinal", "range": [0, MAX_LABELS]},
+        {"kind": "nominal", "values": [str(i) for i in range(MAX_LABELS + 1)]},
+        {"kind": "ordinal", "values": list(range(MAX_LABELS + 1))},
+        {"kind": "binned-continuous", "bin_edges": list(range(MAX_LABELS + 2))},
+    ]
+    for config in too_many:
+        with pytest.raises(LabelSpaceError, match=f"more than the {MAX_LABELS} supported"):
+            build_label_space(config)
 
 
 def test_encode_ordinal_endpoints():

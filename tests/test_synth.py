@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fusionpid.info import empirical_joint, joint_mi
-from fusionpid.synth import DOMINANT, GATES, GateSpec, canonical_joint, sample
+from fusionpid.info import Joint3, empirical_joint, joint_mi
+from fusionpid.synth import DOMINANT, GATES, GateSpec, canonical_joint, cell_counts, sample
 
 
 def test_xor_table():
@@ -80,3 +80,50 @@ def test_empirical_recovers_gates_in_total_variation():
 
 def test_dominant_map_covers_gates():
     assert set(DOMINANT) == set(GATES)
+
+
+def test_sample_within_mass_tolerance_never_draws_nonpositive_cells():
+    # a Joint3 admits cells down to -MASS_TOL; numpy's multinomial refuses them as pvals
+    mass = np.zeros((2, 2, 2))
+    mass[0, 0, 0] = 0.5 + 5e-10
+    mass[1, 1, 1] = 0.5
+    mass[0, 1, 0] = -5e-10
+    p = Joint3(mass)
+    with pytest.raises(ValueError):
+        np.random.default_rng(0).multinomial(10, p.mass.ravel())
+    for seed in range(5):
+        data = sample(p, 10000, seed=seed)
+        assert len(data.samples) == 10000
+        drawn = {tuple(row) for row in data.samples.tolist()}
+        assert drawn == {(0, 0, 0), (1, 1, 1)}
+
+
+def test_sample_total_above_one_within_tolerance():
+    mass = canonical_joint(GateSpec("XOR", noise=0.1)).mass.copy()
+    mass[0, 0, 0] += 8e-10
+    p = Joint3(mass)
+    assert p.mass.sum() > 1.0
+    data = sample(p, 10000, seed=1)
+    assert len(data.samples) == 10000
+
+
+@pytest.mark.parametrize("gate", GATES)
+def test_cell_counts_sum_to_count_over_positive_cells(gate):
+    p = canonical_joint(GateSpec(gate, noise=0.05))
+    cells, counts = cell_counts(p, 12345, seed=2)
+    assert counts.sum() == 12345 and len(cells) == len(counts)
+    assert np.all(p.mass[tuple(cells.T)] > 0)
+
+
+def test_sample_rows_are_integer_and_grouped_by_cell():
+    p = canonical_joint(GateSpec("AND", noise=0.2))
+    data = sample(p, 5000, seed=4)
+    assert data.samples.dtype.kind in "iu"
+    cells, counts = cell_counts(p, 5000, seed=4)
+    assert np.array_equal(data.samples, np.repeat(cells, counts, axis=0))
+    # grouped: each cell's rows are one run, in C order of the cells
+    flat = np.ravel_multi_index(data.samples.T, (2, 2, 2))
+    assert np.all(np.diff(flat) >= 0)
+    per_cell = np.bincount(flat, minlength=8)
+    assert per_cell.sum() == 5000
+    assert np.array_equal(per_cell[np.ravel_multi_index(cells.T, (2, 2, 2))], counts)
