@@ -4,6 +4,10 @@ import numpy as np
 
 MASS_TOL = 1e-9
 
+# rows of a dataset counted at a time by `empirical_joint`; its uint16 code
+# buffer is 64 KB
+JOINT_BLOCK = 1 << 15
+
 AXES = {"y1": 0, "y2": 1, "y": 2}
 
 
@@ -84,14 +88,32 @@ def mutual_information(dist):
 
 
 def empirical_joint(data, smoothing=0.0):
-    """Weighted empirical joint over (y1, y2, y), optionally add-lambda smoothed."""
+    """Weighted empirical joint over (y1, y2, y), optionally add-lambda smoothed.
+
+    The uint8 rows are counted JOINT_BLOCK at a time: each block's cells are
+    coded y1 n^2 + y2 n + y in one reused uint16 buffer (n <= 32 keeps a code
+    below 2^15) and its weights added with `np.add.at`, which sums each cell
+    in row order, as one weighted `np.bincount` would, so the joint is the
+    same to the bit while no temporary grows with the row count.
+    """
     if not (np.isfinite(smoothing) and smoothing >= 0):
         raise ValueError(f"smoothing must be finite and nonnegative, got {smoothing}")
-    if not len(data.samples):
+    samples, weights = data.samples, data.weights
+    if not len(samples):
         raise DistributionError("empty dataset")
     n = data.space.size
-    cells = np.ravel_multi_index(data.samples.T, (n, n, n))
-    counts = np.bincount(cells, data.weights, n**3).reshape(n, n, n) + smoothing
+    counts = np.zeros(n**3)
+    buffer = np.empty(min(len(samples), JOINT_BLOCK), np.uint16)
+    for start in range(0, len(samples), JOINT_BLOCK):
+        rows = samples[start : start + JOINT_BLOCK]
+        codes = buffer[: len(rows)]
+        np.copyto(codes, rows[:, 0])
+        codes *= n
+        codes += rows[:, 1]
+        codes *= n
+        codes += rows[:, 2]
+        np.add.at(counts, codes, weights[start : start + JOINT_BLOCK])
+    counts = counts.reshape(n, n, n) + smoothing
     with np.errstate(over="ignore"):  # an infinite total is rejected just below
         total = counts.sum()
     if not np.isfinite(total):

@@ -124,16 +124,18 @@ RIDGE = 1e-12
 
 
 def _newton_solve(hess, rhs):
-    """Solve hess x = rhs after Jacobi scaling plus RIDGE.
+    """Solve hess x = rhs after Jacobi scaling plus RIDGE, both applied to
+    hess in place (the caller's matrix is consumed, no copy is made).
 
     A variable with no curvature (every weight it touches underflowed to 0)
     gets a zero step.
     """
     diag = hess.diagonal()
     scale = np.divide(1.0, np.sqrt(diag), out=np.zeros(len(diag)), where=diag > 0)
-    scaled = hess * scale[:, None] * scale[None, :]
-    scaled.flat[:: len(diag) + 1] += RIDGE
-    return scale * np.linalg.solve(scaled, scale * rhs)
+    hess *= scale[:, None]
+    hess *= scale
+    hess.flat[:: len(diag) + 1] += RIDGE
+    return scale * np.linalg.solve(hess, scale * rhs)
 
 
 class _DualBarrier:

@@ -72,7 +72,13 @@ def sample(p, count, seed):
 
     The rows come grouped by cell (see `cell_counts`), not in draw order:
     the multiset of rows has the law of `count` i.i.d. draws, but a prefix
-    of the rows is not a sample of p.
+    of the rows is not a sample of p. The rows are laid out one uint8 column
+    at a time, the dtype `TripleDataset` stores, so no int64 row is written.
     """
+    space = gate_space(p.size)  # refuses n > MAX_LABELS before the uint8 cast
     cells, counts = cell_counts(p, count, seed)
-    return TripleDataset(gate_space(p.size), np.repeat(cells, counts, axis=0), np.ones(count))
+    cells = cells.astype(np.uint8)
+    samples = np.empty((count, 3), np.uint8)
+    for j in range(3):
+        samples[:, j] = np.repeat(cells[:, j], counts)
+    return TripleDataset(space, samples, np.ones(count))

@@ -3,6 +3,7 @@ import io
 import json
 from dataclasses import fields
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from fusionpid.dataset import (
     triples_from_partial,
 )
 from fusionpid.info import DistributionError, empirical_joint
-from fusionpid.label_space import build_label_space
+from fusionpid.label_space import MAX_LABELS, build_label_space
 
 NOMINAL = build_label_space({"kind": "nominal", "values": ["no", "yes"]})
 ORDINAL = build_label_space({"kind": "ordinal", "range": [-3, 3]})
@@ -509,6 +510,19 @@ def test_triple_dataset_validation():
 def test_triple_dataset_messages_name_first_bad_entry(samples, weights, message):
     with pytest.raises(SchemaError, match=f"^{message}$"):
         TripleDataset(NOMINAL, samples, weights)
+
+
+def test_triple_dataset_stores_contiguous_uint8_rows():
+    wide = np.array([[1, 9, 0, 9, 1], [0, 9, 1, 9, 1]])  # int64, rows strided in the [:, ::2] view
+    data = TripleDataset(NOMINAL, wide[:, ::2], [1.0, 2.0])
+    assert data.samples.dtype == np.uint8 and data.samples.flags.c_contiguous
+    assert data.samples.tolist() == [[1, 0, 1], [0, 1, 1]]
+
+
+def test_triple_dataset_refuses_space_over_max_labels():
+    too_big = SimpleNamespace(kind="nominal", size=MAX_LABELS + 1)
+    with pytest.raises(SchemaError, match=f"^label space has 33 labels, more than the {MAX_LABELS} supported$"):
+        TripleDataset(too_big, [(0, 1, 32)], [1.0])
 
 
 def test_empty_triple_dataset_constructs_but_has_no_joint():

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fusionpid.dataset import TripleDataset
 from fusionpid.info import (
+    JOINT_BLOCK,
     DistributionError,
     Joint2,
     Joint3,
@@ -14,8 +17,8 @@ from fusionpid.info import (
     marginal_pair,
     mutual_information,
 )
-from fusionpid.label_space import build_label_space
-from fusionpid.synth import GateSpec, canonical_joint, gate_space
+from fusionpid.label_space import MAX_LABELS, build_label_space
+from fusionpid.synth import GateSpec, canonical_joint, gate_space, sample
 
 
 def xor_joint():
@@ -95,6 +98,42 @@ def test_empirical_joint_matches_loop_reference():
         counts[y1, y2, y] += w
     p = empirical_joint(TripleDataset(space, samples, weights), smoothing=0.5)
     assert np.array_equal(p.mass, (counts + 0.5) / (counts + 0.5).sum())
+
+
+def test_label_index_fits_a_byte_and_cell_code_fits_uint16():
+    assert MAX_LABELS <= 255 and MAX_LABELS**3 <= 2**16
+
+
+def test_empirical_joint_counts_top_label_into_last_cell():
+    space = build_label_space({"kind": "nominal", "values": [str(i) for i in range(32)]})
+    data = TripleDataset(space, [(31, 31, 31), (31, 0, 0), (0, 31, 0)], [1.0, 2.0, 5.0])
+    flat = empirical_joint(data).mass.ravel()
+    assert flat[32767] == 0.125 and flat[31 * 32 * 32] == 0.25 and flat[31 * 32] == 0.625
+    assert np.count_nonzero(flat) == 3
+
+
+@pytest.mark.parametrize("smoothing", [0.0, 0.5])
+@pytest.mark.parametrize("n", [2, 7, 32])
+@pytest.mark.parametrize("rows", [1, JOINT_BLOCK - 1, JOINT_BLOCK, JOINT_BLOCK + 1, 3 * JOINT_BLOCK + 7])
+def test_empirical_joint_is_bit_identical_to_one_bincount(rows, n, smoothing):
+    rng = np.random.default_rng(rows * 100 + n)
+    samples = rng.integers(0, n, (rows, 3))
+    weights = rng.random(rows) + 0.01
+    space = build_label_space({"kind": "nominal", "values": [str(i) for i in range(n)]})
+    counts = np.bincount(np.ravel_multi_index(samples.T, (n,) * 3), weights, n**3).reshape(n, n, n) + smoothing
+    p = empirical_joint(TripleDataset(space, samples, weights), smoothing=smoothing)
+    assert np.array_equal(p.mass, counts / counts.sum())
+
+
+def test_empirical_joint_memory_does_not_grow_with_rows():
+    data = sample(canonical_joint(GateSpec("XOR", noise=0.1)), 10**6, seed=3)
+    tracemalloc.start()
+    try:
+        empirical_joint(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_empirical_joint_empty_is_error():

@@ -127,3 +127,12 @@ def test_sample_rows_are_integer_and_grouped_by_cell():
     per_cell = np.bincount(flat, minlength=8)
     assert per_cell.sum() == 5000
     assert np.array_equal(per_cell[np.ravel_multi_index(cells.T, (2, 2, 2))], counts)
+
+
+@pytest.mark.parametrize("n", [2, 7, 32])
+def test_sample_rows_are_contiguous_uint8_cell_runs(n):
+    p = Joint3(np.random.default_rng(n).dirichlet(np.ones(n**3)).reshape(n, n, n))
+    data = sample(p, 20000, seed=5)
+    assert data.samples.dtype == np.uint8 and data.samples.flags.c_contiguous
+    cells, counts = cell_counts(p, 20000, seed=5)
+    assert np.array_equal(data.samples, np.repeat(cells, counts, axis=0))
