@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .label_space import LabelSpace, build_label_space, decode, encode, qa_binarize
+from .label_space import LabelSpace, build_label_space, encode, qa_binarize
 from .dataset import (
     AnnotationTable,
     CounterfactualRecord,
@@ -16,17 +16,7 @@ from .dataset import (
     triples_from_counterfactual,
     triples_from_partial,
 )
-from .info import (
-    Joint2,
-    Joint3,
-    conditional_mi,
-    empirical_joint,
-    entropy,
-    interaction_information,
-    joint_mi,
-    marginal_pair,
-    mutual_information,
-)
+from .info import Joint2, Joint3, empirical_joint, information
 from .pid import (
     MarginalConstraints,
     PIDResult,

@@ -3,7 +3,7 @@
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from itertools import chain, cycle, repeat
 from operator import add, itemgetter
 
@@ -102,12 +102,6 @@ class AnnotationTable:
     def __iter__(self):
         return iter(self.records())
 
-    @classmethod
-    def from_records(cls, record, records):
-        """The table of `records` (of type `record`), validated as parsed rows are."""
-        raw = [_levels([getattr(r, f.name) for r in records]) for f in fields(record)]
-        return _table(record, raw, records.__getitem__)
-
 
 @dataclass
 class TripleDataset:
@@ -139,10 +133,6 @@ class TripleDataset:
             if self.samples.min() < 0 or self.samples.max() >= n:
                 raise SchemaError(f"index out of range for space of size {n}")
         self.samples = np.ascontiguousarray(self.samples, np.uint8)
-
-    @property
-    def total_weight(self):
-        return float(self.weights.sum())
 
 
 class _Index(dict):
@@ -375,6 +365,9 @@ def _column(f, levels, codes, row_at):
     if f.type is int:
         ratings = []
         for raw in present():
+            # int() would read JSON true as 1 and 4.5 as 4
+            if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
+                raise SchemaError(f"{name} must be an integer: {raw!r}")
             try:
                 value = int(raw)
             except (TypeError, ValueError, OverflowError):
@@ -446,20 +439,6 @@ def parse_counterfactual(stream, fmt="csv"):
 
 def parse_decomposition(stream, fmt="csv"):
     return _parse(stream, fmt, DecompositionRecord)
-
-
-def serialize_records(records, fmt="csv"):
-    """Inverse of the parsers (with `AnnotationTable.records`); round-trips losslessly."""
-    rows = [asdict(r) for r in records]
-    if fmt == "json":
-        return json.dumps(rows, indent=2)
-    if not rows:
-        return ""
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    return out.getvalue()
 
 
 def label_indices(labels, space):

@@ -1,14 +1,15 @@
-"""Discrete information measures over two- and three-variable joints, in bits."""
+"""Joint distributions, the empirical joint of a triple dataset, and every
+information term of a joint from one table of its entropies, in bits."""
 
 import numpy as np
+
+from .label_space import MAX_LABELS
 
 MASS_TOL = 1e-9
 
 # rows of a dataset counted at a time by `empirical_joint`; its uint16 code
 # buffer is 64 KB
 JOINT_BLOCK = 1 << 15
-
-AXES = {"y1": 0, "y2": 1, "y": 2}
 
 
 class DistributionError(ValueError):
@@ -53,38 +54,21 @@ class Joint3:
 
     @classmethod
     def from_json(cls, obj):
-        n = int(obj["size"])
+        n = obj["size"]
+        # a JSON integer (not a bool) that a label space could have produced
+        if type(n) is not int or not 1 <= n <= MAX_LABELS:
+            raise DistributionError(f"size must be an integer in [1, {MAX_LABELS}], got {n!r}")
         mass = np.asarray(obj["mass"], dtype=float)
         if mass.size != n**3:
             raise DistributionError(f"mass array has {mass.size} entries, expected {n**3}")
         return cls(mass.reshape(n, n, n))
 
 
-def _as_mass(dist):
-    if isinstance(dist, (Joint2, Joint3)):
-        return dist.mass
-    return np.asarray(dist, dtype=float)
-
-
 def _xlog2x(p):
-    p = np.asarray(p, dtype=float)
     out = np.zeros_like(p)
     pos = p > 0
     out[pos] = p[pos] * np.log2(p[pos])
     return out
-
-
-def entropy(dist):
-    """Shannon entropy -sum p log2 p, with 0 log 0 = 0."""
-    return float(-_xlog2x(_as_mass(dist)).sum())
-
-
-def mutual_information(dist):
-    """I(X1; X2) of a Joint2, in bits."""
-    m = _as_mass(dist)
-    p1 = m.sum(axis=1)
-    p2 = m.sum(axis=0)
-    return entropy(p1) + entropy(p2) - entropy(m)
 
 
 def empirical_joint(data, smoothing=0.0):
@@ -121,47 +105,31 @@ def empirical_joint(data, smoothing=0.0):
     return Joint3(counts / total)
 
 
-def marginal_pair(dist, which):
-    """Marginalize a Joint3 down to one of its variable pairs."""
-    m = _as_mass(dist)
-    axis = {"Y1Y": 1, "Y2Y": 0, "Y1Y2": 2}.get(which)
-    if axis is None:
-        raise ValueError(f"which must be Y1Y, Y2Y or Y1Y2, got {which!r}")
-    return Joint2(m.sum(axis=axis))
+def information(dist):
+    """Information terms of a Joint3, in bits, from its 7 entropies computed in one pass.
 
-
-def conditional_mi(dist, given="y"):
-    """I(A; B | C) for a Joint3, where C is the `given` axis and (A, B) the rest.
-
-    Cells with p(c) = 0 contribute 0.
+    Returns I(Y1;Y), I(Y2;Y), I(Y1;Y|Y2), I(Y2;Y|Y1), I(Y1;Y2;Y) and I(Y1,Y2;Y).
     """
-    m = _as_mass(dist)
-    c = AXES[given] if isinstance(given, str) else int(given)
-    a, b = [ax for ax in (0, 1, 2) if ax != c]
-    # I(A;B|C) = H(A,C) + H(B,C) - H(A,B,C) - H(C)
-    return (
-        entropy(m.sum(axis=b))
-        + entropy(m.sum(axis=a))
-        - entropy(m)
-        - entropy(m.sum(axis=(a, b)))
+    m = dist.mass
+    n = len(m)
+    parts = np.concatenate(
+        [m.ravel(), m.sum(axis=2).ravel(), m.sum(axis=1).ravel(), m.sum(axis=0).ravel()]
+        + [m.sum(axis=(1, 2)), m.sum(axis=(0, 2)), m.sum(axis=(0, 1))]
     )
-
-
-def interaction_information(dist):
-    """I(Y1; Y2; Y) = I(Y1; Y2) - I(Y1; Y2 | Y); may be negative."""
-    return mutual_information(marginal_pair(dist, "Y1Y2")) - conditional_mi(
-        dist, given="y"
-    )
-
-
-def joint_mi(dist):
-    """I(Y1, Y2; Y): MI between the flattened input pair and the output."""
-    m = _as_mass(dist)
-    n = m.shape[2]
-    return mutual_information(m.reshape(-1, n))
+    xlogx = parts * np.log2(parts, out=np.zeros(len(parts)), where=parts > 0)
+    offsets = np.cumsum([0, n**3, n * n, n * n, n * n, n, n])
+    h, h12, h1y, h2y, h1, h2, hy = (-np.add.reduceat(xlogx, offsets)).tolist()
+    return {
+        "i1": h1 + hy - h1y,
+        "i2": h2 + hy - h2y,
+        "c1": h12 + h2y - h - h2,
+        "c2": h12 + h1y - h - h1,
+        "ii": (h1 + h2 - h12) - (h1y + h2y - h - hy),
+        "total": h12 + hy - h,
+    }
 
 
 def conditional_entropy_output(dist):
-    """H(Y | Y1, Y2) of a Joint3, in bits."""
-    m = _as_mass(dist)
-    return entropy(m) - entropy(m.sum(axis=2))
+    """H(Y | Y1, Y2) = H(Y1, Y2, Y) - H(Y1, Y2) of a Joint3 or its mass cube, in bits."""
+    m = dist.mass if isinstance(dist, Joint3) else np.asarray(dist, dtype=float)
+    return float(_xlog2x(m.sum(axis=2)).sum() - _xlog2x(m).sum())

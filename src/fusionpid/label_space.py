@@ -135,12 +135,6 @@ def encode(space, raw):
     raise LabelSpaceError(f"unknown label {raw!r} for {space.kind} space")
 
 
-def decode(space, index):
-    if not 0 <= index < space.size:
-        raise LabelSpaceError(f"index {index} out of range [0, {space.size})")
-    return space.values[index]
-
-
 _WS = re.compile(r"\s+")
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info import Joint2, Joint3, conditional_entropy_output, empirical_joint
+from .info import Joint2, Joint3, conditional_entropy_output, empirical_joint, information
 
 FEAS_TOL = 1e-9
 CLAMP_TOL = 1e-6
@@ -470,41 +470,17 @@ def _clamp(value, failures, name):
     return max(value, 0.0)
 
 
-def _information(dist):
-    """Information terms of a Joint3, in bits, from its 7 entropies computed in one pass.
-
-    Returns I(Y1;Y), I(Y2;Y), I(Y1;Y|Y2), I(Y2;Y|Y1), I(Y1;Y2;Y) and I(Y1,Y2;Y).
-    """
-    m = dist.mass
-    n = len(m)
-    parts = np.concatenate(
-        [m.ravel(), m.sum(axis=2).ravel(), m.sum(axis=1).ravel(), m.sum(axis=0).ravel()]
-        + [m.sum(axis=(1, 2)), m.sum(axis=(0, 2)), m.sum(axis=(0, 1))]
-    )
-    xlogx = parts * np.log2(parts, out=np.zeros(len(parts)), where=parts > 0)
-    offsets = np.cumsum([0, n**3, n * n, n * n, n * n, n, n])
-    h, h12, h1y, h2y, h1, h2, hy = (-np.add.reduceat(xlogx, offsets)).tolist()
-    return {
-        "i1": h1 + hy - h1y,
-        "i2": h2 + hy - h2y,
-        "c1": h12 + h2y - h - h2,
-        "c2": h12 + h1y - h - h1,
-        "ii": (h1 + h2 - h12) - (h1y + h2y - h - hy),
-        "total": h12 + hy - h,
-    }
-
-
 def pid_from_solution(p, q_star, diagnostics=None, c=None, p_info=None):
     """Extract R, U1, U2, S (in bits) from the optimizing distribution.
 
-    `c` and `p_info` are p's constraints and `_information`, when the caller has them already.
+    `c` and `p_info` are p's constraints and `information`, when the caller has them already.
     """
     c = constraints_from_joint(p) if c is None else c
     resid = feasible_residual(q_star.mass, c)
     if resid > 1e-6:
         raise InfeasibleError(f"q_star violates the marginal constraints ({resid:.2e})")
-    total = (_information(p) if p_info is None else p_info)["total"]
-    info = _information(q_star)
+    total = (information(p) if p_info is None else p_info)["total"]
+    info = information(q_star)
     failures = []
     r = _clamp(info["ii"], failures, "R")
     u1 = _clamp(info["c1"], failures, "U1")
@@ -529,8 +505,8 @@ def pid_from_solution(p, q_star, diagnostics=None, c=None, p_info=None):
 
 
 def check_consistency(result, p, p_info=None):
-    """Residuals of the five bookkeeping identities tying R/U1/U2/S to p (`p_info`: its `_information`, if known)."""
-    info = _information(p) if p_info is None else p_info
+    """Residuals of the five bookkeeping identities tying R/U1/U2/S to p (`p_info`: its `information`, if known)."""
+    info = information(p) if p_info is None else p_info
     residuals = {
         "r_plus_u1": abs(result.r + result.u1 - info["i1"]),
         "r_plus_u2": abs(result.r + result.u2 - info["i2"]),
@@ -552,7 +528,7 @@ def convert(data, smoothing=0.0):
 
 def pid_from_joint(p):
     c = constraints_from_joint(p)
-    info = _information(p)
+    info = information(p)
     if info["total"] <= DEGENERATE_TOTAL:
         # no task information: the sum identity forces every component to 0
         result = PIDResult(

@@ -1,5 +1,6 @@
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fusionpid.agreement import (
     matrix_from_records,
     mean_confidence,
 )
-from fusionpid.dataset import CONDITIONS, AnnotationTable, PartialRecord, parse_partial
+from fusionpid.dataset import CONDITIONS, PartialRecord, parse_partial
 
 
 def matrix(rows, metric="nominal"):
@@ -96,7 +97,8 @@ def test_ordinal_metric_runs_and_orders():
 
 
 def partial_table(recs):
-    return AnnotationTable.from_records(PartialRecord, recs)
+    """The table of `recs`, parsed from their JSON text (which keeps 1 and 1.0 apart)."""
+    return parse_partial(io.StringIO(json.dumps([asdict(r) for r in recs])), "json")
 
 
 def test_mean_confidence_values():

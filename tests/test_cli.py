@@ -8,6 +8,7 @@ from click.testing import CliRunner
 
 from fusionpid import pid
 from fusionpid.cli import main
+from fusionpid.label_space import MAX_LABELS
 from fusionpid.pid import InfeasibleError
 from fusionpid.synth import GateSpec, canonical_joint, sample
 
@@ -386,6 +387,24 @@ def test_pid_command_rejects_bad_mass(tmp_path):
     assert result.exit_code == 2
     err = json.loads(result.output.strip().splitlines()[-1])
     assert err["error"] == "invalid-distribution"
+
+
+def test_pid_command_rejects_size_over_max_labels_before_solving(tmp_path, monkeypatch):
+    def no_solve(_):
+        raise AssertionError("solved a joint of a size no label space has")
+
+    monkeypatch.setattr("fusionpid.cli.pid_from_joint", no_solve)
+    n = MAX_LABELS + 1
+    src = tmp_path / "big.json"
+    src.write_text(json.dumps({"size": n, "mass": [1.0 / n**3] * n**3}))
+    result = run(["pid", "--input", str(src)])
+    assert result.exit_code == 2
+    lines = result.output.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "invalid-distribution",
+        "message": f"size must be an integer in [1, {MAX_LABELS}], got {n}",
+    }
 
 
 def test_pid_command_denormal_joint_certified(tmp_path):

@@ -1,7 +1,7 @@
 import csv
 import io
 import json
-from dataclasses import fields
+from dataclasses import astuple, fields
 from itertools import product
 from types import SimpleNamespace
 
@@ -11,16 +11,13 @@ import pytest
 from fusionpid import dataset
 from fusionpid.dataset import (
     CHOICES,
-    AnnotationTable,
     CounterfactualRecord,
-    DecompositionRecord,
     PartialRecord,
     SchemaError,
     TripleDataset,
     parse_counterfactual,
     parse_decomposition,
     parse_partial,
-    serialize_records,
     summarize_decomposition,
     triples_from_counterfactual,
     triples_from_partial,
@@ -91,6 +88,29 @@ def test_parse_json_keeps_numeric_labels_and_stringifies_ids():
     assert (rec.item_id, rec.annotator_id, rec.label_first, rec.label_both) == ("7", "3", -2, 1.5)
 
 
+@pytest.mark.parametrize("confidence", [4.5, True, float("inf")])
+def test_parse_json_partial_confidence_must_be_an_integer(confidence):
+    row = {"item_id": "i1", "annotator_id": "a1", "condition": "both", "label": "no", "confidence": confidence}
+    with pytest.raises(SchemaError, match=rf"^confidence must be an integer: {confidence!r}$"):
+        parse_partial(io.StringIO(json.dumps([row])), "json")
+
+
+def test_parse_json_decomposition_rating_must_not_be_a_bool():
+    row = {"item_id": "i1", "annotator_id": "a1", "r": 2, "u1": True, "u2": 0, "s": 5,
+           "conf_r": 4, "conf_u1": 4, "conf_u2": 4, "conf_s": 4}
+    with pytest.raises(SchemaError, match="^u1 must be an integer: True$"):
+        parse_decomposition(io.StringIO(json.dumps([row])), "json")
+    row["u1"], row["r"] = 1, 2.5
+    with pytest.raises(SchemaError, match="^r must be an integer: 2.5$"):
+        parse_decomposition(io.StringIO(json.dumps([row])), "json")
+
+
+def test_parse_json_rating_reads_whole_numbers_and_their_text():
+    rows = [{"item_id": f"i{k}", "annotator_id": "a1", "condition": "both", "label": "no", "confidence": c}
+            for k, c in enumerate([4, 4.0, "4", 0])]
+    assert parse_partial(io.StringIO(json.dumps(rows)), "json")["confidence"].tolist() == [4, 4, 4, 0]
+
+
 def test_parse_counterfactual_bad_order():
     with pytest.raises(SchemaError):
         parse_counterfactual(io.StringIO(CF_HEADER + "i1,a1,first-m3,yes,yes,4,4"))
@@ -117,14 +137,6 @@ def test_parse_decomposition_duplicate():
     rows = "i1,a1,0,0,0,5,4,4,4,4\ni1,a1,1,0,0,4,4,4,4,4"
     with pytest.raises(SchemaError):
         parse_decomposition(io.StringIO(DECOMP_HEADER + rows))
-
-
-def test_records_roundtrip_csv_and_json():
-    recs = parse_partial(partial_csv(["i1,a1,m1,yes,4", "i1,a2,m2,no,3", "i1,a3,both,yes,5"])).records()
-    for fmt in ("csv", "json"):
-        text = serialize_records(recs, fmt)
-        again = parse_partial(io.StringIO(text), fmt)
-        assert again.records() == recs
 
 
 def test_csv_reads_like_dictreader():
@@ -431,13 +443,6 @@ def test_json_labels_one_and_one_point_zero_stay_distinct():
     assert [type(r.label) for r in table.records()] == [int, float, int]
 
 
-def test_table_from_records_round_trips_and_validates():
-    recs = [PartialRecord("i2", "b", "both", "no", 1), PartialRecord("i1", "a", "m1", 2.5, 5)]
-    assert AnnotationTable.from_records(PartialRecord, recs).records() == recs
-    with pytest.raises(SchemaError):
-        AnnotationTable.from_records(PartialRecord, [PartialRecord("i1", "a", "m1", "no", 9)])
-
-
 def three_annotator_item(item="i1"):
     rows = []
     for ann, labels in (("a", "yes,no,yes"), ("b", "no,no,yes"), ("c", "yes,yes,no")):
@@ -473,13 +478,13 @@ def test_all_pairs_weights_sum_to_one_per_item():
     recs = parse_partial(partial_csv(three_annotator_item() + three_annotator_item("i2")))
     data = triples_from_partial(recs, NOMINAL, pairing="all-pairs")
     assert len(data.samples) == 2 * 27
-    assert data.total_weight == pytest.approx(2.0)
+    assert data.weights.sum() == pytest.approx(2.0)
 
 
 def test_rotation_total_weight_three_per_item():
     recs = parse_partial(partial_csv(three_annotator_item() + three_annotator_item("i2")))
     data = triples_from_partial(recs, NOMINAL, pairing="rotation")
-    assert data.total_weight == pytest.approx(3 * 2)
+    assert data.weights.sum() == pytest.approx(3 * 2)
 
 
 def test_triple_dataset_validation():
@@ -527,7 +532,7 @@ def test_triple_dataset_refuses_space_over_max_labels():
 
 def test_empty_triple_dataset_constructs_but_has_no_joint():
     data = TripleDataset(NOMINAL, np.zeros((0, 3), int), [])
-    assert data.samples.shape == (0, 3) and data.total_weight == 0.0
+    assert data.samples.shape == (0, 3) and data.weights.sum() == 0.0
     with pytest.raises(DistributionError, match="empty dataset"):
         empirical_joint(data)
 
@@ -559,7 +564,8 @@ def test_pairing_matches_loop_reference_on_uneven_items(pairing):
             for ann in rng.choice(["z", "a10", "a9", "B", "c"], size=rng.integers(1, 5), replace=False):
                 records.append(PartialRecord(f"i{i}", str(ann), cond, str(rng.choice(["no", "yes"])), 3))
     records = [records[j] for j in rng.permutation(len(records))]
-    data = triples_from_partial(AnnotationTable.from_records(PartialRecord, records), NOMINAL, pairing=pairing)
+    table = parse_partial(partial_csv([",".join(map(str, astuple(r))) for r in records]))
+    data = triples_from_partial(table, NOMINAL, pairing=pairing)
     samples, weights = reference_triples(records, NOMINAL, pairing)
     assert data.samples.tolist() == samples
     assert data.weights.tolist() == weights
@@ -572,9 +578,7 @@ def test_counterfactual_rounding_rule_for_every_pair():
         mid = (size - 1) / 2
         for i12 in range(size):
             for i21 in range(size):
-                recs = AnnotationTable.from_records(CounterfactualRecord, [
-                    CounterfactualRecord("i", "a", "first-m1", 0, i12, 3, 3),
-                    CounterfactualRecord("i", "b", "first-m2", 0, i21, 3, 3)])
+                recs = parse_counterfactual(cf_csv([f"i,a,first-m1,0,{i12},3,3", f"i,b,first-m2,0,{i21},3,3"]))
                 lo, hi = (i12 + i21) // 2, (i12 + i21 + 1) // 2
                 want = hi if abs(hi - mid) >= abs(lo - mid) else lo
                 assert triples_from_counterfactual(recs, space).samples[0, 2] == want
@@ -607,7 +611,7 @@ def test_counterfactual_nominal_emits_half_weight_pair():
     data = triples_from_counterfactual(recs, NOMINAL)
     assert data.samples.tolist() == [[1, 0, 1], [1, 0, 0]]
     assert data.weights.tolist() == [0.5, 0.5]
-    assert data.total_weight == pytest.approx(1.0)
+    assert data.weights.sum() == pytest.approx(1.0)
 
 
 def test_counterfactual_missing_order_is_error():
@@ -636,4 +640,4 @@ def test_summarize_pure_synergy_pattern():
 
 def test_summarize_empty_is_error():
     with pytest.raises(SchemaError):
-        summarize_decomposition(AnnotationTable.from_records(DecompositionRecord, []))
+        summarize_decomposition(parse_decomposition(io.StringIO(DECOMP_HEADER)))

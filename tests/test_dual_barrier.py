@@ -4,20 +4,15 @@ The solver assembles its Newton systems by index arithmetic, skips line-search
 steps that a convexity bound shows infeasible, and reads every information
 term off one entropy table per joint. Each is checked against the plain
 formula it replaces: the dense (cells x free variables) incidence matrix, the
-blocks evaluated at the skipped steps, and the `info` functions.
+blocks evaluated at the skipped steps, and the per-term entropy formulas
+written out in `reference_terms`.
 """
 
 import numpy as np
 import pytest
 
 from fusionpid import pid
-from fusionpid.info import (
-    Joint3,
-    conditional_mi,
-    interaction_information,
-    joint_mi,
-    mutual_information,
-)
+from fusionpid.info import Joint3
 from fusionpid.pid import (
     CLAMP_TOL,
     FIT_STEPS,
@@ -233,31 +228,51 @@ def test_line_search_never_tries_a_step_past_the_limit(monkeypatch):
 # --- one entropy table per joint ---------------------------------------------
 
 
+def entropy(mass):
+    m = mass[mass > 0]
+    return float(-(m * np.log2(m)).sum())
+
+
+def mi(m2):
+    """I(A; B) of a 2-D joint."""
+    return entropy(m2.sum(axis=1)) + entropy(m2.sum(axis=0)) - entropy(m2)
+
+
+def cmi(m, given):
+    """I(A; B | C) of a 3-D joint, C the `given` axis: H(A, C) + H(B, C) - H(A, B, C) - H(C)."""
+    a, b = [axis for axis in range(3) if axis != given]
+    return entropy(m.sum(axis=b)) + entropy(m.sum(axis=a)) - entropy(m) - entropy(m.sum(axis=(a, b)))
+
+
 def reference_terms(p, res):
-    """R, U1, U2, S, the total and the five consistency residuals from the `info` functions."""
-    q, m = res.q_star, p.mass
+    """R, U1, U2, S, the total and the five consistency residuals, one entropy at a time."""
+    q, m = res.q_star.mass, p.mass
+    n = len(m)
 
     def clamp(value):
         return value if value < -CLAMP_TOL else max(value, 0.0)
 
-    total = joint_mi(p)
-    r = clamp(interaction_information(q))
-    u1 = clamp(conditional_mi(q, given="y2"))
-    u2 = clamp(conditional_mi(q, given="y1"))
-    s = clamp(total - joint_mi(q))
+    def interaction(x):  # I(Y1; Y2; Y) = I(Y1; Y2) - I(Y1; Y2 | Y)
+        return mi(x.sum(axis=2)) - cmi(x, given=2)
+
+    total = mi(m.reshape(-1, n))
+    r = clamp(interaction(q))
+    u1 = clamp(cmi(q, given=1))
+    u2 = clamp(cmi(q, given=0))
+    s = clamp(total - mi(q.reshape(-1, n)))
     residuals = {
-        "r_plus_u1": abs(res.r + res.u1 - mutual_information(m.sum(axis=1))),
-        "r_plus_u2": abs(res.r + res.u2 - mutual_information(m.sum(axis=0))),
-        "u1_plus_s": abs(res.u1 + res.s - conditional_mi(p, given="y2")),
-        "u2_plus_s": abs(res.u2 + res.s - conditional_mi(p, given="y1")),
-        "r_minus_s": abs(res.r - res.s - interaction_information(p)),
+        "r_plus_u1": abs(res.r + res.u1 - mi(m.sum(axis=1))),
+        "r_plus_u2": abs(res.r + res.u2 - mi(m.sum(axis=0))),
+        "u1_plus_s": abs(res.u1 + res.s - cmi(m, given=1)),
+        "u2_plus_s": abs(res.u2 + res.s - cmi(m, given=0)),
+        "r_minus_s": abs(res.r - res.s - interaction(m)),
     }
     return [r, u1, u2, s, total], residuals
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_entropy_table_matches_info_functions(n):
+def test_entropy_table_matches_per_term_reference(n):
     rng = np.random.default_rng(90 + n)
     checked = 0
     for _ in range(8):

@@ -4,19 +4,7 @@ import numpy as np
 import pytest
 
 from fusionpid.dataset import TripleDataset
-from fusionpid.info import (
-    JOINT_BLOCK,
-    DistributionError,
-    Joint2,
-    Joint3,
-    conditional_mi,
-    empirical_joint,
-    entropy,
-    interaction_information,
-    joint_mi,
-    marginal_pair,
-    mutual_information,
-)
+from fusionpid.info import JOINT_BLOCK, DistributionError, Joint2, Joint3, empirical_joint, information
 from fusionpid.label_space import MAX_LABELS, build_label_space
 from fusionpid.synth import GateSpec, canonical_joint, gate_space, sample
 
@@ -34,6 +22,18 @@ def random_joint(rng, n):
     return Joint3(m / m.sum())
 
 
+def y2_constant(m2):
+    """The Joint3 whose (y1, y) marginal is the square mass `m2` and whose y2 is always 0.
+
+    Its I(Y1; Y) is the mutual information of `m2`, and that of a diagonal
+    `m2` is the entropy of the diagonal.
+    """
+    m2 = np.asarray(m2, dtype=float)
+    mass = np.zeros((len(m2),) * 3)
+    mass[:, 0, :] = m2
+    return Joint3(mass)
+
+
 def test_mass_validation():
     with pytest.raises(DistributionError):
         Joint2([[0.5, 0.4], [0.0, 0.0]])
@@ -47,6 +47,19 @@ def test_joint3_json_roundtrip():
     p = xor_joint()
     again = Joint3.from_json(p.to_json())
     assert np.array_equal(again.mass, p.mass)
+
+
+@pytest.mark.parametrize("size", [MAX_LABELS + 1, 2.5, 2.0, True, "2", 0])
+def test_joint3_from_json_refuses_a_size_no_label_space_has(size):
+    cells = MAX_LABELS + 1 if size == MAX_LABELS + 1 else 2
+    obj = {"size": size, "mass": [1.0 / cells**3] * cells**3}
+    with pytest.raises(DistributionError, match=rf"^size must be an integer in \[1, {MAX_LABELS}\], got {size!r}$"):
+        Joint3.from_json(obj)
+
+
+def test_joint3_from_json_takes_the_largest_size():
+    obj = {"size": MAX_LABELS, "mass": [1.0 / MAX_LABELS**3] * MAX_LABELS**3}
+    assert Joint3.from_json(obj).size == MAX_LABELS
 
 
 def test_empirical_joint_two_equal_cells():
@@ -141,54 +154,43 @@ def test_empirical_joint_empty_is_error():
         empirical_joint(TripleDataset(space=gate_space(2), samples=np.zeros((0, 3), int), weights=[]))
 
 
-def test_entropy_values():
-    assert entropy([0.5, 0.5]) == pytest.approx(1.0)
-    assert entropy([1.0, 0.0]) == 0.0
+def test_information_of_a_copy_is_its_entropy():
+    assert information(y2_constant(np.diag([0.5, 0.5])))["i1"] == pytest.approx(1.0)
+    assert information(y2_constant(np.diag([1.0, 0.0])))["i1"] == 0.0
     # direct evaluation of -sum p log2 p
-    assert entropy([0.25, 0.75]) == pytest.approx(0.8112781244591328, abs=1e-12)
+    assert information(y2_constant(np.diag([0.25, 0.75])))["i1"] == pytest.approx(0.8112781244591328, abs=1e-12)
 
 
-def test_mutual_information_values():
-    assert mutual_information([[0.25, 0.25], [0.25, 0.25]]) == pytest.approx(0.0, abs=1e-12)
-    assert mutual_information([[0.5, 0.0], [0.0, 0.5]]) == pytest.approx(1.0)
+def test_information_mutual_information_values():
+    assert information(y2_constant([[0.25, 0.25], [0.25, 0.25]]))["i1"] == pytest.approx(0.0, abs=1e-12)
+    assert information(y2_constant([[0.5, 0.0], [0.0, 0.5]]))["i1"] == pytest.approx(1.0)
     # direct evaluation on the 2x2 table
-    assert mutual_information([[0.4, 0.1], [0.1, 0.4]]) == pytest.approx(
-        0.27807190511263774, abs=1e-12
-    )
+    assert information(y2_constant([[0.4, 0.1], [0.1, 0.4]]))["i1"] == pytest.approx(0.27807190511263774, abs=1e-12)
 
 
-def test_conditional_mi_cases():
-    # Y independent of the input pair
+def test_information_conditional_mi_cases():
+    # Y independent of the input pair: I(Y1; Y | Y2) = 0
     indep = Joint3(np.full((2, 2, 2), 0.125))
-    assert conditional_mi(indep, given="y2") == pytest.approx(0.0, abs=1e-12)
-    # XOR: knowing y pins down the parity, coupling the inputs fully
-    assert conditional_mi(xor_joint(), given="y") == pytest.approx(1.0)
+    assert information(indep)["c1"] == pytest.approx(0.0, abs=1e-12)
+    # XOR: knowing y pins down the parity, coupling the inputs fully; with
+    # y2 and y swapped, c1 is I(Y1; Y2 | Y)
+    assert information(Joint3(np.transpose(xor_joint().mass, (0, 2, 1))))["c1"] == pytest.approx(1.0)
     # copy chain: y2 already determines y
-    assert conditional_mi(copy_joint(), given="y2") == pytest.approx(0.0, abs=1e-12)
+    assert information(copy_joint())["c1"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_interaction_information_signs():
-    assert interaction_information(xor_joint()) == pytest.approx(-1.0)
-    assert interaction_information(copy_joint()) == pytest.approx(1.0)
+def test_information_interaction_signs():
+    assert information(xor_joint())["ii"] == pytest.approx(-1.0)
+    assert information(copy_joint())["ii"] == pytest.approx(1.0)
     indep = Joint3(np.full((2, 2, 2), 0.125))
-    assert interaction_information(indep) == pytest.approx(0.0, abs=1e-12)
+    assert information(indep)["ii"] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_joint_mi_cases():
-    assert joint_mi(xor_joint()) == pytest.approx(1.0)
-    assert joint_mi(copy_joint()) == pytest.approx(1.0)
+def test_information_total_cases():
+    assert information(xor_joint())["total"] == pytest.approx(1.0)
+    assert information(copy_joint())["total"] == pytest.approx(1.0)
     indep = Joint3(np.full((2, 2, 2), 0.125))
-    assert joint_mi(indep) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_marginal_pair_cases():
-    point = np.zeros((3, 3, 3))
-    point[0, 1, 2] = 1.0
-    m = marginal_pair(Joint3(point), "Y1Y")
-    assert m.mass[0, 2] == 1.0
-    uniform = Joint3(np.full((2, 2, 2), 0.125))
-    assert np.allclose(marginal_pair(uniform, "Y2Y").mass, 0.25)
-    assert np.allclose(marginal_pair(xor_joint(), "Y1Y2").mass, 0.25)
+    assert information(indep)["total"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mi_bounds_random():
@@ -196,32 +198,28 @@ def test_mi_bounds_random():
     for _ in range(50):
         n = int(rng.choice([2, 3, 4]))
         m = rng.exponential(size=(n, n))
-        joint = Joint2(m / m.sum())
-        mi = mutual_information(joint)
-        h1 = entropy(joint.mass.sum(axis=1))
-        h2 = entropy(joint.mass.sum(axis=0))
+        m /= m.sum()
+        mi = information(y2_constant(m))["i1"]
+        h1 = information(y2_constant(np.diag(m.sum(axis=1))))["i1"]
+        h2 = information(y2_constant(np.diag(m.sum(axis=0))))["i1"]
         assert -1e-9 <= mi <= min(h1, h2) + 1e-9
 
 
 def test_chain_identity_random():
     rng = np.random.default_rng(12)
     for _ in range(50):
-        p = random_joint(rng, int(rng.choice([2, 3, 4])))
-        i1 = mutual_information(marginal_pair(p, "Y1Y"))
-        lhs = joint_mi(p)
-        rhs = i1 + conditional_mi(p, given="y1")
-        assert abs(lhs - rhs) <= 1e-9
+        info = information(random_joint(rng, int(rng.choice([2, 3, 4]))))
+        # I(Y1, Y2; Y) = I(Y1; Y) + I(Y2; Y | Y1)
+        assert abs(info["total"] - (info["i1"] + info["c2"])) <= 1e-9
 
 
 def test_interaction_information_permutation_symmetric():
     rng = np.random.default_rng(13)
     for _ in range(20):
         p = random_joint(rng, 3)
-        base = interaction_information(p)
+        base = information(p)["ii"]
         for perm in [(1, 0, 2), (2, 1, 0), (0, 2, 1), (1, 2, 0), (2, 0, 1)]:
-            assert interaction_information(
-                Joint3(np.transpose(p.mass, perm))
-            ) == pytest.approx(base, abs=1e-9)
+            assert information(Joint3(np.transpose(p.mass, perm)))["ii"] == pytest.approx(base, abs=1e-9)
 
 
 def test_relabeling_invariance():
@@ -230,13 +228,14 @@ def test_relabeling_invariance():
         p = random_joint(rng, 4)
         perm = rng.permutation(4)
         q = Joint3(p.mass[:, :, perm])
-        assert entropy(q) == pytest.approx(entropy(p), abs=1e-9)
-        assert joint_mi(q) == pytest.approx(joint_mi(p), abs=1e-9)
+        assert information(q) == pytest.approx(information(p), abs=1e-9)
 
 
 def test_total_information_bookkeeping():
     rng = np.random.default_rng(15)
     for _ in range(20):
-        p = random_joint(rng, 3)
-        i1 = mutual_information(marginal_pair(p, "Y1Y"))
-        assert i1 + conditional_mi(p, given="y1") == pytest.approx(joint_mi(p), abs=1e-9)
+        info = information(random_joint(rng, 3))
+        # the other chain, I(Y2; Y) + I(Y1; Y | Y2), and I(Y1; Y2; Y) from either side
+        assert info["i2"] + info["c1"] == pytest.approx(info["total"], abs=1e-9)
+        assert info["i1"] - info["c1"] == pytest.approx(info["ii"], abs=1e-9)
+        assert info["i2"] - info["c2"] == pytest.approx(info["ii"], abs=1e-9)

@@ -6,7 +6,6 @@ from fusionpid.label_space import (
     LabelSpace,
     LabelSpaceError,
     build_label_space,
-    decode,
     encode,
     qa_binarize,
 )
@@ -84,14 +83,14 @@ def test_encode_unknown_and_out_of_range():
         encode(binned, 3.5)
 
 
-def test_encode_decode_roundtrip():
+def test_encode_gives_the_index_of_each_value():
     for config in (
         {"kind": "nominal", "values": ["a", "b", "c"]},
         {"kind": "ordinal", "range": [-2, 2]},
     ):
         space = build_label_space(config)
         for value in space.values:
-            assert decode(space, encode(space, value)) == value
+            assert space.values[encode(space, value)] == value
 
 
 def test_binned_encode_monotone():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fusionpid.info import Joint3, empirical_joint, joint_mi
+from fusionpid.info import Joint3, empirical_joint, information
 from fusionpid.synth import DOMINANT, GATES, GateSpec, canonical_joint, cell_counts, sample
 
 
@@ -29,8 +29,8 @@ def test_noisy_xor_joint_mi():
     # 1 - H(0.1) with binary entropy H(0.1) ~ 0.469 bits
     p = canonical_joint(GateSpec("XOR", noise=0.1))
     expected = 1.0 + 0.1 * np.log2(0.1) + 0.9 * np.log2(0.9)
-    assert joint_mi(p) == pytest.approx(expected, abs=1e-12)
-    assert joint_mi(p) == pytest.approx(0.531, abs=1e-3)
+    assert information(p)["total"] == pytest.approx(expected, abs=1e-12)
+    assert information(p)["total"] == pytest.approx(0.531, abs=1e-3)
 
 
 def test_gate_spec_validation():
