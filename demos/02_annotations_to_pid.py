@@ -8,6 +8,8 @@ an empirical joint, and decomposed.
 
 import io
 
+import numpy as np
+
 from fusionpid.dataset import parse_partial, triples_from_partial
 from fusionpid.info import empirical_joint
 from fusionpid.label_space import build_label_space
@@ -18,7 +20,8 @@ space = build_label_space({"kind": "nominal", "values": ["0", "1"]})
 data = sample(canonical_joint(GateSpec("AND")), 5000, seed=11)
 
 rows = ["item_id,annotator_id,condition,label,confidence"]
-for i, (y1, y2, y) in enumerate(data.samples):
+draws = np.repeat(data.samples, data.weights.astype(int), axis=0)  # one row per draw
+for i, (y1, y2, y) in enumerate(draws):
     rows.append(f"item{i:05d},ann1,m1,{y1},4")
     rows.append(f"item{i:05d},ann2,m2,{y2},4")
     rows.append(f"item{i:05d},ann3,both,{y},5")

@@ -39,7 +39,7 @@ from .pid import (
     pid_from_joint,
     pid_from_solution,
 )
-from .synth import GATES, GateSpec, canonical_joint, cell_counts
+from .synth import GATES, GateSpec, canonical_joint, sample
 
 
 EXIT_NONCONVERGED = 1
@@ -271,7 +271,7 @@ def pid(path, out):
     obj = _read(path, json.load, "invalid-distribution")
     try:
         p = Joint3.from_json(obj)
-    except (DistributionError, KeyError, TypeError, ValueError) as exc:
+    except (DistributionError, KeyError, OverflowError, TypeError, ValueError) as exc:
         _fail("invalid-distribution", str(exc))
     try:
         result = pid_from_joint(p)
@@ -343,11 +343,11 @@ def synth(gate, noise, count, seed, out):
     """Sample a gate distribution and emit a y1,y2,y,weight CSV, rows grouped by cell."""
     try:
         spec = GateSpec(gate=gate, noise=noise)
-        cells, counts = cell_counts(canonical_joint(spec), count, seed)
+        data = sample(canonical_joint(spec), count, seed)
     except ValueError as exc:
         _fail("invalid-config", str(exc))
-    # the rows of `sample`, one weight-1 line per draw, written one repeated line per cell
-    rows = [f"{a},{b},{c},1\n" * k for (a, b, c), k in zip(cells.tolist(), counts.tolist())]
+    # one weight-1 line per draw: each drawn cell's line repeated by its count
+    rows = [f"{a},{b},{c},1\n" * int(k) for (a, b, c), k in zip(data.samples.tolist(), data.weights.tolist())]
     _write("".join(["y1,y2,y,weight\n", *rows]), out)
 
 

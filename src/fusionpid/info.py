@@ -7,10 +7,6 @@ from .label_space import MAX_LABELS
 
 MASS_TOL = 1e-9
 
-# rows of a dataset counted at a time by `empirical_joint`; its uint16 code
-# buffer is 64 KB
-JOINT_BLOCK = 1 << 15
-
 
 class DistributionError(ValueError):
     pass
@@ -58,45 +54,38 @@ class Joint3:
         # a JSON integer (not a bool) that a label space could have produced
         if type(n) is not int or not 1 <= n <= MAX_LABELS:
             raise DistributionError(f"size must be an integer in [1, {MAX_LABELS}], got {n!r}")
+        # JSON numbers only, not bools, as for `size`: asarray would read true as 1.0 and "0.125" as 0.125
+        bad = [v for v in obj["mass"] if type(v) not in (int, float)]
+        if bad:
+            raise DistributionError(f"mass entries must be numbers, got {bad[0]!r}")
         mass = np.asarray(obj["mass"], dtype=float)
         if mass.size != n**3:
             raise DistributionError(f"mass array has {mass.size} entries, expected {n**3}")
         return cls(mass.reshape(n, n, n))
 
 
-def _xlog2x(p):
-    out = np.zeros_like(p)
-    pos = p > 0
-    out[pos] = p[pos] * np.log2(p[pos])
-    return out
-
-
 def empirical_joint(data, smoothing=0.0):
     """Weighted empirical joint over (y1, y2, y), optionally add-lambda smoothed.
 
-    The uint8 rows are counted JOINT_BLOCK at a time: each block's cells are
-    coded y1 n^2 + y2 n + y in one reused uint16 buffer (n <= 32 keeps a code
-    below 2^15) and its weights added with `np.add.at`, which sums each cell
-    in row order, as one weighted `np.bincount` would, so the joint is the
-    same to the bit while no temporary grows with the row count.
+    The uint8 rows are coded y1 n^2 + y2 n + y in one uint16 array (n <= 32
+    keeps a code below 2^15, two bytes a row) and their weights added with
+    `np.add.at`, which sums each cell in row order, as one weighted
+    `np.bincount` would, so the joint is the same to the bit; bincount would
+    first cast the codes to intp, eight bytes a row.
     """
     if not (np.isfinite(smoothing) and smoothing >= 0):
         raise ValueError(f"smoothing must be finite and nonnegative, got {smoothing}")
-    samples, weights = data.samples, data.weights
+    samples = data.samples
     if not len(samples):
         raise DistributionError("empty dataset")
     n = data.space.size
+    codes = samples[:, 0].astype(np.uint16)
+    codes *= n
+    codes += samples[:, 1]
+    codes *= n
+    codes += samples[:, 2]
     counts = np.zeros(n**3)
-    buffer = np.empty(min(len(samples), JOINT_BLOCK), np.uint16)
-    for start in range(0, len(samples), JOINT_BLOCK):
-        rows = samples[start : start + JOINT_BLOCK]
-        codes = buffer[: len(rows)]
-        np.copyto(codes, rows[:, 0])
-        codes *= n
-        codes += rows[:, 1]
-        codes *= n
-        codes += rows[:, 2]
-        np.add.at(counts, codes, weights[start : start + JOINT_BLOCK])
+    np.add.at(counts, codes, data.weights)
     counts = counts.reshape(n, n, n) + smoothing
     with np.errstate(over="ignore"):  # an infinite total is rejected just below
         total = counts.sum()
@@ -132,4 +121,5 @@ def information(dist):
 def conditional_entropy_output(dist):
     """H(Y | Y1, Y2) = H(Y1, Y2, Y) - H(Y1, Y2) of a Joint3 or its mass cube, in bits."""
     m = dist.mass if isinstance(dist, Joint3) else np.asarray(dist, dtype=float)
-    return float(_xlog2x(m.sum(axis=2)).sum() - _xlog2x(m).sum())
+    pair, cube = ((x * np.log2(x, out=np.zeros_like(x), where=x > 0)).sum() for x in (m.sum(axis=2), m))
+    return float(pair - cube)

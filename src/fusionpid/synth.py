@@ -50,35 +50,21 @@ def gate_space(n=2):
     return build_label_space({"kind": "nominal", "values": [str(i) for i in range(n)]})
 
 
-def cell_counts(p, count, seed):
-    """(cells, counts) of `count` i.i.d. draws from p, as one multinomial.
+def sample(p, count, seed):
+    """`count` i.i.d. draws from p as one multinomial: a TripleDataset of the
+    drawn cells, in C order, each weighted by its number of draws.
 
-    cells: (k, 3) integer table of the cells with positive mass, in C order;
-    counts: (k,) draws per cell, summing to `count`. Cells at or below 0
-    (a Joint3 admits -MASS_TOL) are never drawn; the rest are renormalised.
+    Cells at or below 0 (a Joint3 admits -MASS_TOL) are never drawn and the
+    rest are renormalised; a cell drawn 0 times is left out, so the weights
+    are positive whole numbers summing to `count`.
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    if not 1 <= count <= np.iinfo(np.int64).max:  # numpy's multinomial takes an int64 count
+        raise ValueError(f"count must lie in [1, 2^63 - 1], got {count}")
+    space = gate_space(p.size)  # refuses n > MAX_LABELS before the uint8 cast
     mass = p.mass.ravel()
     support = np.flatnonzero(mass > 0)
     pvals = mass[support]
     counts = np.random.default_rng(seed).multinomial(count, pvals / pvals.sum())
-    cells = np.stack(np.unravel_index(support, p.mass.shape), axis=1)
-    return cells, counts
-
-
-def sample(p, count, seed):
-    """Draw `count` i.i.d. triples from p, one row of weight 1 per draw.
-
-    The rows come grouped by cell (see `cell_counts`), not in draw order:
-    the multiset of rows has the law of `count` i.i.d. draws, but a prefix
-    of the rows is not a sample of p. The rows are laid out one uint8 column
-    at a time, the dtype `TripleDataset` stores, so no int64 row is written.
-    """
-    space = gate_space(p.size)  # refuses n > MAX_LABELS before the uint8 cast
-    cells, counts = cell_counts(p, count, seed)
-    cells = cells.astype(np.uint8)
-    samples = np.empty((count, 3), np.uint8)
-    for j in range(3):
-        samples[:, j] = np.repeat(cells[:, j], counts)
-    return TripleDataset(space, samples, np.ones(count))
+    drawn = counts > 0
+    cells = np.stack(np.unravel_index(support[drawn], p.mass.shape), axis=1)
+    return TripleDataset(space, cells.astype(np.uint8), counts[drawn].astype(float))

@@ -167,7 +167,8 @@ def test_dominant_interaction_preserved(tmp_path):
     for name in names:
         data = sample(canonical_joint(GateSpec(name)), 6000, seed=7)
         lines = ["item_id,annotator_id,condition,label,confidence"]
-        for i, (y1, y2, y) in enumerate(data.samples):
+        draws = np.repeat(data.samples, data.weights.astype(int), axis=0)  # one row per draw
+        for i, (y1, y2, y) in enumerate(draws):
             lines.append(f"i{i:05d},a1,m1,{y1},4")
             lines.append(f"i{i:05d},a2,m2,{y2},4")
             lines.append(f"i{i:05d},a3,both,{y},5")

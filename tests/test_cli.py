@@ -3,6 +3,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -15,10 +16,15 @@ from fusionpid.synth import GateSpec, canonical_joint, sample
 LABEL_SPACE = '{"kind": "nominal", "values": ["0", "1"]}'
 
 
+def draws(data):
+    """The rows of a `sample`, one per draw: each drawn cell repeated by its count."""
+    return np.repeat(data.samples, data.weights.astype(int), axis=0).tolist()
+
+
 def write_partial_csv(path, data):
-    """One item per sample, one annotator per condition."""
+    """One item per draw, one annotator per condition."""
     lines = ["item_id,annotator_id,condition,label,confidence"]
-    for i, (y1, y2, y) in enumerate(data.samples):
+    for i, (y1, y2, y) in enumerate(draws(data)):
         lines.append(f"i{i:05d},a1,m1,{y1},4")
         lines.append(f"i{i:05d},a2,m2,{y2},4")
         lines.append(f"i{i:05d},a3,both,{y},5")
@@ -57,7 +63,7 @@ def test_convert_counterfactual_unique(tmp_path):
         "item_id,annotator_id,order,label_first,label_both,confidence_first,confidence_both"
     ]
     data = sample(canonical_joint(GateSpec("UNIQUE1")), 4000, seed=2)
-    for i, (y1, y2, y) in enumerate(data.samples):
+    for i, (y1, y2, y) in enumerate(draws(data)):
         lines.append(f"i{i:05d},a1,first-m1,{y1},{y1},4,5")
         lines.append(f"i{i:05d},a2,first-m2,{y2},{y1},3,5")
     src = tmp_path / "cf.csv"
@@ -137,7 +143,7 @@ def test_convert_binned_continuous_report(tmp_path):
     data = sample(canonical_joint(GateSpec("XOR")), 2000, seed=4)
     scores = (-2.5, 1.25)  # label 0 and 1 as scores in the lower and upper bin
     lines = ["item_id,annotator_id,condition,label,confidence"]
-    for i, row in enumerate(data.samples.tolist()):
+    for i, row in enumerate(draws(data)):
         lines += [f"i{i:05d},a{k},{cond},{scores[y]},4" for k, (cond, y) in enumerate(zip(("m1", "m2", "both"), row))]
     src = tmp_path / "scores.csv"
     src.write_text("\n".join(lines) + "\n")
@@ -212,7 +218,7 @@ def test_bad_input_or_output_file_is_one_json_line(tmp_path, monkeypatch, args, 
 def test_convert_report_same_for_lf_crlf_and_quoted_csv(tmp_path, monkeypatch):
     data = sample(canonical_joint(GateSpec("AND")), 300, seed=5)
     rows = [["item_id", "annotator_id", "condition", "label", "confidence"]]
-    for i, row in enumerate(data.samples.tolist()):
+    for i, row in enumerate(draws(data)):
         for k, (cond, y) in enumerate(zip(("m1", "m2", "both"), row)):
             rows.append([f"item-{i:05d}", f"ann-{k}", cond, str(y), "3"])
     reports = []
@@ -431,6 +437,29 @@ def test_pid_command_rejects_nan_mass(tmp_path):
     assert err["error"] == "invalid-distribution"
 
 
+@pytest.mark.parametrize("entry, message", [(True, "got True"), ("0.125", "got '0.125'")])
+def test_pid_command_mass_entries_must_be_json_numbers(tmp_path, monkeypatch, entry, message):
+    def no_solve(_):
+        raise AssertionError("solved a mass that is not all numbers")
+
+    monkeypatch.setattr("fusionpid.cli.pid_from_joint", no_solve)
+    src = tmp_path / "mass.json"
+    src.write_text(json.dumps({"size": 2, "mass": [entry] + [0.125] * 7}))
+    result = run(["pid", "--input", str(src)])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": "invalid-distribution", "message": f"mass entries must be numbers, {message}"}
+
+
+def test_pid_command_integer_mass_beyond_float_is_one_error(tmp_path):
+    src = tmp_path / "huge.json"
+    src.write_text('{"size": 1, "mass": [1' + "0" * 400 + "]}")
+    result = run(["pid", "--input", str(src)])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line)["error"] == "invalid-distribution"
+
+
 def solver_args(tmp_path, command):
     """`convert` on sampled XOR annotations or `pid` on the AND joint."""
     if command == "convert":
@@ -493,9 +522,17 @@ def test_synth_csv_equals_per_row_format_of_sample(tmp_path, gate, noise, count,
     assert result.exit_code == 0, result.output
     data = sample(canonical_joint(GateSpec(gate, noise=noise)), count, seed)
     lines = ["y1,y2,y,weight"]
-    lines += [f"{a},{b},{c},{w:g}" for (a, b, c), w in zip(data.samples.tolist(), data.weights.tolist())]
+    lines += [f"{a},{b},{c},1" for a, b, c in draws(data)]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert run(args).output == out.read_text()  # stdout carries the same text
+
+
+@pytest.mark.parametrize("count", ["0", "-1", "9223372036854775808", "100000000000000000000"])
+def test_synth_count_a_multinomial_cannot_take_is_one_config_error(count):
+    result = run(["synth", "--gate", "XOR", "--count", count])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": "invalid-config", "message": f"count must lie in [1, 2^63 - 1], got {count}"}
 
 
 def test_synth_deterministic():

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from fusionpid.dataset import TripleDataset
-from fusionpid.info import JOINT_BLOCK, DistributionError, Joint2, Joint3, empirical_joint, information
+from fusionpid.info import DistributionError, Joint2, Joint3, conditional_entropy_output, empirical_joint, information
 from fusionpid.label_space import MAX_LABELS, build_label_space
-from fusionpid.synth import GateSpec, canonical_joint, gate_space, sample
+from fusionpid.synth import GATES, GateSpec, canonical_joint, gate_space, sample
 
 
 def xor_joint():
@@ -55,6 +55,17 @@ def test_joint3_from_json_refuses_a_size_no_label_space_has(size):
     obj = {"size": size, "mass": [1.0 / cells**3] * cells**3}
     with pytest.raises(DistributionError, match=rf"^size must be an integer in \[1, {MAX_LABELS}\], got {size!r}$"):
         Joint3.from_json(obj)
+
+
+@pytest.mark.parametrize("entry", [True, False, "0.125", "1", None, [0.125], {"p": 0.125}])
+def test_joint3_from_json_refuses_a_mass_entry_that_is_not_a_json_number(entry):
+    with pytest.raises(DistributionError, match="mass entries must be numbers"):
+        Joint3.from_json({"size": 2, "mass": [0.125] * 7 + [entry]})
+
+
+def test_joint3_from_json_reads_json_ints_and_floats_as_mass():
+    mass = [1, 0, 0, 0, 0, 0, 0, 0.0]
+    assert Joint3.from_json({"size": 2, "mass": mass}).mass.ravel().tolist() == mass
 
 
 def test_joint3_from_json_takes_the_largest_size():
@@ -127,7 +138,7 @@ def test_empirical_joint_counts_top_label_into_last_cell():
 
 @pytest.mark.parametrize("smoothing", [0.0, 0.5])
 @pytest.mark.parametrize("n", [2, 7, 32])
-@pytest.mark.parametrize("rows", [1, JOINT_BLOCK - 1, JOINT_BLOCK, JOINT_BLOCK + 1, 3 * JOINT_BLOCK + 7])
+@pytest.mark.parametrize("rows", [1, 1000, 10**5 + 7])
 def test_empirical_joint_is_bit_identical_to_one_bincount(rows, n, smoothing):
     rng = np.random.default_rng(rows * 100 + n)
     samples = rng.integers(0, n, (rows, 3))
@@ -138,15 +149,34 @@ def test_empirical_joint_is_bit_identical_to_one_bincount(rows, n, smoothing):
     assert np.array_equal(p.mass, counts / counts.sum())
 
 
-def test_empirical_joint_memory_does_not_grow_with_rows():
-    data = sample(canonical_joint(GateSpec("XOR", noise=0.1)), 10**6, seed=3)
+def test_empirical_joint_memory_is_at_most_four_bytes_a_row():
+    rows = 10**6
+    samples = np.random.default_rng(3).integers(0, 2, (rows, 3), dtype=np.uint8)
+    data = TripleDataset(gate_space(2), samples, np.ones(rows))
     tracemalloc.start()
     try:
         empirical_joint(data)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
+    assert peak <= 4 * rows
+
+
+def _dirichlet_joint(n):
+    return Joint3(np.random.default_rng(n).dirichlet(np.ones(n**3)).reshape(n, n, n))
+
+
+@pytest.mark.parametrize(
+    "p",
+    [canonical_joint(GateSpec(gate, noise=noise)) for gate in GATES for noise in (0.0, 0.1)]
+    + [_dirichlet_joint(7), _dirichlet_joint(32)],
+)
+def test_empirical_joint_of_a_sample_is_bit_identical_to_its_expanded_rows(p):
+    for seed in range(3):
+        data = sample(p, 10**5, seed)
+        rows = np.repeat(data.samples, data.weights.astype(int), axis=0)
+        expanded = TripleDataset(data.space, rows, np.ones(len(rows)))
+        assert np.array_equal(empirical_joint(data).mass, empirical_joint(expanded).mass)
 
 
 def test_empirical_joint_empty_is_error():
@@ -239,3 +269,17 @@ def test_total_information_bookkeeping():
         assert info["i2"] + info["c1"] == pytest.approx(info["total"], abs=1e-9)
         assert info["i1"] - info["c1"] == pytest.approx(info["ii"], abs=1e-9)
         assert info["i2"] - info["c2"] == pytest.approx(info["ii"], abs=1e-9)
+
+
+def test_conditional_entropy_output_is_output_entropy_minus_total():
+    rng = np.random.default_rng(16)
+    for n in (2, 3, 5):
+        m = random_joint(rng, n).mass.ravel().copy()
+        m[n + 1] += m[:n].sum() + m[n] + 5e-10
+        m[:n], m[n] = 0.0, -5e-10  # zero cells, and one below 0 as a Joint3 admits
+        p = Joint3(m.reshape(n, n, n))
+        py = p.mass.sum(axis=(0, 1))
+        hy = -float(py @ np.log2(py))
+        # H(Y | Y1, Y2) = H(Y) - I(Y1, Y2; Y), the second from the entropy table
+        assert conditional_entropy_output(p) == pytest.approx(hy - information(p)["total"], abs=1e-12)
+        assert conditional_entropy_output(p.mass) == conditional_entropy_output(p)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fusionpid.info import Joint3, empirical_joint, information
-from fusionpid.synth import DOMINANT, GATES, GateSpec, canonical_joint, cell_counts, sample
+from fusionpid.synth import DOMINANT, GATES, GateSpec, canonical_joint, sample
 
 
 def test_xor_table():
@@ -41,22 +41,19 @@ def test_gate_spec_validation():
 
 
 def test_sample_point_mass():
-    p = canonical_joint(GateSpec("COPY"))
     mass = np.zeros((2, 2, 2))
     mass[1, 0, 1] = 1.0
-    from fusionpid.info import Joint3
-
     data = sample(Joint3(mass), 50, seed=1)
-    assert (data.samples == (1, 0, 1)).all() and (data.weights == 1.0).all()
+    assert data.samples.tolist() == [[1, 0, 1]] and data.weights.tolist() == [50.0]
 
 
 def test_sample_deterministic_per_seed():
     p = canonical_joint(GateSpec("AND"))
     a = sample(p, 1000, seed=42)
     b = sample(p, 1000, seed=42)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a.samples, b.samples) and np.array_equal(a.weights, b.weights)
     c = sample(p, 1000, seed=43)
-    assert not np.array_equal(a.samples, c.samples)
+    assert not np.array_equal(a.weights, c.weights)
 
 
 def test_sample_xor_frequencies_concentrate():
@@ -93,9 +90,8 @@ def test_sample_within_mass_tolerance_never_draws_nonpositive_cells():
         np.random.default_rng(0).multinomial(10, p.mass.ravel())
     for seed in range(5):
         data = sample(p, 10000, seed=seed)
-        assert len(data.samples) == 10000
-        drawn = {tuple(row) for row in data.samples.tolist()}
-        assert drawn == {(0, 0, 0), (1, 1, 1)}
+        assert data.weights.sum() == 10000
+        assert data.samples.tolist() == [[0, 0, 0], [1, 1, 1]]
 
 
 def test_sample_total_above_one_within_tolerance():
@@ -104,35 +100,44 @@ def test_sample_total_above_one_within_tolerance():
     p = Joint3(mass)
     assert p.mass.sum() > 1.0
     data = sample(p, 10000, seed=1)
-    assert len(data.samples) == 10000
+    assert data.weights.sum() == 10000
 
 
 @pytest.mark.parametrize("gate", GATES)
-def test_cell_counts_sum_to_count_over_positive_cells(gate):
+def test_sample_weights_are_draw_counts_over_positive_cells(gate):
     p = canonical_joint(GateSpec(gate, noise=0.05))
-    cells, counts = cell_counts(p, 12345, seed=2)
-    assert counts.sum() == 12345 and len(cells) == len(counts)
-    assert np.all(p.mass[tuple(cells.T)] > 0)
+    data = sample(p, 12345, seed=2)
+    assert data.weights.sum() == 12345 and np.all(data.weights == np.round(data.weights))
+    assert np.all(data.weights >= 1) and np.all(p.mass[tuple(data.samples.T)] > 0)
 
 
-def test_sample_rows_are_integer_and_grouped_by_cell():
+def test_sample_is_one_multinomial_of_the_positive_cells():
     p = canonical_joint(GateSpec("AND", noise=0.2))
     data = sample(p, 5000, seed=4)
-    assert data.samples.dtype.kind in "iu"
-    cells, counts = cell_counts(p, 5000, seed=4)
-    assert np.array_equal(data.samples, np.repeat(cells, counts, axis=0))
-    # grouped: each cell's rows are one run, in C order of the cells
-    flat = np.ravel_multi_index(data.samples.T, (2, 2, 2))
-    assert np.all(np.diff(flat) >= 0)
-    per_cell = np.bincount(flat, minlength=8)
-    assert per_cell.sum() == 5000
-    assert np.array_equal(per_cell[np.ravel_multi_index(cells.T, (2, 2, 2))], counts)
+    support = np.flatnonzero(p.mass.ravel() > 0)
+    pvals = p.mass.ravel()[support]
+    counts = np.random.default_rng(4).multinomial(5000, pvals / pvals.sum())
+    assert np.array_equal(np.ravel_multi_index(data.samples.T, (2, 2, 2)), support[counts > 0])
+    assert np.array_equal(data.weights, counts[counts > 0])
 
 
 @pytest.mark.parametrize("n", [2, 7, 32])
-def test_sample_rows_are_contiguous_uint8_cell_runs(n):
+def test_sample_cells_are_distinct_uint8_rows_in_c_order(n):
     p = Joint3(np.random.default_rng(n).dirichlet(np.ones(n**3)).reshape(n, n, n))
     data = sample(p, 20000, seed=5)
     assert data.samples.dtype == np.uint8 and data.samples.flags.c_contiguous
-    cells, counts = cell_counts(p, 20000, seed=5)
-    assert np.array_equal(data.samples, np.repeat(cells, counts, axis=0))
+    flat = np.ravel_multi_index(data.samples.T, (n,) * 3)
+    assert np.all(np.diff(flat) > 0)
+    assert data.weights.sum() == 20000 and data.weights.min() >= 1
+
+
+@pytest.mark.parametrize("count", [0, -3, 2**63, 10**20])
+def test_sample_refuses_a_count_a_multinomial_cannot_take(count):
+    with pytest.raises(ValueError, match="count must lie in"):
+        sample(canonical_joint(GateSpec("XOR")), count, seed=0)
+
+
+def test_sample_takes_the_largest_int64_count():
+    data = sample(canonical_joint(GateSpec("COPY")), 2**63 - 1, seed=0)
+    assert data.samples.tolist() == [[0, 0, 0], [1, 1, 1]]
+    assert data.weights.sum() == pytest.approx(2.0**63)
