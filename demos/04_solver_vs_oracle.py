@@ -8,12 +8,7 @@ dual barrier solver's solution with an exhaustive grid search over the polytope.
 import numpy as np
 
 from fusionpid.info import Joint3
-from fusionpid.pid import (
-    brute_force_qstar,
-    constraints_from_joint,
-    pid_from_joint,
-    pid_from_solution,
-)
+from fusionpid.pid import brute_force_qstar, pid_from_joint, pid_from_solution
 
 rng = np.random.default_rng(4)
 worst = 0.0
@@ -21,9 +16,7 @@ for trial in range(10):
     mass = rng.exponential(size=(2, 2, 2))
     p = Joint3(mass / mass.sum())
     solved = pid_from_joint(p)
-    oracle = pid_from_solution(
-        p, brute_force_qstar(constraints_from_joint(p), 1000)
-    )
+    oracle = pid_from_solution(p, brute_force_qstar(p, 1000))
     gap = max(
         abs(solved.r - oracle.r),
         abs(solved.u1 - oracle.u1),

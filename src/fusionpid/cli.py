@@ -35,7 +35,6 @@ from .pid import (
     InfeasibleError,
     OracleError,
     brute_force_qstar,
-    constraints_from_joint,
     pid_from_joint,
     pid_from_solution,
 )
@@ -306,7 +305,7 @@ def oracle_check(trials, seed, resolution, tolerance):
         except InfeasibleError as exc:
             _fail("solver-failed", str(exc), EXIT_NONCONVERGED)
         try:
-            q_oracle = brute_force_qstar(constraints_from_joint(p), resolution)
+            q_oracle = brute_force_qstar(p, resolution)
         except OracleError as exc:
             _fail("oracle-intractable", str(exc))
         oracle = pid_from_solution(p, q_oracle)
@@ -347,8 +346,10 @@ def synth(gate, noise, count, seed, out):
     except ValueError as exc:
         _fail("invalid-config", str(exc))
     # one weight-1 line per draw: each drawn cell's line repeated by its count
-    rows = [f"{a},{b},{c},1\n" * int(k) for (a, b, c), k in zip(data.samples.tolist(), data.weights.tolist())]
-    _write("".join(["y1,y2,y,weight\n", *rows]), out)
+    lines = [(f"{a},{b},{c},1\n", int(k)) for (a, b, c), k in zip(data.samples.tolist(), data.weights.tolist())]
+    if sum(len(line) * k for line, k in lines) >= sys.maxsize:  # checked before any line is repeated
+        _fail("invalid-config", f"count {count} gives a CSV longer than a string can hold")
+    _write("".join(["y1,y2,y,weight\n", *(line * k for line, k in lines)]), out)
 
 
 if __name__ == "__main__":

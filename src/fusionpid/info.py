@@ -12,26 +12,6 @@ class DistributionError(ValueError):
     pass
 
 
-def _check_mass(mass):
-    if not np.all(np.isfinite(mass)):
-        raise DistributionError("non-finite probability mass")
-    if np.any(mass < -MASS_TOL):
-        raise DistributionError("negative probability mass")
-    total = float(mass.sum())
-    if abs(total - 1.0) > MASS_TOL:
-        raise DistributionError(f"total mass {total} != 1")
-
-
-class Joint2:
-    """Joint distribution over two finite variables."""
-
-    def __init__(self, mass):
-        self.mass = np.asarray(mass, dtype=float)
-        if self.mass.ndim != 2:
-            raise DistributionError("Joint2 mass must be 2-dimensional")
-        _check_mass(self.mass)
-
-
 class Joint3:
     """Joint distribution p(y1, y2, y) on a shared support of size n."""
 
@@ -39,7 +19,13 @@ class Joint3:
         self.mass = np.asarray(mass, dtype=float)
         if self.mass.ndim != 3 or len(set(self.mass.shape)) != 1:
             raise DistributionError("Joint3 mass must be a cube")
-        _check_mass(self.mass)
+        if not np.all(np.isfinite(self.mass)):
+            raise DistributionError("non-finite probability mass")
+        if np.any(self.mass < -MASS_TOL):
+            raise DistributionError("negative probability mass")
+        total = float(self.mass.sum())
+        if abs(total - 1.0) > MASS_TOL:
+            raise DistributionError(f"total mass {total} != 1")
 
     @property
     def size(self):

@@ -1,6 +1,7 @@
 """Finite label supports and encoding of raw annotation values to indices."""
 
 import bisect
+import math
 import re
 from dataclasses import dataclass
 
@@ -116,8 +117,10 @@ def encode(space, raw):
     if space.kind == "binned-continuous":
         try:
             x = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
             raise LabelSpaceError(f"not a real value: {raw!r}")
+        if not math.isfinite(x):  # NaN compares false with every edge and would land in bin 0
+            raise LabelSpaceError(f"not a finite real value: {raw!r}")
         edges = space.bin_edges
         if x < edges[0] or x > edges[-1]:
             raise LabelSpaceError(f"value {x} outside [{edges[0]}, {edges[-1]}]")

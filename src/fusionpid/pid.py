@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .info import Joint2, Joint3, conditional_entropy_output, empirical_joint, information
+from .info import Joint3, conditional_entropy_output, empirical_joint, information
 
 FEAS_TOL = 1e-9
 CLAMP_TOL = 1e-6
@@ -36,29 +36,6 @@ class InfeasibleError(ValueError):
 
 class OracleError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MarginalConstraints:
-    """Pairwise marginals p(y1, y) and p(y2, y) defining the feasible polytope."""
-
-    m1y: Joint2
-    m2y: Joint2
-
-    def __post_init__(self):
-        a, b = self.m1y.mass, self.m2y.mass
-        if a.shape != b.shape or a.shape[0] != a.shape[1]:
-            raise InfeasibleError("marginals must be square and same-shaped")
-        if np.max(np.abs(a.sum(axis=0) - b.sum(axis=0))) > FEAS_TOL:
-            raise InfeasibleError("marginals disagree on the Y-marginal")
-
-    @property
-    def size(self):
-        return self.m1y.mass.shape[0]
-
-    @property
-    def py(self):
-        return self.m1y.mass.sum(axis=0)
 
 
 @dataclass
@@ -90,22 +67,23 @@ class PIDResult:
         }
 
 
-def constraints_from_joint(p):
-    m = p.mass
-    return MarginalConstraints(m1y=Joint2(m.sum(axis=1)), m2y=Joint2(m.sum(axis=0)))
+def _marginals(p):
+    """p(y1, y), p(y2, y) and p(y) of the joint p: the data of the polytope."""
+    m1, m2 = p.mass.sum(axis=1), p.mass.sum(axis=0)
+    return m1, m2, m1.sum(axis=0)
 
 
-def feasible_residual(q_mass, c):
-    return max(
-        float(np.max(np.abs(q_mass.sum(axis=1) - c.m1y.mass))),
-        float(np.max(np.abs(q_mass.sum(axis=0) - c.m2y.mass))),
-    )
+def feasible_residual(q_mass, p):
+    """Largest deviation of q's (y1, y) and (y2, y) marginals from the joint p's."""
+    m1, m2, _ = _marginals(p)
+    return max(float(np.max(np.abs(q_mass.sum(axis=1) - m1))), float(np.max(np.abs(q_mass.sum(axis=0) - m2))))
 
 
-def feasible_initial(c):
+def feasible_initial(p):
     """Conditional-product coupling q0 = p(y1|y) p(y2|y) p(y), always feasible."""
-    outer = c.m1y.mass[:, None, :] * c.m2y.mass[None, :, :]
-    return Joint3(np.divide(outer, c.py, out=np.zeros_like(outer), where=c.py > 0))
+    m1, m2, py = _marginals(p)
+    outer = m1[:, None, :] * m2[None, :, :]
+    return Joint3(np.divide(outer, py, out=np.zeros_like(outer), where=py > 0))
 
 
 LN2 = math.log(2.0)
@@ -141,6 +119,7 @@ def _newton_solve(hess, rhs):
 class _DualBarrier:
     """The geometric-program dual of the max-entropy program, in nats.
 
+    With m1 = p(y1, y) and m2 = p(y2, y) the marginals of the joint p:
     minimize <a, m1> + <b, m2> subject to, for every block (i, j),
     g_ij = log sum_k exp(-a_ik - b_jk) <= 0, the sum running over the cells
     (i, j, k) with m1[i, k] > 0 and m2[j, k] > 0 (Bertschinger et al.,
@@ -158,9 +137,9 @@ class _DualBarrier:
     -1 / (t 1e-9) as under -log(-g), where its softmax weights underflow.
     """
 
-    def __init__(self, c):
-        n = c.size
-        m1, m2 = c.m1y.mass, c.m2y.mass
+    def __init__(self, p):
+        n = p.size
+        m1, m2, _ = _marginals(p)
         self.marg = np.concatenate([m1.ravel(), m2.ravel()])
         self.cells = (m1[:, None, :] > TINY) & (m2[None, :, :] > TINY)
         ci, cj, ck = np.nonzero(self.cells)  # ordered by block (i, j)
@@ -261,8 +240,8 @@ class _DualBarrier:
         return q
 
 
-def solve_qstar(c):
-    """Maximize H_q(Y | Y1, Y2) over the marginal polytope through its dual.
+def solve_qstar(joint):
+    """Maximize H_q(Y | Y1, Y2) over the polytope of the joint's pairwise marginals, through its dual.
 
     Damped log-barrier Newton method on the geometric-program dual (see
     `_DualBarrier`), started from the dual point of the conditional-product
@@ -278,13 +257,15 @@ def solve_qstar(c):
 
     Returns (Joint3, diagnostics dict).
     """
-    prog = _DualBarrier(c)
-    q0 = feasible_initial(c).mass
+    # `p` names the in-block softmax below, so the joint is `joint` here
+    prog = _DualBarrier(joint)
+    q0 = feasible_initial(joint).mass
+    m1, m2, py = _marginals(joint)
     # dual point of q0 (a_ik + b_jk = -log q0_ijk), moved one nat inside
     with np.errstate(divide="ignore", invalid="ignore"):
-        half = 0.5 * np.log(c.py)
-        a = np.where(c.m1y.mass > TINY, half + 1.0 - np.log(c.m1y.mass), 0.0)
-        b = np.where(c.m2y.mass > TINY, half - np.log(c.m2y.mass), 0.0)
+        half = 0.5 * np.log(py)
+        a = np.where(m1 > TINY, half + 1.0 - np.log(m1), 0.0)
+        b = np.where(m2 > TINY, half - np.log(m2), 0.0)
     x = np.concatenate([a.ravel(), b.ravel()])
     s, g, p = prog.blocks(x)
     t = prog.n_blocks / (float(prog.marg @ x) - LN2 * conditional_entropy_output(q0))
@@ -315,7 +296,7 @@ def solve_qstar(c):
         # x(t) approaches the optimum like 1/t, so the first Newton step after
         # raising t overshoots the new center by about the growth factor
         step = 1.0 / BARRIER_GROWTH
-    residual = feasible_residual(q, c)
+    residual = feasible_residual(q, joint)
     # written so that NaN fails them: overflow in `recover` can leave NaN in q
     if not (np.isfinite(gap) and np.all(np.isfinite(q))):
         raise InfeasibleError("solver broke down numerically")
@@ -399,8 +380,8 @@ def _slice_terms(base, basis, grids, index):
     return q, feasible, _plogp_sum(q, 1)
 
 
-def brute_force_qstar(c, grid_resolution=1000):
-    """Independent grid-search oracle for the same max-entropy program.
+def brute_force_qstar(p, grid_resolution=1000):
+    """Independent grid-search oracle for the same max-entropy program over the joint p's polytope.
 
     Parametrizes each y-slice of the polytope as a transportation polytope
     and exhaustively grid-searches the free parameters, returning the best
@@ -412,10 +393,11 @@ def brute_force_qstar(c, grid_resolution=1000):
     """
     if grid_resolution < 2:
         raise OracleError("grid_resolution must be at least 2")
-    n = c.size
+    n = p.size
+    m1, m2, _ = _marginals(p)
     slices = []
     for k in range(n):
-        base, bases, bounds = _slice_parametrization(c.m1y.mass[:, k], c.m2y.mass[:, k])
+        base, bases, bounds = _slice_parametrization(m1[:, k], m2[:, k])
         basis = np.stack([d.ravel() for d in bases]) if bases else None
         slices.append((base, basis, [np.linspace(lo, hi, grid_resolution) for lo, hi in bounds]))
     n_par = sum(len(grids) for _, _, grids in slices)
@@ -470,13 +452,12 @@ def _clamp(value, failures, name):
     return max(value, 0.0)
 
 
-def pid_from_solution(p, q_star, diagnostics=None, c=None, p_info=None):
+def pid_from_solution(p, q_star, diagnostics=None, p_info=None):
     """Extract R, U1, U2, S (in bits) from the optimizing distribution.
 
-    `c` and `p_info` are p's constraints and `information`, when the caller has them already.
+    `p_info` is p's `information`, when the caller has it already.
     """
-    c = constraints_from_joint(p) if c is None else c
-    resid = feasible_residual(q_star.mass, c)
+    resid = feasible_residual(q_star.mass, p)
     if resid > 1e-6:
         raise InfeasibleError(f"q_star violates the marginal constraints ({resid:.2e})")
     total = (information(p) if p_info is None else p_info)["total"]
@@ -527,15 +508,14 @@ def convert(data, smoothing=0.0):
 
 
 def pid_from_joint(p):
-    c = constraints_from_joint(p)
     info = information(p)
     if info["total"] <= DEGENERATE_TOTAL:
         # no task information: the sum identity forces every component to 0
         result = PIDResult(
-            r=0.0, u1=0.0, u2=0.0, s=0.0, total=0.0, q_star=feasible_initial(c)
+            r=0.0, u1=0.0, u2=0.0, s=0.0, total=0.0, q_star=feasible_initial(p)
         )
     else:
-        q_star, diagnostics = solve_qstar(c)
-        result = pid_from_solution(p, q_star, diagnostics, c, info)
+        q_star, diagnostics = solve_qstar(p)
+        result = pid_from_solution(p, q_star, diagnostics, info)
     result.consistency.update(check_consistency(result, p, info))
     return result

@@ -16,7 +16,6 @@ from fusionpid.label_space import build_label_space
 from fusionpid.pid import (
     brute_force_qstar,
     check_consistency,
-    constraints_from_joint,
     convert,
     pid_from_joint,
     pid_from_solution,
@@ -48,9 +47,7 @@ def test_gate_suite_vs_oracle():
         res = pid_from_joint(p)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"{name} solve took {elapsed:.3f}s"
-        oracle = pid_from_solution(
-            p, brute_force_qstar(constraints_from_joint(p), 2000)
-        )
+        oracle = pid_from_solution(p, brute_force_qstar(p, 2000))
         gap = np.max(np.abs(components(res) - components(oracle)))
         worst = max(worst, gap)
         assert gap <= 1e-3, f"{name}: component gap {gap:.2e} vs oracle"
@@ -82,9 +79,7 @@ def test_oracle_equivalence_binary():
     for _ in range(100):
         p = random_joint(rng, 2)
         solved = pid_from_joint(p)
-        oracle = pid_from_solution(
-            p, brute_force_qstar(constraints_from_joint(p), 2000)
-        )
+        oracle = pid_from_solution(p, brute_force_qstar(p, 2000))
         gap = np.max(np.abs(components(solved) - components(oracle)))
         worst = max(worst, gap)
         assert gap <= 2e-3, f"solver/oracle discrepancy {gap:.2e}"

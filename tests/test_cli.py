@@ -162,6 +162,27 @@ def test_convert_binned_continuous_report(tmp_path):
     assert abs(report["pid"]["s"] - 1.0) <= 0.05
 
 
+@pytest.mark.parametrize("fmt, score", [("csv", "nan"), ("csv", "NaN"), ("csv", "-nan"), ("json", float("nan"))])
+@pytest.mark.parametrize("command, code", [("convert", "conversion-failed"), ("agreement", "agreement-failed")])
+def test_binned_nan_score_is_one_error_line(tmp_path, fmt, score, command, code):
+    rows = [
+        {"item_id": f"i{i}", "annotator_id": f"a{k}", "condition": cond, "label": label, "confidence": 4}
+        for i in range(3)
+        for k, (cond, label) in enumerate(zip(("m1", "m2", "both"), (score, 1.5, -2)))
+    ]
+    src = tmp_path / f"scores.{fmt}"
+    if fmt == "csv":
+        lines = ["item_id,annotator_id,condition,label,confidence"] + [",".join(map(str, r.values())) for r in rows]
+        src.write_text("\n".join(lines) + "\n")
+    else:
+        src.write_text(json.dumps(rows))  # writes the bare JSON token NaN
+    args = ["--input", str(src), "--format", fmt, "--schema", "partial"]
+    result = run([command, *args, "--label-space", '{"kind": "binned-continuous"}'])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": code, "message": f"not a finite real value: {score!r}"}
+
+
 def test_convert_label_space_file_matches_inline(tmp_path):
     src = tmp_path / "xor.csv"
     write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 200, seed=2))
@@ -533,6 +554,16 @@ def test_synth_count_a_multinomial_cannot_take_is_one_config_error(count):
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
     assert json.loads(line) == {"error": "invalid-config", "message": f"count must lie in [1, 2^63 - 1], got {count}"}
+
+
+def test_synth_count_whose_csv_no_string_can_hold_is_one_config_error():
+    # `sample` takes the largest int64 count; its 8-byte lines would need 2^66 bytes
+    count = str(2**63 - 1)
+    result = run(["synth", "--gate", "XOR", "--count", count])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    message = f"count {count} gives a CSV longer than a string can hold"
+    assert json.loads(line) == {"error": "invalid-config", "message": message}
 
 
 def test_synth_deterministic():

@@ -19,7 +19,6 @@ from fusionpid.pid import (
     RIDGE,
     InfeasibleError,
     check_consistency,
-    constraints_from_joint,
     pid_from_joint,
     solve_qstar,
 )
@@ -138,7 +137,7 @@ def traced_solve(p, monkeypatch):
     monkeypatch.setattr(pid, "_newton_solve", newton_solve)
     monkeypatch.setattr(pid._DualBarrier, "newton_step", newton_step)
     monkeypatch.setattr(pid._DualBarrier, "recover", recover)
-    solve_qstar(constraints_from_joint(p))
+    solve_qstar(p)
     monkeypatch.undo()
     return steps, recovers
 
@@ -169,7 +168,7 @@ def test_newton_systems_match_dense_incidence_reference(kind, n, monkeypatch):
 
 def test_barrier_arrays_grow_like_cells_not_cells_times_variables():
     # at n = 15 the dense incidence matrix alone took 3375 x 450 doubles (12 MB)
-    prog = pid._DualBarrier(constraints_from_joint(joint("dense", 15)))
+    prog = pid._DualBarrier(joint("dense", 15))
     assert sum(v.nbytes for v in vars(prog).values() if isinstance(v, np.ndarray)) < 1e6
 
 
@@ -194,7 +193,7 @@ def test_feasibility_limit_is_sound(kind, n, monkeypatch):
     monkeypatch.setattr(pid, "_newton_solve", lambda hess, rhs: rng.normal(size=len(rhs)))
     finite = 0
     for trial in range(25):
-        prog = pid._DualBarrier(constraints_from_joint(joint(kind, n, seed=trial)))
+        prog = pid._DualBarrier(joint(kind, n, seed=trial))
         x = strictly_feasible_point(prog, rng)
         _, g, p = prog.blocks(x)
         assert g.max() < 0
@@ -214,7 +213,7 @@ def test_line_search_never_tries_a_step_past_the_limit(monkeypatch):
     tried = []
     real_blocks = pid._DualBarrier.blocks
     monkeypatch.setattr(pid._DualBarrier, "blocks", lambda self, x: tried.append(x) or real_blocks(self, x))
-    prog = pid._DualBarrier(constraints_from_joint(joint("dense", 3)))
+    prog = pid._DualBarrier(joint("dense", 3))
     x = strictly_feasible_point(prog, np.random.default_rng(5))
     _, g, _ = prog.blocks(x)
     dx = np.zeros_like(x)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fusionpid.dataset import TripleDataset
-from fusionpid.info import DistributionError, Joint2, Joint3, conditional_entropy_output, empirical_joint, information
+from fusionpid.info import DistributionError, Joint3, conditional_entropy_output, empirical_joint, information
 from fusionpid.label_space import MAX_LABELS, build_label_space
 from fusionpid.synth import GATES, GateSpec, canonical_joint, gate_space, sample
 
@@ -35,8 +35,6 @@ def y2_constant(m2):
 
 
 def test_mass_validation():
-    with pytest.raises(DistributionError):
-        Joint2([[0.5, 0.4], [0.0, 0.0]])
     with pytest.raises(DistributionError):
         Joint3(np.full((2, 2, 2), -0.125))
     with pytest.raises(DistributionError):

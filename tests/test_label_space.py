@@ -83,6 +83,14 @@ def test_encode_unknown_and_out_of_range():
         encode(binned, 3.5)
 
 
+@pytest.mark.parametrize("raw", ["nan", "NaN", "-nan", float("nan"), "inf", float("-inf"), 10**400, "1e999"])
+def test_binned_encode_refuses_a_value_that_is_not_a_finite_real(raw):
+    # NaN compares false with every edge: it used to land in bin 0
+    space = build_label_space({"kind": "binned-continuous", "bin_edges": [-3, -1, 1, 3]})
+    with pytest.raises(LabelSpaceError, match="not a .*real value"):
+        encode(space, raw)
+
+
 def test_encode_gives_the_index_of_each_value():
     for config in (
         {"kind": "nominal", "values": ["a", "b", "c"]},

@@ -9,11 +9,9 @@ from fusionpid.info import Joint3, conditional_entropy_output
 from fusionpid.pid import (
     OBJECTIVE_TOL,
     InfeasibleError,
-    MarginalConstraints,
     OracleError,
     brute_force_qstar,
     check_consistency,
-    constraints_from_joint,
     convert,
     feasible_initial,
     feasible_residual,
@@ -21,7 +19,6 @@ from fusionpid.pid import (
     pid_from_solution,
     solve_qstar,
 )
-from fusionpid.info import Joint2
 from fusionpid.synth import GateSpec, canonical_joint, gate_space, sample
 
 
@@ -38,91 +35,77 @@ def components(res):
     return np.array([res.r, res.u1, res.u2, res.s])
 
 
-def test_constraints_from_xor_are_uniform():
-    c = constraints_from_joint(gate("XOR"))
-    assert np.allclose(c.m1y.mass, 0.25)
-    assert np.allclose(c.m2y.mass, 0.25)
-
-
-def test_constraints_point_mass():
-    point = np.zeros((2, 2, 2))
-    point[0, 0, 0] = 1.0
-    c = constraints_from_joint(Joint3(point))
-    assert c.m1y.mass[0, 0] == 1.0 and c.m2y.mass[0, 0] == 1.0
-
-
-def test_constraints_copy_diagonal():
-    c = constraints_from_joint(gate("COPY"))
-    assert np.allclose(c.m1y.mass, np.diag([0.5, 0.5]))
-
-
-def test_mismatched_y_marginals_rejected():
-    with pytest.raises(InfeasibleError):
-        MarginalConstraints(
-            m1y=Joint2([[0.5, 0.0], [0.0, 0.5]]),
-            m2y=Joint2([[0.4, 0.1], [0.4, 0.1]]),
-        )
-
-
 def test_feasible_initial_copy_is_copy():
-    c = constraints_from_joint(gate("COPY"))
-    q0 = feasible_initial(c)
+    p = gate("COPY")
+    q0 = feasible_initial(p)
     assert np.allclose(q0.mass, gate("COPY").mass)
 
 
 def test_feasible_initial_independent_product():
     uniform = Joint3(np.full((2, 2, 2), 0.125))
-    q0 = feasible_initial(constraints_from_joint(uniform))
+    q0 = feasible_initial(uniform)
     assert np.allclose(q0.mass, 0.125)
 
 
 def test_feasible_initial_residual_random():
     rng = np.random.default_rng(21)
     for _ in range(20):
-        c = constraints_from_joint(random_joint(rng, int(rng.choice([2, 3, 4]))))
-        assert feasible_residual(feasible_initial(c).mass, c) <= 1e-12
+        p = random_joint(rng, int(rng.choice([2, 3, 4])))
+        assert feasible_residual(feasible_initial(p).mass, p) <= 1e-12
+
+
+def test_joint_whose_admitted_negative_cells_sum_below_tolerance_in_a_marginal_is_solved():
+    # each cell is within Joint3's -1e-9 tolerance; their (y1, y) sums of -2.4e-9 are zero support
+    mass = np.full((3, 3, 3), 1 / 21)
+    mass[0, :, 1] = 0.0
+    mass[0, :, 0] = -0.8e-9
+    mass[1, 1, 1] += 2.4e-9
+    p = Joint3(mass)
+    assert p.mass.sum(axis=1)[0, 0] < -1e-9
+    res = pid_from_joint(p)
+    assert res.converged and res.consistency["passed"], res.to_json()
 
 
 def test_solve_xor_objective_one_bit():
-    q, diag = solve_qstar(constraints_from_joint(gate("XOR")))
+    q, diag = solve_qstar(gate("XOR"))
     assert conditional_entropy_output(q) == pytest.approx(1.0, abs=1e-6)
     assert diag["converged"]
 
 
 def test_solve_copy_objective_zero():
-    q, diag = solve_qstar(constraints_from_joint(gate("COPY")))
+    q, diag = solve_qstar(gate("COPY"))
     assert conditional_entropy_output(q) == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(q.mass, gate("COPY").mass, atol=1e-9)
 
 
 def test_solve_and_objective_half_bit():
-    q, diag = solve_qstar(constraints_from_joint(gate("AND")))
+    q, diag = solve_qstar(gate("AND"))
     assert conditional_entropy_output(q) == pytest.approx(0.5, abs=1e-6)
 
 
 def test_solver_feasibility_invariants():
     rng = np.random.default_rng(22)
     for _ in range(20):
-        c = constraints_from_joint(random_joint(rng, int(rng.choice([2, 3]))))
-        q, diag = solve_qstar(c)
+        p = random_joint(rng, int(rng.choice([2, 3])))
+        q, diag = solve_qstar(p)
         assert diag["feasibility_residual"] <= 1e-9
         assert np.all(q.mass >= 0)
         assert q.mass.sum() == pytest.approx(1.0, abs=1e-12)
         # ascent from the feasible initial point
-        assert diag["objective"] >= conditional_entropy_output(feasible_initial(c)) - 1e-12
+        assert diag["objective"] >= conditional_entropy_output(feasible_initial(p)) - 1e-12
 
 
 def test_brute_force_copy_singleton():
-    c = constraints_from_joint(gate("COPY"))
-    q = brute_force_qstar(c, 100)
+    p = gate("COPY")
+    q = brute_force_qstar(p, 100)
     assert np.allclose(q.mass, gate("COPY").mass, atol=1e-12)
 
 
 def test_brute_force_matches_solver_on_xor_and_and():
     for name, target in (("XOR", 1.0), ("AND", 0.5)):
-        c = constraints_from_joint(gate(name))
-        q_grid = brute_force_qstar(c, 1000)
-        q_fw, _ = solve_qstar(c)
+        p = gate(name)
+        q_grid = brute_force_qstar(p, 1000)
+        q_fw, _ = solve_qstar(p)
         assert conditional_entropy_output(q_grid) == pytest.approx(target, abs=1e-4)
         assert conditional_entropy_output(q_grid) == pytest.approx(
             conditional_entropy_output(q_fw), abs=1e-4
@@ -132,7 +115,7 @@ def test_brute_force_matches_solver_on_xor_and_and():
 def test_brute_force_rejects_too_many_parameters():
     rng = np.random.default_rng(23)
     with pytest.raises(OracleError):
-        brute_force_qstar(constraints_from_joint(random_joint(rng, 4)), 100)
+        brute_force_qstar(random_joint(rng, 4), 100)
 
 
 @pytest.mark.parametrize(
@@ -148,7 +131,7 @@ def test_gate_pid_components(name, expected):
     res = pid_from_joint(gate(name))
     assert components(res) == pytest.approx(np.array(expected), abs=1e-6)
     # cross-check against the independent grid oracle
-    oracle = pid_from_solution(gate(name), brute_force_qstar(constraints_from_joint(gate(name)), 2000))
+    oracle = pid_from_solution(gate(name), brute_force_qstar(gate(name), 2000))
     assert components(res) == pytest.approx(components(oracle), abs=1e-3)
 
 
@@ -185,7 +168,7 @@ def test_oracle_equivalence_random_binary():
     for _ in range(20):
         p = random_joint(rng, 2)
         solved = pid_from_joint(p)
-        oracle = pid_from_solution(p, brute_force_qstar(constraints_from_joint(p), 2000))
+        oracle = pid_from_solution(p, brute_force_qstar(p, 2000))
         assert np.max(np.abs(components(solved) - components(oracle))) <= 2e-3
 
 
@@ -260,12 +243,11 @@ def near_deterministic_joint(rng, n):
 
 
 def assert_certified(p):
-    c = constraints_from_joint(p)
-    q, diag = solve_qstar(c)
+    q, diag = solve_qstar(p)
     assert diag["converged"], diag
     assert diag["objective_gap"] <= OBJECTIVE_TOL, diag
     assert diag["feasibility_residual"] <= 1e-9, diag
-    assert feasible_residual(q.mass, c) <= 1e-9
+    assert feasible_residual(q.mass, p) <= 1e-9
     res = pid_from_joint(p)
     assert res.converged and res.consistency["passed"], res.consistency
 
@@ -321,7 +303,7 @@ def test_near_deterministic_n7_certified_or_infeasible():
     for _ in range(8):
         p = near_deterministic_joint(rng, 7)
         try:
-            q, diag = solve_qstar(constraints_from_joint(p))
+            q, diag = solve_qstar(p)
         except InfeasibleError:
             continue
         assert np.all(np.isfinite(q.mass))
@@ -342,7 +324,7 @@ def joints_with_zero_cells(draw):
 @given(joints_with_zero_cells())
 def test_property_certified_or_infeasible_and_swap_symmetric(p):
     try:
-        q, diag = solve_qstar(constraints_from_joint(p))
+        q, diag = solve_qstar(p)
         swapped = Joint3(np.transpose(p.mass, (1, 0, 2)))
         a, b = pid_from_joint(p), pid_from_joint(swapped)
     except InfeasibleError:
@@ -369,7 +351,7 @@ def test_property_sparse_n6_n7_certified_and_swap_symmetric(p):
     a = pid_from_joint(p)
     assert a.converged and a.objective_gap <= OBJECTIVE_TOL, a.to_json()
     assert a.feasibility_residual <= 1e-9 and a.consistency["passed"], a.to_json()
-    assert feasible_residual(a.q_star.mass, constraints_from_joint(p)) <= 1e-9
+    assert feasible_residual(a.q_star.mass, p) <= 1e-9
     b = pid_from_joint(Joint3(np.transpose(p.mass, (1, 0, 2))))
     assert components(a) == pytest.approx(components(b)[[0, 2, 1, 3]], abs=1e-6)
 
