@@ -1,5 +1,6 @@
 """Command-line pipeline: ingestion, PID conversion, agreement, synthesis."""
 
+import itertools
 import json
 import math
 import sys
@@ -43,6 +44,7 @@ from .synth import GATES, GateSpec, canonical_joint, sample
 
 EXIT_NONCONVERGED = 1
 EXIT_INPUT_ERROR = 2
+SYNTH_CHUNK_LINES = 1 << 16
 
 
 def _fail(code, message, exit_code=EXIT_INPUT_ERROR):
@@ -72,12 +74,18 @@ def _read(path, parse, error):
 
 def _write(text, out):
     """Write `text` to the file `out`, or to stdout ending in a newline."""
+    _write_parts([text] if out is not None or text.endswith("\n") else [text, "\n"], out)
+
+
+def _write_parts(parts, out):
+    """Write the strings of the iterable `parts` in turn to the file `out`, or to stdout."""
     if out is None:
-        click.echo(text, nl=not text.endswith("\n"))
+        for part in parts:
+            click.echo(part, nl=False)
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(parts)
     except OSError as exc:
         _fail("output-unwritable", f"cannot write {out}: {exc}")
 
@@ -347,9 +355,12 @@ def synth(gate, noise, count, seed, out):
         _fail("invalid-config", str(exc))
     # one weight-1 line per draw: each drawn cell's line repeated by its count
     lines = [(f"{a},{b},{c},1\n", int(k)) for (a, b, c), k in zip(data.samples.tolist(), data.weights.tolist())]
-    if sum(len(line) * k for line, k in lines) >= sys.maxsize:  # checked before any line is repeated
+    if sum(len(line) * k for line, k in lines) >= sys.maxsize:  # checked before any line is written
         _fail("invalid-config", f"count {count} gives a CSV longer than a string can hold")
-    _write("".join(["y1,y2,y,weight\n", *(line * k for line, k in lines)]), out)
+    # a cell's run of lines goes out in pieces of at most SYNTH_CHUNK_LINES
+    # lines, so memory does not grow with the count
+    pieces = (line * min(SYNTH_CHUNK_LINES, k - i) for line, k in lines for i in range(0, k, SYNTH_CHUNK_LINES))
+    _write_parts(itertools.chain(["y1,y2,y,weight\n"], pieces), out)
 
 
 if __name__ == "__main__":

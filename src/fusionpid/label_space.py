@@ -12,8 +12,9 @@ DIFFERENT = "DIFFERENT"
 KINDS = ("nominal", "ordinal", "binned-continuous", "qa-binary")
 
 # The largest label count a PID solve can take: a dense n = 32 joint took
-# 20 s and 188 MB peak RSS (one thread of a 2-core x86 box), n = 25 7 s,
-# n = 20 2.5 s; time grows about as n^4.5 and the Newton matrix as n^4.
+# 13 s in 33 Newton steps and 143 MB peak RSS (one thread of a 2-core x86
+# box), n = 25 5.3-5.8 s, n = 20 1.4 s; time grows about as n^4.5 and the
+# Newton matrix as n^4.
 MAX_LABELS = 32
 
 

@@ -88,9 +88,12 @@ def feasible_initial(p):
 
 LN2 = math.log(2.0)
 # Barrier parameter growth between centerings, and the Newton decrement
-# lambda^2 / 2 at which a centering stops.
+# lambda^2 / 2 at which a centering stops: CENTERING_TOL in the final stage,
+# whose multipliers q* is read off, and LOOSE_CENTERING_TOL before it, where
+# the center only has to be close enough for the next stage's Newton steps.
 BARRIER_GROWTH = 50.0
 CENTERING_TOL = 1e-6
+LOOSE_CENTERING_TOL = 0.5
 # The barrier's own duality gap (blocks / t) is driven below this share of
 # OBJECTIVE_TOL before q* is read off, leaving the rest of the tolerance to
 # the marginal fit.
@@ -208,14 +211,15 @@ class _DualBarrier:
 
         Steps at or beyond `limit` are infeasible and are halved without being tried.
         """
+        # the slope of t <x, m> along dx and the current point's barrier, once per search
+        slope = t * float(self.marg @ dx)
+        barrier = float(np.sum(np.log(-np.expm1(g))))
         for _ in range(30):
             if step < limit:
                 x_new = x + step * dx
                 s, g_new, p = self.blocks(x_new)
-                if np.all(g_new < 0):
-                    # the change in t <x, m>, from the step actually taken
-                    change = t * float(self.marg @ (x_new - x))
-                    change += float(np.sum(np.log(-np.expm1(g)) - np.log(-np.expm1(g_new))))
+                if g_new.max() < 0:
+                    change = step * slope + barrier - float(np.sum(np.log(-np.expm1(g_new))))
                     if change <= -0.1 * step * decrement:
                         return x_new, s, g_new, p
             step *= 0.5
@@ -246,7 +250,12 @@ def solve_qstar(joint):
     Damped log-barrier Newton method on the geometric-program dual (see
     `_DualBarrier`), started from the dual point of the conditional-product
     coupling q0 and followed along the central path until the barrier gap
-    (blocks / t) is a small share of OBJECTIVE_TOL. q* is read off the
+    (blocks / t) is a small share of OBJECTIVE_TOL, at t = t_final. t grows
+    by BARRIER_GROWTH between stages, except that the last jump lands on
+    t_final itself. Stages below t_final stop at a Newton decrement of
+    LOOSE_CENTERING_TOL; only the final stage (t >= t_final), whose point
+    q* and the certificate are read from, is centered to CENTERING_TOL
+    (Boyd & Vandenberghe, Convex Optimization, 11.3). q* is read off the
     central-path multipliers, q_ijk = lambda_ij softmax_k(-a_ik - b_jk), and
     a per-y rescaling of its rows and columns in the log domain makes its
     marginals exact. The reported objective_gap is the certificate: the dual
@@ -270,12 +279,15 @@ def solve_qstar(joint):
     s, g, p = prog.blocks(x)
     t = prog.n_blocks / (float(prog.marg @ x) - LN2 * conditional_entropy_output(q0))
     target = GAP_SHARE * OBJECTIVE_TOL * LN2
+    t_final = prog.n_blocks / target
     q = np.zeros(prog.cells.shape)
     it, step = 0, 1.0
     while True:
+        final = t >= t_final
+        tol = CENTERING_TOL if final else LOOSE_CENTERING_TOL
         while it < MAX_ITERATIONS:
             dx, decrement, limit = prog.newton_step(t, g, p)
-            if not decrement > 2 * CENTERING_TOL:  # centered, or NaN
+            if not decrement > 2 * tol:  # centered, or NaN
                 break
             it += 1
             moved = prog.line_search(x, dx, t, g, decrement, step, limit)
@@ -283,19 +295,22 @@ def solve_qstar(joint):
             if moved is None:
                 break
             x, s, g, p = moved
-        barrier_gap = prog.n_blocks / t
-        if barrier_gap <= target or it >= MAX_ITERATIONS:
+        if final or it >= MAX_ITERATIONS:
             q[prog.cells] = prog.recover(s, g, t, 0.01 * FEAS_TOL)
             objective = conditional_entropy_output(q)
             # a uniform shift of a restores any rounding-level infeasibility
             dual = (float(prog.marg @ x) + max(0.0, float(g.max()))) / LN2
             gap = max(dual - objective, 0.0)
-            if gap <= OBJECTIVE_TOL or it >= MAX_ITERATIONS or barrier_gap <= 1e-3 * target:
+            if gap <= OBJECTIVE_TOL or it >= MAX_ITERATIONS or t >= 1e3 * t_final:
                 break
-        t *= BARRIER_GROWTH
+        # the last jump lands on t_final rather than up to BARRIER_GROWTH past it
+        if t < t_final < t * BARRIER_GROWTH:
+            growth, t = t_final / t, t_final
+        else:
+            growth, t = BARRIER_GROWTH, t * BARRIER_GROWTH
         # x(t) approaches the optimum like 1/t, so the first Newton step after
         # raising t overshoots the new center by about the growth factor
-        step = 1.0 / BARRIER_GROWTH
+        step = 1.0 / growth
     residual = feasible_residual(q, joint)
     # written so that NaN fails them: overflow in `recover` can leave NaN in q
     if not (np.isfinite(gap) and np.all(np.isfinite(q))):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fusionpid import pid
+from fusionpid import cli, pid
 from fusionpid.cli import main
 from fusionpid.label_space import MAX_LABELS
 from fusionpid.pid import InfeasibleError
@@ -546,6 +546,19 @@ def test_synth_csv_equals_per_row_format_of_sample(tmp_path, gate, noise, count,
     lines += [f"{a},{b},{c},1" for a, b, c in draws(data)]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert run(args).output == out.read_text()  # stdout carries the same text
+
+
+def test_synth_csv_written_in_pieces_equals_per_row_format_of_sample(tmp_path, monkeypatch):
+    # pieces of 7 lines: cells of fewer, exactly 7 and many more draws
+    monkeypatch.setattr(cli, "SYNTH_CHUNK_LINES", 7)
+    for count in (7, 20, 1000):
+        args = ["synth", "--gate", "AND", "--noise", "0.1", "--count", str(count), "--seed", "4"]
+        out = tmp_path / "synth.csv"
+        assert run(args + ["--out", str(out)]).exit_code == 0
+        data = sample(canonical_joint(GateSpec("AND", noise=0.1)), count, 4)
+        lines = ["y1,y2,y,weight"] + [f"{a},{b},{c},1" for a, b, c in draws(data)]
+        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert run(args).output == out.read_text()
 
 
 @pytest.mark.parametrize("count", ["0", "-1", "9223372036854775808", "100000000000000000000"])

@@ -14,8 +14,12 @@ import pytest
 from fusionpid import pid
 from fusionpid.info import Joint3
 from fusionpid.pid import (
+    CENTERING_TOL,
     CLAMP_TOL,
     FIT_STEPS,
+    GAP_SHARE,
+    LN2,
+    OBJECTIVE_TOL,
     RIDGE,
     InfeasibleError,
     check_consistency,
@@ -50,11 +54,24 @@ def denormal_joint(rng, n):
     return m
 
 
+def near_deterministic_joint(rng, n):
+    """One heavy output cell per (y1, y2) over a 1e-12 floor: y is nearly a function of (y1, y2)."""
+    m = np.full((n, n, n), 1e-12)
+    m[np.arange(n)[:, None], np.arange(n), rng.integers(n, size=(n, n))] = rng.exponential(size=(n, n))
+    return m
+
+
 KINDS = {"dense": dense_joint, "sparse": sparse_joint, "zero-marginal": zero_marginal_joint, "denormal": denormal_joint}
+# Near-deterministic joints reach final-stage Newton systems with condition
+# numbers of 1e7-1e8. There the rounding difference between the two Hessian
+# assemblies alone moves the step by more than the 1e-12 that the dense
+# reference comparison allows (at n = 4 on about a third of seeds, before and
+# after loose centering), so they run in every test here but that one.
+ALL_KINDS = {**KINDS, "near-deterministic": near_deterministic_joint}
 
 
 def joint(kind, n, seed=0):
-    m = KINDS[kind](np.random.default_rng([seed, n, list(KINDS).index(kind)]), n)
+    m = ALL_KINDS[kind](np.random.default_rng([seed, n, list(ALL_KINDS).index(kind)]), n)
     return Joint3(m / m.sum())
 
 
@@ -164,6 +181,25 @@ def test_newton_systems_match_dense_incidence_reference(kind, n, monkeypatch):
         for fit, ref_fit in zip(fits, ref_fits):
             assert_close(fit, ref_fit)
         assert_close(q, ref_q)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", list(ALL_KINDS))
+@pytest.mark.parametrize("n", SIZES)
+def test_only_the_final_stage_is_centered_tightly(kind, n, monkeypatch):
+    p = joint(kind, n)
+    steps, recovers = traced_solve(p, monkeypatch)
+    prog = recovers[0][0]
+    # q* is first read at t_final = blocks / target itself, not up to BARRIER_GROWTH past it
+    assert recovers[0][3] == prog.n_blocks / (GAP_SHARE * OBJECTIVE_TOL * LN2)
+    # a stage ends in its last newton_step: at a final stage, the one just before `recover`
+    last = {t: decrement for _, t, _, _, _, (_, decrement, _) in steps}
+    for _, _, _, t, _, _, _ in recovers:
+        assert last[t] <= 2 * CENTERING_TOL, (t, last[t])
+    # the intermediate stages stop at LOOSE_CENTERING_TOL, short of CENTERING_TOL
+    assert max(decrement for t, decrement in last.items() if t < recovers[0][3]) > 2 * CENTERING_TOL
+    res = pid_from_joint(p)
+    assert res.converged and res.objective_gap <= OBJECTIVE_TOL and res.consistency["passed"], res.to_json()
 
 
 def test_barrier_arrays_grow_like_cells_not_cells_times_variables():
