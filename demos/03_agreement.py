@@ -5,40 +5,28 @@ undefined all-constant case, and how the metric choice changes the score on
 ordinal confidence-style ratings.
 """
 
-from fusionpid.agreement import RatingsMatrix, krippendorff_alpha
+import numpy as np
 
-perfect = RatingsMatrix(
-    items=["i0", "i1", "i2", "i3"],
-    annotators=["a", "b"],
-    values=[["yes", "yes"], ["no", "no"], ["yes", "yes"], ["no", "no"]],
-    metric="nominal",
-)
+from fusionpid.agreement import Ratings, krippendorff_alpha
+
+
+def grid(rows, metric="nominal"):
+    """Ratings of an item x annotator grid: each row is one item's ratings, one category per rating."""
+    unit = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    return Ratings(len(rows), unit, np.arange(len(unit)), [v for r in rows for v in r], metric)
+
+
+perfect = grid([["yes", "yes"], ["no", "no"], ["yes", "yes"], ["no", "no"]])
 print(f"unanimous ratings           alpha = {krippendorff_alpha(perfect).alpha}")
 
-partial = RatingsMatrix(
-    items=["i0", "i1", "i2", "i3"],
-    annotators=["a", "b"],
-    values=[["a", "a"], ["a", "a"], ["b", "b"], ["b", "a"]],
-    metric="nominal",
-)
+partial = grid([["a", "a"], ["a", "a"], ["b", "b"], ["b", "a"]])
 print(f"one disagreement in four    alpha = {krippendorff_alpha(partial).alpha:.4f}")
 
-constant = RatingsMatrix(
-    items=["i0", "i1"],
-    annotators=["a", "b"],
-    values=[["x", "x"], ["x", "x"]],
-    metric="nominal",
-)
+constant = grid([["x", "x"], ["x", "x"]])
 print(f"all-constant data           alpha = {krippendorff_alpha(constant).to_json()['alpha']}")
 
 print()
 print("metric sensitivity on 0-5 ratings that differ by one step:")
 rows = [[3, 4], [4, 4], [2, 3], [5, 5]]
 for metric in ("nominal", "ordinal", "interval"):
-    m = RatingsMatrix(
-        items=[f"i{k}" for k in range(4)],
-        annotators=["a", "b"],
-        values=[list(r) for r in rows],
-        metric=metric,
-    )
-    print(f"  {metric:<9} alpha = {krippendorff_alpha(m).alpha:.4f}")
+    print(f"  {metric:<9} alpha = {krippendorff_alpha(grid(rows, metric)).alpha:.4f}")

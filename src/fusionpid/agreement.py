@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Codes, _levels, _runs
+from .dataset import Codes, _levels, _runs  # _levels: for the records form, read by perfbench/test_perfbench.py
 
 METRICS = ("nominal", "ordinal", "interval")
 
@@ -35,29 +35,18 @@ class Ratings:
             raise AgreementError(f"metric must be one of {METRICS}")
         if self.units < 2:
             raise AgreementError("need at least 2 items")
+        unit, code = np.asarray(self.unit), np.asarray(self.code)
+        if unit.ndim != 1 or code.shape != unit.shape or unit.dtype.kind not in "iu" or code.dtype.kind not in "iu":
+            raise AgreementError("unit and code must be 1-D integer arrays of equal length")
+        # reductions, not (N,)-sized masks
+        if len(unit) and (unit.min() < 0 or unit.max() >= self.units):
+            raise AgreementError(f"unit index out of range for {self.units} units")
+        if len(code) and (code.min() < 0 or code.max() >= len(self.categories)):
+            raise AgreementError(f"category code out of range for {len(self.categories)} categories")
+        # in range, so intp holds them (np.bincount refuses uint64); no copy of intp arrays
+        self.unit, self.code = unit.astype(np.intp, copy=False), code.astype(np.intp, copy=False)
         if not (np.bincount(self.unit, minlength=self.units) >= 2).any():
             raise AgreementError("no item has 2 or more ratings")
-
-
-@dataclass
-class RatingsMatrix:
-    """item x annotator grid of values; None marks a missing rating."""
-
-    items: list
-    annotators: list
-    values: list  # values[i][a], aligned with items/annotators
-    metric: str = "nominal"
-
-    def __post_init__(self):
-        if len(self.values) != len(self.items):
-            raise AgreementError("values rows must match items")
-        self.ratings()  # raises AgreementError for unusable ratings
-
-    def ratings(self):
-        """The grid's ratings as code arrays, one category per rating."""
-        cells = [(u, v) for u, row in enumerate(self.values) for v in row if v is not None]
-        unit = np.array([u for u, _ in cells], np.intp)
-        return Ratings(len(self.items), unit, np.arange(len(cells)), [v for _, v in cells], self.metric)
 
 
 @dataclass
@@ -103,8 +92,8 @@ def _categories(values):
     return (np.cumsum(first) - 1)[np.argsort(rank)], distinct, x
 
 
-def krippendorff_alpha(m):
-    """alpha = 1 - D_o / D_e over the coincidence matrix, for `Ratings` or a `RatingsMatrix`.
+def krippendorff_alpha(r):
+    """alpha = 1 - D_o / D_e over the coincidence matrix of `Ratings` r.
 
     Units with fewer than 2 ratings are excluded. The coincidence matrix is
     counted per unit (Krippendorff, "Computing Krippendorff's
@@ -125,7 +114,6 @@ def krippendorff_alpha(m):
     AlphaResult with alpha None when every pairable value is identical
     (D_e = 0, undefined).
     """
-    r = m.ratings() if isinstance(m, RatingsMatrix) else m
     per_unit = np.bincount(r.unit, minlength=r.units)
     pairable = per_unit >= 2
     n_pairable = int(pairable.sum())
@@ -185,7 +173,7 @@ def matrix_from_records(rows, value, metric="nominal"):
     Units are the items rated here; `krippendorff_alpha` decides which
     category values are equal.
     """
-    if callable(value):
+    if callable(value):  # the records form; its one reader is perfbench/test_perfbench.py
         rows = list(rows)
         value = Codes(*_levels([value(r) for r in rows]))
         rows = np.unique([r.item_id for r in rows], return_inverse=True)[1]

@@ -355,8 +355,9 @@ def synth(gate, noise, count, seed, out):
         _fail("invalid-config", str(exc))
     # one weight-1 line per draw: each drawn cell's line repeated by its count
     lines = [(f"{a},{b},{c},1\n", int(k)) for (a, b, c), k in zip(data.samples.tolist(), data.weights.tolist())]
-    if sum(len(line) * k for line, k in lines) >= sys.maxsize:  # checked before any line is written
-        _fail("invalid-config", f"count {count} gives a CSV longer than a string can hold")
+    # the largest file offset is sys.maxsize = 2^63 - 1 bytes; checked before any line is written
+    if sum(len(line) * k for line, k in lines) >= sys.maxsize:
+        _fail("invalid-config", f"count {count} gives a CSV past the largest file offset, 2^63 - 1 bytes")
     # a cell's run of lines goes out in pieces of at most SYNTH_CHUNK_LINES
     # lines, so memory does not grow with the count
     pieces = (line * min(SYNTH_CHUNK_LINES, k - i) for line, k in lines for i in range(0, k, SYNTH_CHUNK_LINES))

@@ -11,7 +11,7 @@ polytope provides an independent cross-check.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -53,18 +53,8 @@ class PIDResult:
     consistency: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "r": self.r,
-            "u1": self.u1,
-            "u2": self.u2,
-            "s": self.s,
-            "total": self.total,
-            "iterations": self.iterations,
-            "objective_gap": self.objective_gap,
-            "feasibility_residual": self.feasibility_residual,
-            "converged": self.converged,
-            "consistency": self.consistency,
-        }
+        """Every field but q_star, the keys of a report's `pid` block."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "q_star"}
 
 
 def _marginals(p):

@@ -4,14 +4,15 @@ Each test covers one acceptance criterion at its stated tolerance and prints a
 single PASS line on success (run with `pytest -s` or read the captured output).
 """
 
+import io
 import time
 
 import numpy as np
 import pytest
 
-from fusionpid.agreement import RatingsMatrix, krippendorff_alpha
-from fusionpid.dataset import parse_partial, triples_from_partial
-from fusionpid.info import Joint3
+from fusionpid.agreement import Ratings, krippendorff_alpha
+from fusionpid.dataset import parse_counterfactual, parse_partial, triples_from_counterfactual, triples_from_partial
+from fusionpid.info import Joint3, empirical_joint
 from fusionpid.label_space import build_label_space
 from fusionpid.pid import (
     brute_force_qstar,
@@ -20,7 +21,7 @@ from fusionpid.pid import (
     pid_from_joint,
     pid_from_solution,
 )
-from fusionpid.synth import DOMINANT, GateSpec, canonical_joint, sample
+from fusionpid.synth import DOMINANT, GATES, GateSpec, canonical_joint, sample
 
 GATE_EXPECTED = {
     "XOR": (0.0, 0.0, 0.0, 1.0),
@@ -28,6 +29,8 @@ GATE_EXPECTED = {
     "UNIQUE1": (0.0, 1.0, 0.0, 0.0),
     "AND": (0.3112781244591328, 0.0, 0.0, 0.5),
 }
+# OR is AND with every label flipped, which leaves the decomposition as it is
+ALL_GATES_EXPECTED = {**GATE_EXPECTED, "OR": GATE_EXPECTED["AND"], "UNIQUE2": (0.0, 0.0, 1.0, 0.0)}
 
 
 def components(res):
@@ -97,6 +100,33 @@ def test_sampling_recovery():
           "recover the dominant component within 0.05 bits")
 
 
+def test_counterfactual_conversion_recovers_gates():
+    # noiseless annotators: each order's first label is its own modality's
+    # input, and both revised labels are the gate's output
+    spaces = {
+        "nominal": build_label_space({"kind": "nominal", "values": ["0", "1"]}),
+        "ordinal": build_label_space({"kind": "ordinal", "range": [0, 1]}),
+    }
+    worst = 0.0
+    for name in GATES:
+        data = sample(canonical_joint(GateSpec(name)), 2000, seed=501)
+        own = components(pid_from_joint(empirical_joint(data)))
+        lines = ["item_id,annotator_id,order,label_first,label_both,confidence_first,confidence_both"]
+        draws = np.repeat(data.samples, data.weights.astype(int), axis=0)  # one item per draw
+        for i, (y1, y2, y) in enumerate(draws.tolist()):
+            lines.append(f"i{i:04d},a1,first-m1,{y1},{y},4,4")
+            lines.append(f"i{i:04d},a2,first-m2,{y2},{y},4,4")
+        table = parse_counterfactual(io.StringIO("\n".join(lines) + "\n"))
+        for kind, space in spaces.items():
+            got = components(convert(triples_from_counterfactual(table, space)))
+            assert got == pytest.approx(own, abs=1e-9), (name, kind)
+            assert got == pytest.approx(np.array(ALL_GATES_EXPECTED[name]), abs=0.05), (name, kind, got)
+            worst = max(worst, float(np.max(np.abs(got - ALL_GATES_EXPECTED[name]))))
+    print(f"PASS counterfactual recovery: 2000 noiseless counterfactual items per gate, "
+          f"nominal and 2-point ordinal, match the sample's own PID within 1e-9 and the "
+          f"gate's within 0.05 bits (worst {worst:.2e})")
+
+
 def test_swap_symmetry_50():
     rng = np.random.default_rng(102)
     worst = 0.0
@@ -127,29 +157,20 @@ def test_relabeling_invariance_50():
           f"{worst:.2e} <= 1e-6")
 
 
+def grid_ratings(rows):
+    """Nominal ratings of an item x annotator grid: units are its rows, one category per rating."""
+    unit = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+    return Ratings(len(rows), unit, np.arange(len(unit)), [v for r in rows for v in r])
+
+
 def test_alpha_criteria():
-    unanimous = RatingsMatrix(
-        items=["i0", "i1", "i2", "i3"],
-        annotators=["a", "b"],
-        values=[["x", "x"], ["y", "y"], ["x", "x"], ["y", "y"]],
-        metric="nominal",
-    )
+    unanimous = grid_ratings([["x", "x"], ["y", "y"], ["x", "x"], ["y", "y"]])
     assert krippendorff_alpha(unanimous).alpha == 1.0
 
-    hand = RatingsMatrix(
-        items=["i0", "i1", "i2", "i3"],
-        annotators=["a", "b"],
-        values=[["a", "a"], ["a", "a"], ["b", "b"], ["b", "a"]],
-        metric="nominal",
-    )
+    hand = grid_ratings([["a", "a"], ["a", "a"], ["b", "b"], ["b", "a"]])
     assert krippendorff_alpha(hand).alpha == pytest.approx(0.5333, abs=1e-4)
 
-    constant = RatingsMatrix(
-        items=["i0", "i1"],
-        annotators=["a", "b"],
-        values=[["x", "x"], ["x", "x"]],
-        metric="nominal",
-    )
+    constant = grid_ratings([["x", "x"], ["x", "x"]])
     res = krippendorff_alpha(constant)
     assert res.alpha is None and res.to_json()["alpha"] == "undefined"
     print("PASS alpha: unanimous = 1.0 exactly, hand-worked nominal example "

@@ -9,7 +9,6 @@ from fusionpid.agreement import (
     AgreementError,
     CategoryError,
     Ratings,
-    RatingsMatrix,
     krippendorff_alpha,
     matrix_from_records,
     mean_confidence,
@@ -18,13 +17,10 @@ from fusionpid.dataset import CONDITIONS, PartialRecord, parse_partial
 
 
 def matrix(rows, metric="nominal"):
-    n_ann = len(rows[0])
-    return RatingsMatrix(
-        items=[f"i{k}" for k in range(len(rows))],
-        annotators=[f"a{k}" for k in range(n_ann)],
-        values=[list(r) for r in rows],
-        metric=metric,
-    )
+    """Ratings of an item x annotator grid: units are its rows, one category per rating, None skipped."""
+    cells = [(u, v) for u, row in enumerate(rows) for v in row if v is not None]
+    unit = np.array([u for u, _ in cells], np.intp)
+    return Ratings(len(rows), unit, np.arange(len(cells)), [v for _, v in cells], metric)
 
 
 def test_perfect_agreement_alpha_one():
@@ -61,9 +57,7 @@ def test_units_with_single_rating_excluded():
 
 def test_no_pairable_unit_is_error():
     with pytest.raises(AgreementError):
-        RatingsMatrix(
-            items=["i0", "i1"], annotators=["a0"], values=[["a"], ["b"]], metric="nominal"
-        )
+        matrix([["a"], ["b"]])
 
 
 def test_nominal_alpha_relabeling_invariant():
@@ -203,7 +197,7 @@ def test_count_based_alpha_matches_pair_loop(metric):
         units = [list(rng.integers(0, size, rng.integers(2, 7)) * 2 - 3) for _ in range(n_units)]
         units[0] = [1, 3]  # never all identical
         rows = [u + [None] * (6 - len(u)) for u in units]
-        m = RatingsMatrix([f"i{k}" for k in range(n_units)], list("abcdef"), rows, metric)
+        m = matrix(rows, metric)
         assert krippendorff_alpha(m).alpha == pytest.approx(loop_alpha(units, metric), abs=1e-12)
 
 
@@ -228,6 +222,31 @@ def test_alpha_from_codes_counts_units_and_pairable():
     r = Ratings(3, np.array([0, 0, 1]), np.array([0, 1, 1]), ["x", "y"])
     res = krippendorff_alpha(r)
     assert (res.n_units, res.n_pairable) == (3, 1)
+
+
+@pytest.mark.parametrize(
+    "unit, code",
+    [
+        ([0, 0, 3], [0, 1, 1]),  # a unit past `units`: alpha 0.0 with n_pairable 1
+        ([0, 0, -1, 1], [0, 1, 1, 1]),  # a negative unit: a ValueError from np.bincount
+        ([0, 0, 1, 1], [0, 1, -1, 0]),  # a negative code: read as categories[-1], alpha -0.5
+        ([0, 0, 1, 1], [0, 1, 1]),  # fewer codes than units: an IndexError
+        ([0, 0, 1, 1], [0, 1, 2, 1]),  # a code past the categories: an IndexError
+        ([[0, 0, 1]], [[0, 1, 1]]),  # not 1-D
+        ([0.0, 0.0, 1.0], [0, 1, 1]),  # not integers
+        ([0, 0, 1], [0.0, 1.0, 1.0]),
+    ],
+)
+def test_ratings_refuse_arrays_that_are_not_in_range_codes(unit, code):
+    with pytest.raises(AgreementError):
+        Ratings(2, np.array(unit), np.array(code), ["a", "b"])
+
+
+def test_ratings_take_any_integer_dtype():
+    want = krippendorff_alpha(Ratings(2, np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), ["a", "b"]))
+    for dtype in (np.uint8, np.int32, np.uint64):
+        r = Ratings(2, np.array([0, 0, 1, 1], dtype), np.array([0, 1, 1, 1], dtype), ["a", "b"])
+        assert krippendorff_alpha(r) == want
 
 
 def test_mixed_type_labels_cannot_be_ordered():
@@ -256,7 +275,7 @@ def test_equal_numbers_and_numeric_text_match_pair_loop(metric):
     assert got.alpha == pytest.approx(want, abs=1e-12)
     # numeric text orders by number: "-5" after "-10", "10" after "5"
     text = [[str(v) for v in u] + [None] * (4 - len(u)) for u in units]
-    m = RatingsMatrix([f"i{u}" for u in range(len(units))], list("abcd"), text, metric)
+    m = matrix(text, metric)
     assert krippendorff_alpha(m).alpha == pytest.approx(want, abs=1e-12)
 
 

@@ -569,13 +569,13 @@ def test_synth_count_a_multinomial_cannot_take_is_one_config_error(count):
     assert json.loads(line) == {"error": "invalid-config", "message": f"count must lie in [1, 2^63 - 1], got {count}"}
 
 
-def test_synth_count_whose_csv_no_string_can_hold_is_one_config_error():
-    # `sample` takes the largest int64 count; its 8-byte lines would need 2^66 bytes
+def test_synth_count_whose_csv_passes_the_largest_file_offset_is_one_config_error():
+    # `sample` takes the largest int64 count; its 8-byte lines would need 2^66 bytes, past 2^63 - 1
     count = str(2**63 - 1)
     result = run(["synth", "--gate", "XOR", "--count", count])
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
-    message = f"count {count} gives a CSV longer than a string can hold"
+    message = f"count {count} gives a CSV past the largest file offset, 2^63 - 1 bytes"
     assert json.loads(line) == {"error": "invalid-config", "message": message}
 
 

@@ -41,7 +41,7 @@ def partial_csv(rows):
 
 
 def test_parse_partial_single_row():
-    recs = parse_partial(partial_csv(["i1,a1,m1,yes,4"])).records()
+    recs = list(parse_partial(partial_csv(["i1,a1,m1,yes,4"])))
     assert len(recs) == 1
     assert recs[0].condition == "m1"
     assert recs[0].confidence == 4
@@ -65,7 +65,7 @@ def test_parse_partial_duplicate_key():
 
 def test_parse_partial_json():
     rows = [{"item_id": "i1", "annotator_id": "a1", "condition": "both", "label": "no", "confidence": 0}]
-    recs = parse_partial(io.StringIO(json.dumps(rows)), "json").records()
+    recs = list(parse_partial(io.StringIO(json.dumps(rows)), "json"))
     assert recs[0].label == "no"
 
 
@@ -84,7 +84,7 @@ def test_parse_json_label_must_be_text_or_number():
 def test_parse_json_keeps_numeric_labels_and_stringifies_ids():
     row = {"item_id": 7, "annotator_id": 3, "order": "first-m1", "label_first": -2,
            "label_both": 1.5, "confidence_first": 4, "confidence_both": 5}
-    rec = parse_counterfactual(io.StringIO(json.dumps([row])), "json").records()[0]
+    rec = list(parse_counterfactual(io.StringIO(json.dumps([row])), "json"))[0]
     assert (rec.item_id, rec.annotator_id, rec.label_first, rec.label_both) == ("7", "3", -2, 1.5)
 
 
@@ -120,11 +120,11 @@ def test_parse_counterfactual_bad_order():
 def test_parse_counterfactual_empty_is_empty_table():
     for text in (CF_HEADER, ""):
         recs = parse_counterfactual(io.StringIO(text))
-        assert len(recs) == 0 and recs.records() == []
+        assert len(recs) == 0 and list(recs) == []
 
 
 def test_parse_decomposition_values():
-    recs = parse_decomposition(io.StringIO(DECOMP_HEADER + "i1,a1,0,0,0,5,4,4,4,4")).records()
+    recs = list(parse_decomposition(io.StringIO(DECOMP_HEADER + "i1,a1,0,0,0,5,4,4,4,4")))
     assert recs[0].s == 5
 
 
@@ -149,7 +149,7 @@ def test_csv_reads_like_dictreader():
         "\n"
         "i1,a2,m2,no,3,no\n"
     )
-    recs = parse_partial(io.StringIO(text)).records()
+    recs = list(parse_partial(io.StringIO(text)))
     assert recs == [PartialRecord("i1", "a1", "m1", "yes, sure", 4), PartialRecord("i1", "a2", "m2", "no", 3)]
 
 
@@ -314,7 +314,7 @@ def test_csv_parser_matches_dictreader_reference(record, parse):
             outcomes.add(next(k for k in ("missing field", "must be", "outside", "duplicate") if k in str(exc)))
             continue
         table = parse(io.StringIO(text))
-        assert table.records() == want
+        assert list(table) == want
         # the one key sort is lexsort's order of (item, choice, annotator)
         choice = next(table[n] for n in CHOICES if n in table.columns)
         keys = (table["annotator_id"].codes, choice.codes, table["item_id"].codes)
@@ -348,7 +348,7 @@ def reference(text, record):
 def outcome(want, text, parse):
     """The outcome of `parse` on `text`, checked against `want`: "parsed" or the kind of error."""
     if not isinstance(want, SchemaError):
-        assert parse(io.StringIO(text)).records() == want
+        assert list(parse(io.StringIO(text))) == want
         return "parsed"
     with pytest.raises(SchemaError) as err:
         parse(io.StringIO(text))
@@ -408,7 +408,7 @@ def test_csv_from_a_stream_that_cannot_seek():
     text = PARTIAL_HEADER + 'i1,a,m1,yes,4\ni2,a,m1,"no",3\n'
     stream = io.StringIO(text)
     stream.seekable = lambda: False
-    assert parse_partial(stream).records() == dictreader_reference(text, PartialRecord)
+    assert list(parse_partial(stream)) == dictreader_reference(text, PartialRecord)
 
 
 def test_json_null_field_is_missing_and_list_ids_become_text():
@@ -419,7 +419,7 @@ def test_json_null_field_is_missing_and_list_ids_become_text():
         "missing field 'label' in row {'item_id': 'i1', 'annotator_id': 'b', 'condition': 'm1', "
         "'label': None, 'confidence': 3}"
     )
-    recs = parse_partial(io.StringIO(json.dumps([dict(row, item_id=["a"])])), "json").records()
+    recs = list(parse_partial(io.StringIO(json.dumps([dict(row, item_id=["a"])])), "json"))
     assert recs[0].item_id == "['a']"
 
 
@@ -440,7 +440,7 @@ def test_json_labels_one_and_one_point_zero_stay_distinct():
     labels = table["label"]
     assert [type(v) for v in labels.levels] == [int, float]
     assert labels.codes.tolist() == [0, 1, 0]
-    assert [type(r.label) for r in table.records()] == [int, float, int]
+    assert [type(r.label) for r in list(table)] == [int, float, int]
 
 
 def three_annotator_item(item="i1"):
