@@ -291,7 +291,7 @@ def pid(path, out):
 
 @main.command("oracle-check")
 @click.option("--trials", type=int, required=True)
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(0), default=0, show_default=True)
 @click.option("--resolution", type=int, default=2000, show_default=True)
 @click.option("--tolerance", type=float, default=2e-3, show_default=True)
 def oracle_check(trials, seed, resolution, tolerance):

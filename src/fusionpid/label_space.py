@@ -115,6 +115,12 @@ def build_label_space(config):
 
 def encode(space, raw):
     """Map a raw label value to its index in [0, space.size)."""
+    if isinstance(raw, bool):
+        # True == 1 == 1.0: without this a JSON true would be read as label 1, or land in a bin
+        for i, v in enumerate(space.values):
+            if v is raw:
+                return i
+        raise LabelSpaceError(f"unknown label {raw!r} for {space.kind} space")
     if space.kind == "binned-continuous":
         try:
             x = float(raw)

@@ -7,7 +7,7 @@ on the program's geometric-program dual, reads q* off the central-path
 multipliers, makes its marginals exact by rescaling the rows and columns of
 every y-slice, and certifies the result with the gap between the dual value
 and H(Y | Y1, Y2) at the returned q*. A grid-search oracle over the same
-polytope provides an independent cross-check.
+polytope of a binary joint provides an independent cross-check.
 """
 
 import math
@@ -317,137 +317,60 @@ def solve_qstar(joint):
     return Joint3(q / q.sum()), diagnostics
 
 
-def _slice_parametrization(r, c):
-    """Base point and basis directions for one transportation slice.
-
-    Free cells are the (i, j) with i, j below the last nonzero row/column; the
-    remaining cells are determined by the margins. Returns (base, bases,
-    bounds) in full-slice coordinates; bounds are per-parameter upper limits
-    ([lo, hi] exact interval in the single-parameter case).
-    """
-    n = len(r)
-    rows = np.flatnonzero(r > 0)
-    cols = np.flatnonzero(c > 0)
-    a, b = len(rows), len(cols)
-    base = np.zeros((n, n))
-    if a == 0:
-        return base, [], []
-    if a == 1 or b == 1:
-        if a == 1:
-            base[rows[0], :] = c
-        else:
-            base[:, cols[0]] = r
-        return base, [], []
-    total = r.sum()
-    for i in rows[:-1]:
-        base[i, cols[-1]] = r[i]
-    for j in cols[:-1]:
-        base[rows[-1], j] = c[j]
-    base[rows[-1], cols[-1]] = r[rows[-1]] - c[cols[:-1]].sum()
-    bases, bounds = [], []
-    for i in rows[:-1]:
-        for j in cols[:-1]:
-            d = np.zeros((n, n))
-            d[i, j] = 1.0
-            d[i, cols[-1]] = -1.0
-            d[rows[-1], j] = -1.0
-            d[rows[-1], cols[-1]] = 1.0
-            bases.append(d)
-            if a == 2 and b == 2:
-                lo = max(0.0, r[i] + c[j] - total)
-                hi = min(r[i], c[j])
-            else:
-                lo, hi = 0.0, min(r[i], c[j])
-            bounds.append((lo, hi))
-    return base, bases, bounds
-
-
 MAX_GRID_POINTS = 2 * 10**8
+# Rows of slice 0's grid scored at once: at resolution 2000 a temporary is 125 KiB, under
+# glibc's 128 KiB mmap threshold (1 MB blocks, mapped anew each time, took twice as long).
+ORACLE_BLOCK_ROWS = 2
 
 
 def _plogp_sum(q, axis):
     """-sum q log2 q over `axis`, with 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return -np.sum(np.where(q > 0, q * np.log2(q), 0.0), axis=axis)
+    return -np.sum(q * np.log2(q, out=np.zeros_like(q), where=q > 0), axis=axis)
 
 
-def _slice_terms(base, basis, grids, index):
-    """One y-slice at flat indices of its own parameter grid: its cells
-    (clipped at 0), whether each point is feasible, and -sum q log2 q."""
-    q = base.ravel()[None, :]
-    if grids:
-        coords = np.unravel_index(index, tuple(len(g) for g in grids))
-        q = q + np.stack([g[i] for g, i in zip(grids, coords)], axis=1) @ basis
-    else:
-        q = np.broadcast_to(q, (len(index), q.shape[1]))
-    feasible = np.all(q >= -1e-12, axis=1)
-    q = np.clip(q, 0.0, None)
-    return q, feasible, _plogp_sum(q, 1)
+def _slice_grid(r, c, grid_resolution):
+    """One y-slice of a binary joint at every grid point: a (4, points) array of its cells, clipped at 0.
+
+    The slice is the 2x2 table with row sums r and column sums c. Its cell
+    t = q[0, 0] fixes it: [[t, r0 - t], [c0 - t, (r1 - c0) + t]], with t in
+    [max(0, r0 + c0 - r.sum()), min(r0, c0)]. An interval that is empty or a
+    single point, rounding included, is the one point t = min(r0, c0), which
+    also covers an empty slice and a zero row or column.
+    """
+    lo, hi = max(0.0, r[0] + c[0] - r.sum()), min(r[0], c[0])
+    t = np.linspace(lo, hi, grid_resolution) if lo < hi else np.array([hi])
+    return np.clip(np.stack([t, r[0] - t, c[0] - t, (r[1] - c[0]) + t]), 0.0, None)
 
 
 def brute_force_qstar(p, grid_resolution=1000):
-    """Independent grid-search oracle for the same max-entropy program over the joint p's polytope.
+    """Independent grid-search oracle for the same max-entropy program, for binary (n = 2) joints only.
 
-    Parametrizes each y-slice of the polytope as a transportation polytope
-    and exhaustively grid-searches the free parameters, returning the best
-    feasible grid point. Tractable only for a handful of free parameters.
-    H(Y | Y1, Y2) = H(Y1, Y2, Y) - H(Y1, Y2), and H(Y1, Y2, Y) is one term
-    per y-slice that depends on that slice's parameters only, so each term
-    is computed on the slice's own grid and only H(Y1, Y2) on the product
-    grid.
+    Each y-slice k of p is a 2x2 table fixed by its one cell q[0, 0, k] (see
+    `_slice_grid`). The oracle grids that cell in both slices and returns the
+    pair with the largest H(Y | Y1, Y2) = H(Y1, Y2, Y) - H(Y1, Y2), the first
+    maximum in C order (slice 0 slowest). H(Y1, Y2, Y) is one term per slice,
+    computed on the slice's own grid; H(Y1, Y2) on the product grid,
+    ORACLE_BLOCK_ROWS rows of slice 0's grid at a time. Raises OracleError for
+    n != 2, a grid_resolution below 2 or a product grid over MAX_GRID_POINTS.
     """
+    if p.size != 2:
+        raise OracleError(f"the grid oracle takes binary joints only, got n = {p.size}")
     if grid_resolution < 2:
         raise OracleError("grid_resolution must be at least 2")
-    n = p.size
+    if grid_resolution**2 > MAX_GRID_POINTS:
+        raise OracleError(f"grid of {grid_resolution**2} points exceeds cap; lower the resolution")
     m1, m2, _ = _marginals(p)
-    slices = []
-    for k in range(n):
-        base, bases, bounds = _slice_parametrization(m1[:, k], m2[:, k])
-        basis = np.stack([d.ravel() for d in bases]) if bases else None
-        slices.append((base, basis, [np.linspace(lo, hi, grid_resolution) for lo, hi in bounds]))
-    n_par = sum(len(grids) for _, _, grids in slices)
-    if n_par == 0:
-        return Joint3(np.stack([base for base, _, _ in slices], axis=2))
-    if n_par > 6:
-        raise OracleError(f"{n_par} free parameters is too many to enumerate")
-    total_points = grid_resolution**n_par
-    if total_points > MAX_GRID_POINTS:
-        raise OracleError(
-            f"grid of {total_points} points exceeds cap; lower the resolution"
-        )
-    # the product grid in C order, the first slice's parameters varying
-    # slowest, as (leading slices) x (last slice) blocks of at most `chunk` points
-    sizes = [grid_resolution ** len(grids) for _, _, grids in slices]
-    chunk = 1 << 16
-    cached = [_slice_terms(*s, np.arange(size)) if size <= chunk else None for s, size in zip(slices, sizes)]
-
-    def terms(k, index):
-        return _slice_terms(*slices[k], index) if cached[k] is None else tuple(a[index] for a in cached[k])
-
-    last = sizes[-1]
-    rows, cols = max(1, chunk // last), min(last, chunk)
-    leading = total_points // last
-    best_val, best_q = -math.inf, None
-    for a in range(0, leading, rows):
-        lead = [terms(k, i) for k, i in enumerate(np.unravel_index(np.arange(a, min(a + rows, leading)), sizes[:-1]))]
-        q_lead = sum((q for q, _, _ in lead[1:]), lead[0][0])
-        h_lead = sum(h for _, _, h in lead)
-        f_lead = np.logical_and.reduce([f for _, f, _ in lead])
-        for b in range(0, last, cols):
-            q, f, h = terms(n - 1, np.arange(b, min(b + cols, last)))
-            feasible = f_lead[:, None] & f[None, :]
-            if not feasible.any():
-                continue
-            h2 = _plogp_sum((q_lead[:, None, :] + q[None, :, :]).reshape(-1, n, n), (1, 2))
-            vals = np.where(feasible.ravel(), (h_lead[:, None] + h[None, :]).ravel() - h2, -np.inf)
-            j = int(np.argmax(vals))
-            if vals[j] > best_val:
-                best_val = float(vals[j])
-                row, col = divmod(j, len(h))
-                best_q = np.stack([t[0][row].reshape(n, n) for t in lead] + [q[col].reshape(n, n)], axis=2)
-    if best_q is None:
-        raise OracleError("no feasible grid point found")
-    return Joint3(best_q / best_q.sum())
+    q0, q1 = (_slice_grid(m1[:, k], m2[:, k], grid_resolution) for k in range(2))
+    h0, h1 = _plogp_sum(q0, 0), _plogp_sum(q1, 0)
+    best_val, best = -math.inf, None
+    for a in range(0, q0.shape[1], ORACLE_BLOCK_ROWS):
+        rows = slice(a, a + ORACLE_BLOCK_ROWS)
+        vals = (h0[rows, None] + h1) - _plogp_sum(q0[:, rows, None] + q1[:, None, :], 0)
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        if vals[i, j] > best_val:
+            best_val, best = vals[i, j], (a + i, j)
+    q = np.stack([q0[:, best[0]], q1[:, best[1]]], axis=1).reshape(2, 2, 2)
+    return Joint3(q / q.sum())
 
 
 def _clamp(value, failures, name):

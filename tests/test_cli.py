@@ -183,6 +183,23 @@ def test_binned_nan_score_is_one_error_line(tmp_path, fmt, score, command, code)
     assert json.loads(line) == {"error": code, "message": f"not a finite real value: {score!r}"}
 
 
+@pytest.mark.parametrize("command, code", [("convert", "conversion-failed"), ("agreement", "agreement-failed")])
+def test_json_bool_label_is_one_error_line(tmp_path, command, code):
+    # true == 1 in Python: it used to be read as label 1 of the 0..1 range
+    rows = [
+        {"item_id": f"i{i}", "annotator_id": f"a{k}", "condition": cond, "label": label, "confidence": 4}
+        for i in range(3)
+        for k, (cond, label) in enumerate(zip(("m1", "m2", "both"), (True, 0, 1)))
+    ]
+    src = tmp_path / "rows.json"
+    src.write_text(json.dumps(rows))
+    args = ["--input", str(src), "--format", "json", "--schema", "partial"]
+    result = run([command, *args, "--label-space", '{"kind": "ordinal", "range": [0, 1]}'])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": code, "message": "unknown label True for ordinal space"}
+
+
 def test_convert_label_space_file_matches_inline(tmp_path):
     src = tmp_path / "xor.csv"
     write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 200, seed=2))
@@ -519,6 +536,13 @@ def test_oracle_check_deterministic():
     assert run(args).output == run(args).output
 
 
+def test_oracle_check_grid_over_cap_is_one_intractable_line():
+    result = run(["oracle-check", "--trials", "1", "--resolution", "20000"])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line)["error"] == "oracle-intractable"
+
+
 def test_oracle_check_zero_trials_usage_error():
     result = run(["oracle-check", "--trials", "0"])
     assert result.exit_code == 2
@@ -649,7 +673,8 @@ def test_oversized_label_space_is_one_config_error(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "option", [["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "-1e-3"], ["--resolution", "1"]]
+    "option",
+    [["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "-1e-3"], ["--resolution", "1"], ["--seed", "-1"]],
 )
 def test_oracle_check_bad_option_is_one_config_error(option):
     result = run(["oracle-check", "--trials", "1", "--resolution", "50"] + option)

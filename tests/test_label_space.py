@@ -91,6 +91,28 @@ def test_binned_encode_refuses_a_value_that_is_not_a_finite_real(raw):
         encode(space, raw)
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"kind": "ordinal", "range": [0, 1]},
+        {"kind": "binned-continuous", "bin_edges": [-3, 0, 3]},
+        {"kind": "nominal", "values": [0, 1]},
+    ],
+)
+@pytest.mark.parametrize("raw", [True, False])
+def test_encode_refuses_a_bool_that_is_no_label_of_the_space(config, raw):
+    # True == 1 == 1.0: a JSON true used to be read as label 1, or as a value in a bin
+    with pytest.raises(LabelSpaceError, match=f"unknown label {raw}"):
+        encode(build_label_space(config), raw)
+
+
+def test_encode_maps_a_bool_to_the_same_bool_only():
+    space = build_label_space({"kind": "nominal", "values": ["x", True, False]})
+    assert [encode(space, v) for v in ("x", True, False)] == [0, 1, 2]
+    with pytest.raises(LabelSpaceError):
+        encode(build_label_space({"kind": "nominal", "values": ["True", "False"]}), True)
+
+
 def test_encode_gives_the_index_of_each_value():
     for config in (
         {"kind": "nominal", "values": ["a", "b", "c"]},

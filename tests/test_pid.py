@@ -114,8 +114,18 @@ def test_brute_force_matches_solver_on_xor_and_and():
 
 def test_brute_force_rejects_too_many_parameters():
     rng = np.random.default_rng(23)
-    with pytest.raises(OracleError):
-        brute_force_qstar(random_joint(rng, 4), 100)
+    for n in (4, 3):
+        with pytest.raises(OracleError):
+            brute_force_qstar(random_joint(rng, n), 100)
+
+
+def test_brute_force_empty_y_slice_is_feasible():
+    mass = np.random.default_rng(27).exponential(size=(2, 2, 2))
+    mass[:, :, 1] = 0.0
+    p = Joint3(mass / mass.sum())
+    q = brute_force_qstar(p, 200)
+    assert feasible_residual(q.mass, p) <= 1e-12
+    assert np.all(q.mass[:, :, 1] == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -125,6 +135,9 @@ def test_brute_force_rejects_too_many_parameters():
         ("COPY", (1.0, 0.0, 0.0, 0.0)),
         ("UNIQUE1", (0.0, 1.0, 0.0, 0.0)),
         ("AND", (0.3112781244591328, 0.0, 0.0, 0.5)),
+        # OR's y = 0 slice is a single cell; each of UNIQUE2's slices has a zero column
+        ("OR", (0.3112781244591328, 0.0, 0.0, 0.5)),
+        ("UNIQUE2", (0.0, 0.0, 1.0, 0.0)),
     ],
 )
 def test_gate_pid_components(name, expected):
