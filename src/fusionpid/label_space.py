@@ -134,10 +134,10 @@ def encode(space, raw):
         # boundary values go to the lower bin; the bottom edge to bin 0
         idx = bisect.bisect_left(edges, x) - 1
         return max(idx, 0)
-    try:
-        return space.values.index(raw)
-    except ValueError:
-        pass
+    # a number is no bool label either: (False, True).index(1) would be 1
+    for i, v in enumerate(space.values):
+        if v == raw and not isinstance(v, bool):
+            return i
     # CSV input arrives as strings; tolerate string forms of numeric labels
     text = {str(v): i for i, v in enumerate(space.values)}
     if str(raw) in text:

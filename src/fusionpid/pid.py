@@ -94,18 +94,23 @@ FIT_STEPS = 20
 RIDGE = 1e-12
 
 
-def _newton_solve(hess, rhs):
-    """Solve hess x = rhs after Jacobi scaling plus RIDGE, both applied to
-    hess in place (the caller's matrix is consumed, no copy is made).
+def _scale(hess):
+    """Jacobi-scale hess in place and add RIDGE to its diagonal; returns the scale.
 
     A variable with no curvature (every weight it touches underflowed to 0)
-    gets a zero step.
+    gets a zero scale, and so a zero step.
     """
     diag = hess.diagonal()
     scale = np.divide(1.0, np.sqrt(diag), out=np.zeros(len(diag)), where=diag > 0)
     hess *= scale[:, None]
     hess *= scale
     hess.flat[:: len(diag) + 1] += RIDGE
+    return scale
+
+
+def _newton_solve(hess, rhs):
+    """Solve hess x = rhs through `_scale`, which consumes the caller's matrix (no copy is made)."""
+    scale = _scale(hess)
     return scale * np.linalg.solve(hess, scale * rhs)
 
 
@@ -144,6 +149,8 @@ class _DualBarrier:
         free = self.marg > TINY
         free[n * n + np.argmax(m2, axis=0) * n + np.arange(n)] = False
         self.free = np.flatnonzero(free)
+        self.marg_free = self.marg[self.free]
+        self.col_ab = np.concatenate([self.col_a, self.col_b])
         # Newton systems are assembled by index arithmetic in rows of width
         # F + 1: the F free variables, then a spare slot, sliced off, for the
         # fixed and untouched ones. pos_a, pos_b: each cell's two variables.
@@ -151,6 +158,7 @@ class _DualBarrier:
         pos = np.full(len(self.marg), width - 1)
         pos[self.free] = np.arange(width - 1)
         pa, pb = self.pos_a, self.pos_b = pos[self.col_a], pos[self.col_b]
+        self.pos_ab = np.concatenate([pa, pb])
         # E^T diag(w) E has a cell's w at (a, a), (b, b), (a, b) and (b, a);
         # the block rows v have its p at (block, a) and (block, b)
         self.cell_index = np.concatenate([pa * width + pa, pb * width + pb, pa * width + pb, pb * width + pa])
@@ -163,8 +171,7 @@ class _DualBarrier:
 
     def margins(self, cell_mass):
         """The (y1, y) and (y2, y) marginals of per-cell masses, as one vector like `marg`."""
-        size = len(self.marg)
-        return np.bincount(self.col_a, cell_mass, size) + np.bincount(self.col_b, cell_mass, size)
+        return np.bincount(self.col_ab, np.concatenate([cell_mass, cell_mass]), len(self.marg))
 
     def blocks(self, x):
         """Cell exponents s = -(a_ik + b_jk), block log-sum-exps g, in-block softmax p."""
@@ -178,15 +185,23 @@ class _DualBarrier:
         """E^T diag(w) E over the free variables, E the cells' 0/1 incidence rows."""
         return np.bincount(self.cell_index, w[self.cell_rep], self.width**2).reshape(self.width, -1)[:-1, :-1]
 
-    def newton_step(self, t, g, p):
-        """Newton direction of the barrier objective t <x, m> + sum -log(1 - exp(g)), its decrement,
-        and the step along it at and beyond which some block leaves the feasible set."""
+    def newton_system(self, g, p):
+        """The Newton system of the barrier objective t <x, m> + sum -log(1 - exp(g)) at the point
+        with blocks g and softmax p, none of it dependent on t: the Hessian, Jacobi-scaled plus
+        RIDGE, its scale, the free part of the margins of t * q and the block rows v."""
         u = np.exp(g) / -np.expm1(g)  # derivative of the barrier in g
         w = u[self.block_of] * p  # t * q on the central path
-        grad = (t * self.marg - self.margins(w))[self.free]
+        mw = np.bincount(self.pos_ab, np.concatenate([w, w]), self.width)[:-1]
         v = np.bincount(self.row_index, p[self.row_rep], self.n_blocks * self.width).reshape(-1, self.width)[:, :-1]
         hess = self._cell_term(w) + (v.T * (u * u)) @ v
-        step = -_newton_solve(hess, grad)
+        return hess, _scale(hess), mw, v
+
+    def newton_step(self, system, t, g):
+        """Newton direction at barrier parameter t from the point's `newton_system`, its decrement,
+        and the step along it at and beyond which some block leaves the feasible set."""
+        hess, scale, mw, v = system
+        grad = t * self.marg_free - mw
+        step = -(scale * np.linalg.solve(hess, scale * grad))
         dx = np.zeros(len(self.marg))
         dx[self.free] = step
         # g_ij is convex along dx with slope -(v dx)_ij at 0, so it is >= 0 from
@@ -196,22 +211,23 @@ class _DualBarrier:
         limit = (1.0 + 1e-9) / rate if rate > 0 else math.inf
         return dx, -float(grad @ step), limit
 
-    def line_search(self, x, dx, t, g, decrement, step, limit):
+    def line_search(self, x, dx, t, barrier, decrement, step, limit):
         """Backtrack from `step` until the point stays strictly feasible and the barrier objective drops.
 
-        Steps at or beyond `limit` are infeasible and are halved without being tried.
+        `barrier` is the current point's sum log(1 - exp(g)); the accepted point
+        is returned with its own. Steps at or beyond `limit` are infeasible and
+        are halved without being tried.
         """
-        # the slope of t <x, m> along dx and the current point's barrier, once per search
-        slope = t * float(self.marg @ dx)
-        barrier = float(np.sum(np.log(-np.expm1(g))))
+        slope = t * float(self.marg @ dx)  # the slope of t <x, m> along dx
         for _ in range(30):
             if step < limit:
                 x_new = x + step * dx
                 s, g_new, p = self.blocks(x_new)
                 if g_new.max() < 0:
-                    change = step * slope + barrier - float(np.sum(np.log(-np.expm1(g_new))))
+                    barrier_new = float(np.sum(np.log(-np.expm1(g_new))))
+                    change = step * slope + barrier - barrier_new
                     if change <= -0.1 * step * decrement:
-                        return x_new, s, g_new, p
+                        return x_new, s, g_new, p, barrier_new
             step *= 0.5
         return None
 
@@ -245,7 +261,11 @@ def solve_qstar(joint):
     t_final itself. Stages below t_final stop at a Newton decrement of
     LOOSE_CENTERING_TOL; only the final stage (t >= t_final), whose point
     q* and the certificate are read from, is centered to CENTERING_TOL
-    (Boyd & Vandenberghe, Convex Optimization, 11.3). q* is read off the
+    (Boyd & Vandenberghe, Convex Optimization, 11.3). The Newton system
+    (`_DualBarrier.newton_system`) does not depend on t, so it is built once
+    per dual point, the starting point and each point a line search accepts:
+    the step that shows a stage centered and the first step of the next
+    stage, at the larger t, solve the same system. q* is read off the
     central-path multipliers, q_ijk = lambda_ij softmax_k(-a_ik - b_jk), and
     a per-y rescaling of its rows and columns in the log domain makes its
     marginals exact. The reported objective_gap is the certificate: the dual
@@ -267,6 +287,8 @@ def solve_qstar(joint):
         b = np.where(m2 > TINY, half - np.log(m2), 0.0)
     x = np.concatenate([a.ravel(), b.ravel()])
     s, g, p = prog.blocks(x)
+    barrier = float(np.sum(np.log(-np.expm1(g))))
+    system = prog.newton_system(g, p)
     t = prog.n_blocks / (float(prog.marg @ x) - LN2 * conditional_entropy_output(q0))
     target = GAP_SHARE * OBJECTIVE_TOL * LN2
     t_final = prog.n_blocks / target
@@ -276,15 +298,16 @@ def solve_qstar(joint):
         final = t >= t_final
         tol = CENTERING_TOL if final else LOOSE_CENTERING_TOL
         while it < MAX_ITERATIONS:
-            dx, decrement, limit = prog.newton_step(t, g, p)
+            dx, decrement, limit = prog.newton_step(system, t, g)
             if not decrement > 2 * tol:  # centered, or NaN
                 break
             it += 1
-            moved = prog.line_search(x, dx, t, g, decrement, step, limit)
+            moved = prog.line_search(x, dx, t, barrier, decrement, step, limit)
             step = 1.0
             if moved is None:
                 break
-            x, s, g, p = moved
+            x, s, g, p, barrier = moved
+            system = prog.newton_system(g, p)
         if final or it >= MAX_ITERATIONS:
             q[prog.cells] = prog.recover(s, g, t, 0.01 * FEAS_TOL)
             objective = conditional_entropy_output(q)

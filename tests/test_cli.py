@@ -200,6 +200,24 @@ def test_json_bool_label_is_one_error_line(tmp_path, command, code):
     assert json.loads(line) == {"error": code, "message": "unknown label True for ordinal space"}
 
 
+@pytest.mark.parametrize("label", [1, 1.0, 0])
+@pytest.mark.parametrize("command, code", [("convert", "conversion-failed"), ("agreement", "agreement-failed")])
+def test_json_number_label_on_a_bool_space_is_one_error_line(tmp_path, command, code, label):
+    # 1 == True in Python: a JSON 1 used to be read as label true of [false, true]
+    rows = [
+        {"item_id": f"i{i}", "annotator_id": f"a{k}", "condition": cond, "label": label, "confidence": 4}
+        for i in range(3)
+        for k, cond in enumerate(("m1", "m2", "both"))
+    ]
+    src = tmp_path / "rows.json"
+    src.write_text(json.dumps(rows))
+    args = ["--input", str(src), "--format", "json", "--schema", "partial"]
+    result = run([command, *args, "--label-space", '{"kind": "nominal", "values": [false, true]}'])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": code, "message": f"unknown label {label!r} for nominal space"}
+
+
 def test_convert_label_space_file_matches_inline(tmp_path):
     src = tmp_path / "xor.csv"
     write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 200, seed=2))

@@ -26,6 +26,7 @@ from fusionpid.pid import (
     pid_from_joint,
     solve_qstar,
 )
+from fusionpid.synth import GATES, GateSpec, canonical_joint
 
 SIZES = [2, 3, 4, 5, 6, 7]
 
@@ -137,29 +138,39 @@ def assert_close(actual, expected, rel=1e-12, scale=None):
 
 
 def traced_solve(p, monkeypatch):
-    """Solve p's program, recording each Newton step's inputs and the system
-    handed to `_newton_solve`, and each `recover` call with its fit matrices."""
-    systems, steps, recovers = [], [], []
-    real_solve = pid._newton_solve
-    real_step, real_recover = pid._DualBarrier.newton_step, pid._DualBarrier.recover
+    """Solve p's program, recording each Newton step's inputs with the Hessian
+    handed to `_scale` and the gradient of its system, and each `recover` call
+    with its fit matrices."""
+    scaled, built, steps, recovers = [], {}, [], []
+    real_scale = pid._scale
+    real_system, real_step = pid._DualBarrier.newton_system, pid._DualBarrier.newton_step
+    real_recover = pid._DualBarrier.recover
 
-    def newton_solve(hess, rhs):
-        systems.append((hess.copy(), rhs.copy()))
-        return real_solve(hess, rhs)
+    def scale(hess):
+        scaled.append(hess.copy())
+        return real_scale(hess)
 
-    def newton_step(self, t, g, p):
-        systems.clear()
-        out = real_step(self, t, g, p)
-        steps.append((self, t, g.copy(), p.copy(), systems[0], out))
+    def newton_system(self, g, p):
+        scaled.clear()
+        system = real_system(self, g, p)
+        built[id(system)] = (system, p.copy(), scaled[0])  # held, so that no id is reused
+        return system
+
+    def newton_step(self, system, t, g):
+        out = real_step(self, system, t, g)
+        _, p, hess = built[id(system)]
+        grad = t * self.marg_free - system[2]  # the gradient newton_step forms
+        steps.append((self, t, g.copy(), p, (hess, grad), out))
         return out
 
     def recover(self, s, g, t, tol):
-        systems.clear()
+        scaled.clear()
         q = real_recover(self, s, g, t, tol)
-        recovers.append((self, s.copy(), g.copy(), t, tol, [hess for hess, _ in systems], q))
+        recovers.append((self, s.copy(), g.copy(), t, tol, list(scaled), q))
         return q
 
-    monkeypatch.setattr(pid, "_newton_solve", newton_solve)
+    monkeypatch.setattr(pid, "_scale", scale)
+    monkeypatch.setattr(pid._DualBarrier, "newton_system", newton_system)
     monkeypatch.setattr(pid._DualBarrier, "newton_step", newton_step)
     monkeypatch.setattr(pid._DualBarrier, "recover", recover)
     solve_qstar(p)
@@ -238,6 +249,54 @@ def test_only_the_final_stage_is_centered_tightly(kind, n, monkeypatch):
     assert res.converged and res.objective_gap <= OBJECTIVE_TOL and res.consistency["passed"], res.to_json()
 
 
+REUSE_SOLVES = [(gate, 2) for gate in GATES] + [
+    (kind, n) for kind in ("dense", "sparse", "near-deterministic") for n in SIZES
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, n", REUSE_SOLVES)
+def test_one_newton_system_per_point_reused_across_the_barrier_jump(kind, n, monkeypatch):
+    p = canonical_joint(GateSpec(kind)) if kind in GATES else joint(kind, n)
+    built, failed, point, steps = [], [], {}, []
+    real_system, real_step = pid._DualBarrier.newton_system, pid._DualBarrier.newton_step
+    real_search = pid._DualBarrier.line_search
+
+    def newton_system(self, g, p):
+        built.append(g)
+        point.setdefault("p", p)  # the first system is built at the starting point
+        return real_system(self, g, p)
+
+    def line_search(self, *args):
+        moved = real_search(self, *args)
+        if moved is None:
+            failed.append(args)
+        else:
+            point["p"] = moved[3]
+        return moved
+
+    def newton_step(self, system, t, g):
+        out = real_step(self, system, t, g)
+        # the same step from a system built afresh at the current point
+        fresh = real_step(self, real_system(self, g, point["p"]), t, g)
+        steps.append((t, out, fresh))
+        return out
+
+    monkeypatch.setattr(pid._DualBarrier, "newton_system", newton_system)
+    monkeypatch.setattr(pid._DualBarrier, "line_search", line_search)
+    monkeypatch.setattr(pid._DualBarrier, "newton_step", newton_step)
+    _, diagnostics = solve_qstar(p)
+    monkeypatch.undo()
+    # one system at the starting point and one per accepted step: none is
+    # built again when t grows, so a stage's first step reuses the last one
+    assert len(built) == diagnostics["iterations"] + 1 - len(failed)
+    assert len({t for t, _, _ in steps}) >= 2
+    # bit for bit: a system kept after the point moved would give another step
+    for t, (dx, decrement, limit), (ref_dx, ref_decrement, ref_limit) in steps:
+        assert dx.tobytes() == ref_dx.tobytes(), t
+        assert np.array([decrement, limit]).tobytes() == np.array([ref_decrement, ref_limit]).tobytes(), t
+
+
 def test_barrier_arrays_grow_like_cells_not_cells_times_variables():
     # at n = 15 the dense incidence matrix alone took 3375 x 450 doubles (12 MB)
     prog = pid._DualBarrier(joint("dense", 15))
@@ -258,18 +317,22 @@ def strictly_feasible_point(prog, rng):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_feasibility_limit_is_sound(kind, n, monkeypatch):
-    # newton_step's limit is checked along random directions: `_newton_solve`
-    # is replaced by a random draw, so the step is -draw on the free variables
+def test_feasibility_limit_is_sound(kind, n):
+    # newton_step's limit is checked along random directions: the point's
+    # Newton system keeps its block rows v, but its matrix and scale are the
+    # identity and its margins make the gradient a random draw, so the step is
+    # -draw on the free variables (up to the rounding of t * marg_free)
     rng = np.random.default_rng([n, len(kind)])
-    monkeypatch.setattr(pid, "_newton_solve", lambda hess, rhs: rng.normal(size=len(rhs)))
     finite = 0
     for trial in range(25):
         prog = pid._DualBarrier(joint(kind, n, seed=trial))
         x = strictly_feasible_point(prog, rng)
         _, g, p = prog.blocks(x)
         assert g.max() < 0
-        dx, _, limit = prog.newton_step(10.0 ** rng.uniform(-2, 6), g, p)
+        t, free = 10.0 ** rng.uniform(-2, 6), len(prog.free)
+        *_, v = prog.newton_system(g, p)
+        system = (np.eye(free), np.ones(free), t * prog.marg_free - rng.normal(size=free), v)
+        dx, _, limit = prog.newton_step(system, t, g)
         assert limit > 0
         if np.isinf(limit):
             continue
@@ -291,8 +354,9 @@ def test_line_search_never_tries_a_step_past_the_limit(monkeypatch):
     dx = np.zeros_like(x)
     dx[prog.free] = 1.0
     tried.clear()
+    barrier = float(np.sum(np.log(-np.expm1(g))))
     # every halving of 1 down to 2^-29 is at or past a limit of 2^-30: none is tried
-    assert prog.line_search(x, dx, 1.0, g, 1.0, 1.0, 2.0**-30) is None
+    assert prog.line_search(x, dx, 1.0, barrier, 1.0, 1.0, 2.0**-30) is None
     assert not tried
 
 

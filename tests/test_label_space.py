@@ -113,6 +113,20 @@ def test_encode_maps_a_bool_to_the_same_bool_only():
         encode(build_label_space({"kind": "nominal", "values": ["True", "False"]}), True)
 
 
+@pytest.mark.parametrize("raw", [1, 1.0, 0, 0.0])
+def test_encode_refuses_a_number_on_a_bool_space(raw):
+    # 1 == True: (False, True).index(1) used to read the number as label True
+    with pytest.raises(LabelSpaceError, match=f"unknown label {raw}"):
+        encode(build_label_space({"kind": "nominal", "values": [False, True]}), raw)
+
+
+def test_encode_keeps_bools_and_numbers_of_one_space_apart():
+    space = build_label_space({"kind": "nominal", "values": [False, 1]})
+    assert [encode(space, v) for v in (False, 1, 1.0)] == [0, 1, 1]
+    with pytest.raises(LabelSpaceError, match="unknown label 0"):
+        encode(space, 0)
+
+
 def test_encode_gives_the_index_of_each_value():
     for config in (
         {"kind": "nominal", "values": ["a", "b", "c"]},
