@@ -1,6 +1,5 @@
 """Command-line pipeline: ingestion, PID conversion, agreement, synthesis."""
 
-import itertools
 import json
 import math
 import sys
@@ -44,7 +43,6 @@ from .synth import GATES, GateSpec, canonical_joint, sample
 
 EXIT_NONCONVERGED = 1
 EXIT_INPUT_ERROR = 2
-SYNTH_CHUNK_LINES = 1 << 16
 
 
 def _fail(code, message, exit_code=EXIT_INPUT_ERROR):
@@ -55,18 +53,20 @@ def _fail(code, message, exit_code=EXIT_INPUT_ERROR):
 def _read(path, parse, error):
     """`parse` of the text file at `path`, opened for it.
 
-    A file that is missing, or cannot be read or decoded as UTF-8, is one
-    `input-not-found` or `input-unreadable` line; content that `parse`
-    rejects (`SchemaError`, `JSONDecodeError`) is one `error` line.
+    A leading UTF-8 byte-order mark is skipped. A file that is missing, or
+    cannot be read or decoded as UTF-8, is one `input-not-found` or
+    `input-unreadable` line; content that `parse` rejects (`SchemaError`,
+    `JSONDecodeError`, or JSON nested deeper than the decoder's recursion
+    limit) is one `error` line.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parse(fh)
     except FileNotFoundError:
         _fail("input-not-found", f"input file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:
         _fail("input-unreadable", f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         _fail(error, f"malformed JSON in {path}: {exc}")
     except SchemaError as exc:
         _fail(error, str(exc))
@@ -74,18 +74,12 @@ def _read(path, parse, error):
 
 def _write(text, out):
     """Write `text` to the file `out`, or to stdout ending in a newline."""
-    _write_parts([text] if out is not None or text.endswith("\n") else [text, "\n"], out)
-
-
-def _write_parts(parts, out):
-    """Write the strings of the iterable `parts` in turn to the file `out`, or to stdout."""
     if out is None:
-        for part in parts:
-            click.echo(part, nl=False)
+        click.echo(text, nl=not text.endswith("\n"))
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(parts)
+            fh.write(text)
     except OSError as exc:
         _fail("output-unwritable", f"cannot write {out}: {exc}")
 
@@ -96,7 +90,7 @@ def _load_label_space(text):
     try:
         cfg = json.loads(text) if text.lstrip().startswith("{") else _read(text, json.load, "invalid-label-space")
         return build_label_space(cfg)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         _fail("invalid-label-space", f"label-space JSON is malformed: {exc}")
     except LabelSpaceError as exc:
         _fail("invalid-label-space", str(exc))
@@ -335,7 +329,7 @@ def oracle_check(trials, seed, resolution, tolerance):
         "failures": failures,
         "passed": failures == 0,
     }
-    click.echo(json.dumps(summary, indent=2, sort_keys=True))
+    _write_report(summary, None)
     if failures:
         sys.exit(EXIT_NONCONVERGED)
 
@@ -347,21 +341,14 @@ def oracle_check(trials, seed, resolution, tolerance):
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=str, default=None)
 def synth(gate, noise, count, seed, out):
-    """Sample a gate distribution and emit a y1,y2,y,weight CSV, rows grouped by cell."""
+    """Sample a gate distribution and emit a y1,y2,y,weight CSV: one row per drawn cell, weighted by its count."""
     try:
         spec = GateSpec(gate=gate, noise=noise)
         data = sample(canonical_joint(spec), count, seed)
     except ValueError as exc:
         _fail("invalid-config", str(exc))
-    # one weight-1 line per draw: each drawn cell's line repeated by its count
-    lines = [(f"{a},{b},{c},1\n", int(k)) for (a, b, c), k in zip(data.samples.tolist(), data.weights.tolist())]
-    # the largest file offset is sys.maxsize = 2^63 - 1 bytes; checked before any line is written
-    if sum(len(line) * k for line, k in lines) >= sys.maxsize:
-        _fail("invalid-config", f"count {count} gives a CSV past the largest file offset, 2^63 - 1 bytes")
-    # a cell's run of lines goes out in pieces of at most SYNTH_CHUNK_LINES
-    # lines, so memory does not grow with the count
-    pieces = (line * min(SYNTH_CHUNK_LINES, k - i) for line, k in lines for i in range(0, k, SYNTH_CHUNK_LINES))
-    _write_parts(itertools.chain(["y1,y2,y,weight\n"], pieces), out)
+    cells = zip(data.samples.tolist(), data.weights.tolist())
+    _write("y1,y2,y,weight\n" + "".join(f"{a},{b},{c},{int(w)}\n" for (a, b, c), w in cells), out)
 
 
 if __name__ == "__main__":

@@ -332,7 +332,7 @@ def _json_columns(stream, names):
     """(levels, codes) per field from a JSON array of objects, and the row for a row number."""
     try:
         rows = json.load(stream)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise SchemaError(f"malformed JSON: {exc}") from None
     if not isinstance(rows, list):
         raise SchemaError("JSON input must be an array of objects")

@@ -1,17 +1,20 @@
 import csv
 import json
 from importlib import resources
+from itertools import product
 
 import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from fusionpid import cli, pid
+from fusionpid import pid
 from fusionpid.cli import main
+from fusionpid.dataset import TripleDataset
+from fusionpid.info import empirical_joint
 from fusionpid.label_space import MAX_LABELS
 from fusionpid.pid import InfeasibleError
-from fusionpid.synth import GateSpec, canonical_joint, sample
+from fusionpid.synth import GATES, GateSpec, canonical_joint, sample
 
 LABEL_SPACE = '{"kind": "nominal", "values": ["0", "1"]}'
 
@@ -29,6 +32,15 @@ def write_partial_csv(path, data):
         lines.append(f"i{i:05d},a2,m2,{y2},4")
         lines.append(f"i{i:05d},a3,both,{y},5")
     path.write_text("\n".join(lines) + "\n")
+
+
+def partial_rows(data):
+    """Partial-label rows of a `sample`, header first: one item per draw, one annotator per condition."""
+    rows = [["item_id", "annotator_id", "condition", "label", "confidence"]]
+    for i, row in enumerate(draws(data)):
+        for k, (cond, y) in enumerate(zip(("m1", "m2", "both"), row)):
+            rows.append([f"item-{i:05d}", f"ann-{k}", cond, str(y), "3"])
+    return rows
 
 
 def run(args):
@@ -272,11 +284,7 @@ def test_bad_input_or_output_file_is_one_json_line(tmp_path, monkeypatch, args, 
 
 
 def test_convert_report_same_for_lf_crlf_and_quoted_csv(tmp_path, monkeypatch):
-    data = sample(canonical_joint(GateSpec("AND")), 300, seed=5)
-    rows = [["item_id", "annotator_id", "condition", "label", "confidence"]]
-    for i, row in enumerate(draws(data)):
-        for k, (cond, y) in enumerate(zip(("m1", "m2", "both"), row)):
-            rows.append([f"item-{i:05d}", f"ann-{k}", cond, str(y), "3"])
+    rows = partial_rows(sample(canonical_joint(GateSpec("AND")), 300, seed=5))
     reports = []
     for name, options in [("lf", {"lineterminator": "\n"}), ("crlf", {}), ("quoted", {"quoting": csv.QUOTE_ALL})]:
         (tmp_path / name).mkdir()
@@ -287,6 +295,72 @@ def test_convert_report_same_for_lf_crlf_and_quoted_csv(tmp_path, monkeypatch):
         assert result.exit_code == 0, result.output
         reports.append(result.output)
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "quoted-csv", "json"])
+def test_annotation_file_with_a_byte_order_mark_gives_the_report_without_it(tmp_path, monkeypatch, fmt):
+    # unquoted CSV is coded from its bytes; quoted CSV falls back to csv.reader from the file's start
+    rows = partial_rows(sample(canonical_joint(GateSpec("AND")), 300, seed=5))
+    name = "in.json" if fmt == "json" else "in.csv"
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        (tmp_path / encoding).mkdir()
+        monkeypatch.chdir(tmp_path / encoding)  # the report echoes the input path
+        with open(name, "w", newline="", encoding=encoding) as fh:
+            if fmt == "json":
+                json.dump([dict(zip(rows[0], row)) for row in rows[1:]], fh)
+            else:
+                csv.writer(fh, quoting=csv.QUOTE_ALL if fmt == "quoted-csv" else csv.QUOTE_MINIMAL).writerows(rows)
+        args = ["--input", name, "--format", fmt.removeprefix("quoted-"), "--schema", "partial"]
+        for command in (["convert", "--label-space", LABEL_SPACE], ["agreement"]):
+            result = run(command + args)
+            assert result.exit_code == 0, result.output
+            outputs.append(result.output)
+    assert outputs[:2] == outputs[2:]
+
+
+def test_joint_and_label_space_files_with_a_byte_order_mark_are_read(tmp_path):
+    joint = json.dumps(canonical_joint(GateSpec("AND")).to_json())
+    src = tmp_path / "xor.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 200, seed=2))
+    outputs = {}
+    for encoding in ("utf-8", "utf-8-sig"):
+        (tmp_path / f"joint-{encoding}.json").write_text(joint, encoding=encoding)
+        (tmp_path / f"space-{encoding}.json").write_text(LABEL_SPACE, encoding=encoding)
+        pid_args = ["pid", "--input", str(tmp_path / f"joint-{encoding}.json")]
+        convert_args = ["convert", "--input", str(src), "--schema", "partial"]
+        for args in (pid_args, convert_args + ["--label-space", str(tmp_path / f"space-{encoding}.json")]):
+            result = run(args)
+            assert result.exit_code == 0, result.output
+            outputs[args[0], encoding] = result.output
+    assert outputs["pid", "utf-8"] == outputs["pid", "utf-8-sig"]
+    assert outputs["convert", "utf-8"] == outputs["convert", "utf-8-sig"]
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # nested past the JSON decoder's recursion limit
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["pid", "--input", "deep.json"], "invalid-distribution"),
+        (["convert", "--input", "deep.json", "--format", "json", "--label-space", LABEL_SPACE], "invalid-records"),
+        (["agreement", "--input", "deep.json", "--format", "json"], "invalid-records"),
+        (["agreement", "--input", "xor.csv", "--label-space", "deep.json"], "invalid-label-space"),
+        (["agreement", "--input", "xor.csv", "--label-space", '{"values": ' + DEEP_JSON + "}"], "invalid-label-space"),
+    ],
+)
+def test_json_nested_too_deep_is_one_error_line(tmp_path, monkeypatch, args, code):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
+    write_partial_csv(tmp_path / "xor.csv", sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
+    if args[0] != "pid":
+        args = [*args, "--schema", "partial"]
+    result = run(args)
+    assert result.exit_code == 2, result.output
+    [line] = result.output.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == code and "recursion" in error["message"]
 
 
 def test_csv_field_over_size_limit_is_one_json_line(tmp_path):
@@ -572,12 +646,26 @@ def test_synth_csv_output(tmp_path):
     assert result.exit_code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "y1,y2,y,weight"
-    assert len(lines) == 101
-    y1, y2, y, w = lines[1].split(",")
-    assert int(y) == int(y1) ^ int(y2)
+    rows = [[int(v) for v in line.split(",")] for line in lines[1:]]
+    assert 1 <= len(rows) <= 4  # one row per drawn cell of XOR's four
+    assert all(y == y1 ^ y2 for y1, y2, y, _ in rows)
+    assert sum(w for *_, w in rows) == 100
 
 
-@pytest.mark.parametrize("gate, noise, count, seed", [("XOR", 0.0, 100, 1), ("AND", 0.1, 2000, 3), ("COPY", 0.3, 1, 0)])
+def read_weighted_csv(path, space):
+    """The `synth` CSV at `path` as a TripleDataset, each row weighted by its weight column."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    samples = np.array([[int(v) for v in row[:3]] for row in rows], np.uint8)
+    return TripleDataset(space, samples, np.array([float(row[3]) for row in rows]))
+
+
+@pytest.mark.parametrize(
+    "gate, noise, count, seed",
+    dict.fromkeys(
+        [("XOR", 0.0, 100, 1), ("AND", 0.1, 2000, 3), ("COPY", 0.3, 1, 0)]
+        + list(product(GATES, [0.0, 0.1], [1, 100, 2000, 2**63 - 1], [3]))
+    ),
+)
 def test_synth_csv_equals_per_row_format_of_sample(tmp_path, gate, noise, count, seed):
     args = ["synth", "--gate", gate, "--noise", str(noise), "--count", str(count), "--seed", str(seed)]
     out = tmp_path / "synth.csv"
@@ -585,22 +673,11 @@ def test_synth_csv_equals_per_row_format_of_sample(tmp_path, gate, noise, count,
     assert result.exit_code == 0, result.output
     data = sample(canonical_joint(GateSpec(gate, noise=noise)), count, seed)
     lines = ["y1,y2,y,weight"]
-    lines += [f"{a},{b},{c},1" for a, b, c in draws(data)]
+    lines += [f"{a},{b},{c},{int(w)}" for (a, b, c), w in zip(data.samples.tolist(), data.weights.tolist())]
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert run(args).output == out.read_text()  # stdout carries the same text
-
-
-def test_synth_csv_written_in_pieces_equals_per_row_format_of_sample(tmp_path, monkeypatch):
-    # pieces of 7 lines: cells of fewer, exactly 7 and many more draws
-    monkeypatch.setattr(cli, "SYNTH_CHUNK_LINES", 7)
-    for count in (7, 20, 1000):
-        args = ["synth", "--gate", "AND", "--noise", "0.1", "--count", str(count), "--seed", "4"]
-        out = tmp_path / "synth.csv"
-        assert run(args + ["--out", str(out)]).exit_code == 0
-        data = sample(canonical_joint(GateSpec("AND", noise=0.1)), count, 4)
-        lines = ["y1,y2,y,weight"] + [f"{a},{b},{c},1" for a, b, c in draws(data)]
-        assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
-        assert run(args).output == out.read_text()
+    # read back with its weights, the file is the same sample to the bit
+    assert np.array_equal(empirical_joint(read_weighted_csv(out, data.space)).mass, empirical_joint(data).mass)
 
 
 @pytest.mark.parametrize("count", ["0", "-1", "9223372036854775808", "100000000000000000000"])
@@ -609,16 +686,6 @@ def test_synth_count_a_multinomial_cannot_take_is_one_config_error(count):
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
     assert json.loads(line) == {"error": "invalid-config", "message": f"count must lie in [1, 2^63 - 1], got {count}"}
-
-
-def test_synth_count_whose_csv_passes_the_largest_file_offset_is_one_config_error():
-    # `sample` takes the largest int64 count; its 8-byte lines would need 2^66 bytes, past 2^63 - 1
-    count = str(2**63 - 1)
-    result = run(["synth", "--gate", "XOR", "--count", count])
-    assert result.exit_code == 2
-    [line] = result.output.strip().splitlines()
-    message = f"count {count} gives a CSV past the largest file offset, 2^63 - 1 bytes"
-    assert json.loads(line) == {"error": "invalid-config", "message": message}
 
 
 def test_synth_deterministic():

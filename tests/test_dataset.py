@@ -428,6 +428,12 @@ def test_malformed_json_is_schema_error():
         parse_partial(io.StringIO('[{"item_id": '), "json")
 
 
+@pytest.mark.parametrize("parse", [parse_partial, parse_counterfactual, parse_decomposition])
+def test_json_nested_past_the_decoder_recursion_limit_is_schema_error(parse):
+    with pytest.raises(SchemaError, match="^malformed JSON: maximum recursion depth exceeded"):
+        parse(io.StringIO("[" * 200_000 + "]" * 200_000), "json")
+
+
 def test_json_labels_one_and_one_point_zero_stay_distinct():
     rows = [
         {"item_id": 7, "annotator_id": "a", "condition": "m1", "label": 1, "confidence": 3},
