@@ -85,8 +85,6 @@ def _write(text, out):
 
 
 def _load_label_space(text):
-    if text is None:
-        _fail("missing-label-space", "--label-space is required for this command")
     try:
         cfg = json.loads(text) if text.lstrip().startswith("{") else _read(text, json.load, "invalid-label-space")
         return build_label_space(cfg)
@@ -193,7 +191,12 @@ def main():
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--schema", type=click.Choice(["partial", "counterfactual"]), required=True)
 @click.option("--label-space", "label_space", type=str, required=True, help="inline JSON or a path to a JSON file")
-@click.option("--pairing", type=click.Choice(["rotation", "all-pairs"]), default="rotation", show_default=True)
+@click.option(
+    "--pairing",
+    type=click.Choice(["rotation", "all-pairs"]),
+    default=None,
+    help="partial: rotation (the default) or all-pairs; counterfactual: all-pairs, the only rule it has",
+)
 @click.option("--smoothing", type=float, default=0.0, show_default=True)
 @click.option("--metric", type=click.Choice(["nominal", "ordinal", "interval"]), default="nominal", show_default=True)
 @click.option("--out", type=str, default=None, help="report path (stdout if omitted)")
@@ -202,6 +205,9 @@ def convert(path, fmt, schema, label_space, pairing, smoothing, metric, out):
     space = _load_label_space(label_space)
     if not (math.isfinite(smoothing) and smoothing >= 0):
         _fail("invalid-config", f"--smoothing must be finite and nonnegative, got {smoothing}")
+    if schema == "counterfactual" and pairing == "rotation":
+        _fail("invalid-config", "counterfactual labels pair every first-m1 with every first-m2 annotator: no rotation")
+    pairing = pairing or ("rotation" if schema == "partial" else "all-pairs")
     table = _parse_table(path, fmt, schema)
     try:
         if schema == "partial":
@@ -348,7 +354,7 @@ def synth(gate, noise, count, seed, out):
     except ValueError as exc:
         _fail("invalid-config", str(exc))
     cells = zip(data.samples.tolist(), data.weights.tolist())
-    _write("y1,y2,y,weight\n" + "".join(f"{a},{b},{c},{int(w)}\n" for (a, b, c), w in cells), out)
+    _write("y1,y2,y,weight\n" + "".join(f"{a},{b},{c},{w}\n" for (a, b, c), w in cells), out)
 
 
 if __name__ == "__main__":

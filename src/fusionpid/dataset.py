@@ -106,7 +106,8 @@ class TripleDataset:
     samples: (N, 3) label indices, stored as a C-contiguous uint8 array (a
     space holds at most MAX_LABELS = 32 labels, so an index fits one byte and
     a row three; counting the joint reads a third of the bytes int64 rows
-    would take); weights: (N,) positive floats.
+    would take); weights: (N,) positive numbers, kept as given when integers
+    (a sampled dataset's draw counts) and cast to float otherwise.
     """
 
     space: object
@@ -118,7 +119,8 @@ class TripleDataset:
         if n > MAX_LABELS:  # an index must fit the uint8 cast below
             raise SchemaError(f"label space has {n} labels, more than the {MAX_LABELS} supported")
         self.samples = np.asarray(self.samples)
-        self.weights = np.asarray(self.weights, dtype=float)
+        weights = np.asarray(self.weights)  # integer counts stay exact above 2^53
+        self.weights = weights if weights.dtype.kind in "iu" else np.asarray(self.weights, dtype=float)
         shape_ok = self.samples.shape[1:] == (3,) and self.weights.shape == self.samples.shape[:1]
         if not shape_ok or self.samples.dtype.kind not in "iu":
             raise SchemaError("samples must be an (N, 3) integer array and weights an (N,) array")

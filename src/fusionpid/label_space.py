@@ -2,14 +2,10 @@
 
 import bisect
 import math
-import re
 from dataclasses import dataclass
 
 
-SAME = "SAME"
-DIFFERENT = "DIFFERENT"
-
-KINDS = ("nominal", "ordinal", "binned-continuous", "qa-binary")
+KINDS = ("nominal", "ordinal", "binned-continuous")
 
 # The largest label count a PID solve can take: a dense n = 32 joint took
 # 13 s in 33 Newton steps and 143 MB peak RSS (one thread of a 2-core x86
@@ -26,7 +22,7 @@ class LabelSpaceError(ValueError):
 class LabelSpace:
     """Ordered finite support of task labels.
 
-    kind: one of "nominal", "ordinal", "binned-continuous", "qa-binary".
+    kind: one of "nominal", "ordinal", "binned-continuous".
     values: ordered label names (bin names for binned-continuous).
     bin_edges: ascending boundaries, binned-continuous only.
     """
@@ -54,8 +50,6 @@ class LabelSpace:
                 raise LabelSpaceError("bin count must be edge count minus one")
         elif self.bin_edges is not None:
             raise LabelSpaceError("bin_edges only valid for binned-continuous")
-        if self.kind == "qa-binary" and tuple(self.values) != (SAME, DIFFERENT):
-            raise LabelSpaceError("qa-binary values must be [SAME, DIFFERENT]")
 
     @property
     def size(self):
@@ -79,13 +73,10 @@ def build_label_space(config):
       {"kind": "nominal", "values": [...]}
       {"kind": "ordinal", "values": [...]} or {"kind": "ordinal", "range": [lo, hi]}
       {"kind": "binned-continuous", "bin_edges": [...]}
-      {"kind": "qa-binary"}
     """
     if not isinstance(config, dict) or "kind" not in config:
         raise LabelSpaceError("label-space config must be a mapping with a 'kind'")
     kind = config["kind"]
-    if kind == "qa-binary":
-        return LabelSpace(kind=kind, values=(SAME, DIFFERENT))
     try:
         if kind == "binned-continuous":
             edges = tuple(float(e) for e in config.get("bin_edges", DEFAULT_CONTINUOUS_EDGES))
@@ -144,21 +135,3 @@ def encode(space, raw):
         return text[str(raw)]
     raise LabelSpaceError(f"unknown label {raw!r} for {space.kind} space")
 
-
-_WS = re.compile(r"\s+")
-
-
-def _normalize_answer(text):
-    return _WS.sub(" ", str(text).strip()).lower()
-
-
-def qa_binarize(answer, reference):
-    """Compare two free-text answers; 0 = SAME, 1 = DIFFERENT.
-
-    Equality is exact match after trimming, lowercasing, and collapsing
-    internal whitespace runs. No synonym matching.
-    """
-    a, b = _normalize_answer(answer), _normalize_answer(reference)
-    if not a or not b:
-        raise LabelSpaceError("empty answer after normalization")
-    return 0 if a == b else 1

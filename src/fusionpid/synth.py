@@ -56,7 +56,7 @@ def sample(p, count, seed):
 
     Cells at or below 0 (a Joint3 admits -MASS_TOL) are never drawn and the
     rest are renormalised; a cell drawn 0 times is left out, so the weights
-    are positive whole numbers summing to `count`.
+    are the positive int64 counts, summing exactly to `count`.
     """
     if not 1 <= count <= np.iinfo(np.int64).max:  # numpy's multinomial takes an int64 count
         raise ValueError(f"count must lie in [1, 2^63 - 1], got {count}")
@@ -67,4 +67,4 @@ def sample(p, count, seed):
     counts = np.random.default_rng(seed).multinomial(count, pvals / pvals.sum())
     drawn = counts > 0
     cells = np.stack(np.unravel_index(support[drawn], p.mass.shape), axis=1)
-    return TripleDataset(space, cells.astype(np.uint8), counts[drawn].astype(float))
+    return TripleDataset(space, cells.astype(np.uint8), counts[drawn])

@@ -242,6 +242,11 @@ def test_ratings_refuse_arrays_that_are_not_in_range_codes(unit, code):
         Ratings(2, np.array(unit), np.array(code), ["a", "b"])
 
 
+def test_ratings_refuse_an_unknown_metric():
+    with pytest.raises(AgreementError, match="metric must be one of"):
+        Ratings(2, np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), ["a", "b"], "x")
+
+
 def test_ratings_take_any_integer_dtype():
     want = krippendorff_alpha(Ratings(2, np.array([0, 0, 1, 1]), np.array([0, 1, 1, 1]), ["a", "b"]))
     for dtype in (np.uint8, np.int32, np.uint64):

@@ -96,6 +96,52 @@ def test_convert_counterfactual_unique(tmp_path):
     assert max(report["pid"]["r"], report["pid"]["u1"]) >= report["pid"]["u2"]
 
 
+def write_counterfactual_csv(path, data):
+    """One item per draw: a first-m1 and a first-m2 annotator, both revising to y."""
+    lines = ["item_id,annotator_id,order,label_first,label_both,confidence_first,confidence_both"]
+    for i, (y1, y2, y) in enumerate(draws(data)):
+        lines.append(f"i{i:05d},a1,first-m1,{y1},{y},4,5")
+        lines.append(f"i{i:05d},a2,first-m2,{y2},{y},3,5")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_convert_partial_pairing_defaults_to_rotation(tmp_path):
+    src = tmp_path / "xor.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR", noise=0.1)), 200, seed=4))
+    args = ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE]
+    default = run(args)
+    assert default.exit_code == 0, default.output
+    assert json.loads(default.output)["input"]["pairing"] == "rotation"
+    assert run(args + ["--pairing", "rotation"]).output == default.output
+
+
+def test_convert_counterfactual_report_names_all_pairs(tmp_path):
+    src = tmp_path / "cf.csv"
+    write_counterfactual_csv(src, sample(canonical_joint(GateSpec("AND", noise=0.1)), 200, seed=4))
+    args = ["convert", "--input", str(src), "--schema", "counterfactual", "--label-space", LABEL_SPACE]
+    default = run(args)
+    assert default.exit_code == 0, default.output
+    assert json.loads(default.output)["input"]["pairing"] == "all-pairs"
+    assert run(args + ["--pairing", "all-pairs"]).output == default.output
+
+
+def test_convert_counterfactual_rotation_is_one_config_error(tmp_path):
+    src = tmp_path / "cf.csv"
+    write_counterfactual_csv(src, sample(canonical_joint(GateSpec("AND")), 20, seed=4))
+    result = run(
+        [
+            "convert",
+            "--input", str(src),
+            "--schema", "counterfactual",
+            "--label-space", LABEL_SPACE,
+            "--pairing", "rotation",
+        ]
+    )
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line)["error"] == "invalid-config"
+
+
 def test_convert_missing_input_exits_2(tmp_path):
     result = run(
         [
@@ -516,13 +562,17 @@ def test_pid_command_copy_joint(tmp_path):
     assert report["r"] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_pid_command_rejects_bad_mass(tmp_path):
+@pytest.mark.parametrize(
+    "mass, message",
+    [([0.9] + [0.0] * 7, "total mass 0.9 != 1"), ([0.125] * 7, "mass array has 7 entries, expected 8")],
+)
+def test_pid_command_rejects_bad_mass(tmp_path, mass, message):
     src = tmp_path / "bad.json"
-    src.write_text(json.dumps({"size": 2, "mass": [0.9] + [0.0] * 7}))
+    src.write_text(json.dumps({"size": 2, "mass": mass}))
     result = run(["pid", "--input", str(src)])
     assert result.exit_code == 2
-    err = json.loads(result.output.strip().splitlines()[-1])
-    assert err["error"] == "invalid-distribution"
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": "invalid-distribution", "message": message}
 
 
 def test_pid_command_rejects_size_over_max_labels_before_solving(tmp_path, monkeypatch):
@@ -688,6 +738,13 @@ def test_synth_count_a_multinomial_cannot_take_is_one_config_error(count):
     assert json.loads(line) == {"error": "invalid-config", "message": f"count must lie in [1, 2^63 - 1], got {count}"}
 
 
+@pytest.mark.parametrize("count", [2**53 + 1, 2**63 - 1])
+def test_synth_weights_sum_exactly_to_the_count(count):
+    result = run(["synth", "--gate", "XOR", "--count", str(count)])
+    assert result.exit_code == 0, result.output
+    assert sum(int(line.split(",")[3]) for line in result.output.splitlines()[1:]) == count
+
+
 def test_synth_deterministic():
     args = ["synth", "--gate", "AND", "--count", "50", "--seed", "9"]
     assert run(args).output == run(args).output
@@ -734,6 +791,7 @@ def test_unconverged_solve_writes_report_and_exits_1(tmp_path, monkeypatch, comm
         '{"kind": "ordinal", "range": [1.5, 3]}',
         '{"kind": "ordinal", "range": [true, 3]}',
         '{"kind": "ordinal", "range": [1, 3.9]}',
+        '{"kind": "qa-binary"}',  # an unknown kind: {"kind": "nominal", "values": ["SAME", "DIFFERENT"]} replaces it
     ],
 )
 def test_malformed_label_space_is_one_config_error(tmp_path, command, config):

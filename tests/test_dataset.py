@@ -69,6 +69,14 @@ def test_parse_partial_json():
     assert recs[0].label == "no"
 
 
+def test_parse_unknown_format_and_unknown_pairing_are_schema_errors():
+    with pytest.raises(SchemaError, match="unknown format 'xml'"):
+        parse_partial(partial_csv(["i1,a1,m1,yes,4"]), "xml")
+    table = parse_partial(partial_csv(["i1,a1,m1,yes,4", "i1,a2,m2,no,3", "i1,a3,both,yes,5"]))
+    with pytest.raises(SchemaError, match="unknown pairing 'x'"):
+        triples_from_partial(table, NOMINAL, pairing="x")
+
+
 def test_parse_json_non_object_row():
     row = {"item_id": "i1", "annotator_id": "a1", "condition": "both", "label": "no", "confidence": 0}
     with pytest.raises(SchemaError):

@@ -7,7 +7,6 @@ from fusionpid.label_space import (
     LabelSpaceError,
     build_label_space,
     encode,
-    qa_binarize,
 )
 
 
@@ -144,22 +143,15 @@ def test_binned_encode_monotone():
     assert all(a <= b for a, b in zip(idx, idx[1:]))
 
 
-def test_qa_binarize_rules():
-    assert qa_binarize("Red", "red") == 0
-    assert qa_binarize("crimson", "red") == 1
-    assert qa_binarize("  two  dogs ", "two dogs") == 0
-
-
-def test_qa_binarize_symmetric():
-    pairs = [("a b", "A  B"), ("x", "y"), ("Dog", "dog ")]
-    for a, b in pairs:
-        assert qa_binarize(a, b) == qa_binarize(b, a)
-
-
-def test_qa_binarize_empty_rejected():
-    with pytest.raises(LabelSpaceError):
-        qa_binarize("   ", "red")
-
-
-def test_qa_space_values():
-    assert build_label_space({"kind": "qa-binary"}).values == ("SAME", "DIFFERENT")
+@pytest.mark.parametrize(
+    "kind, values, bin_edges, message",
+    [
+        ("other", ("a", "b"), None, "unknown label-space kind"),
+        ("binned-continuous", ("a", "b"), (0.0, 1.0), "at least 3 bin edges"),
+        ("binned-continuous", ("a", "b", "c"), (0.0, 1.0, 2.0), "bin count must be edge count minus one"),
+        ("nominal", ("a", "b"), (0.0, 1.0, 2.0), "bin_edges only valid for binned-continuous"),
+    ],
+)
+def test_label_space_built_directly_checks_its_kind_and_bins(kind, values, bin_edges, message):
+    with pytest.raises(LabelSpaceError, match=message):
+        LabelSpace(kind=kind, values=values, bin_edges=bin_edges)

@@ -153,6 +153,14 @@ def test_pid_rejects_infeasible_qstar():
         pid_from_solution(gate("XOR"), gate("COPY"))
 
 
+def test_negative_redundancy_beyond_the_clamp_tolerance_is_reported_unconverged():
+    # XOR as its own q*: I(Y1;Y2;Y) = -1 bit, far below the clamp tolerance
+    res = pid_from_solution(gate("XOR"), gate("XOR"))
+    assert res.r == pytest.approx(-1.0, abs=1e-12)
+    assert res.converged is False
+    assert res.consistency["failures"] == ["R = -1.000e+00 below clamp tolerance"]
+
+
 def test_check_consistency_gates():
     for name in ("XOR", "COPY", "UNIQUE1", "AND"):
         p = gate(name)
