@@ -4,10 +4,8 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from importlib import resources
 
 import click
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -110,6 +108,11 @@ def _parse_table(path, fmt, schema):
 def _write_report(report, out, schema=None):
     """Validate `report` against the named shipped schema, if any, then write it."""
     if schema is not None:
+        # only `convert` and `agreement` validate what they write: load jsonschema here
+        from importlib import resources
+
+        import jsonschema
+
         text = resources.files("fusionpid").joinpath(f"schemas/{schema}.json").read_text()
         spec = json.loads(text)
         # the shipped schemas are checked once, by the tests, not on every run

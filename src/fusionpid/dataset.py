@@ -395,9 +395,10 @@ def _column(f, levels, codes, row_at):
 def _table(record, raw, row_at):
     """The validated table of `record` rows from (levels, codes) per field.
 
-    One stable sort of the record key gives the table's key order, and
-    equal neighbours in it are duplicates: the first repeat in input order
-    is reported.
+    One sort of the record key gives the table's key order; the keys of a
+    valid table are distinct, so any sort gives the same order. Equal
+    neighbours in it are duplicates: the key is then sorted again, stably,
+    so that the first repeat in input order is reported.
     """
     columns = {f.name: _column(f, *col, row_at) for f, col in zip(fields(record), raw)}
     item, annotator = columns["item_id"], columns["annotator_id"]
@@ -405,11 +406,12 @@ def _table(record, raw, row_at):
     combined = item.codes.astype(np.int64)
     for col in (*choice, annotator):
         combined = combined * len(col.levels) + col.codes
-    order = np.argsort(combined, kind="stable")
+    order = np.argsort(combined)
     key = combined[order]
-    repeats = order[1:][key[1:] == key[:-1]]
-    if len(repeats):
-        i = int(repeats.min())
+    if (key[1:] == key[:-1]).any():
+        order = np.argsort(combined, kind="stable")
+        key = combined[order]
+        i = int(order[1:][key[1:] == key[:-1]].min())
         shown = tuple(col.levels[col.codes[i]] for col in (item, annotator, *choice))
         raise SchemaError(f"duplicate record key {shown}")
     return AnnotationTable(record, columns, order)

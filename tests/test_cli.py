@@ -1,13 +1,18 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from itertools import product
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fusionpid
 from fusionpid import pid
 from fusionpid.cli import main
 from fusionpid.dataset import TripleDataset
@@ -533,6 +538,61 @@ def test_agreement_report_is_validated_before_writing(tmp_path, monkeypatch):
     with pytest.raises(jsonschema.ValidationError):
         run(args)
     assert not out.exists()
+
+
+def test_convert_report_is_validated_before_writing(tmp_path, monkeypatch):
+    src = tmp_path / "partial.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
+    out = tmp_path / "report.json"
+    args = ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE, "--out", str(out)]
+    assert run(args).exit_code == 0
+    # a mean confidence of 7 is above the schema's maximum of 5
+    monkeypatch.setattr("fusionpid.cli._agreement_summary", lambda *a, **k: ({}, {"m1": 7.0}))
+    out.unlink()
+    with pytest.raises(jsonschema.ValidationError):
+        run(args)
+    assert not out.exists()
+
+
+# runs one CLI call in a fresh interpreter and prints whether it loaded jsonschema
+LOADS_JSONSCHEMA = """
+import json, sys
+from fusionpid import cli
+args = json.loads(sys.argv[1])
+if args is not None:
+    try:
+        cli.main(args, standalone_mode=False)
+    except SystemExit:
+        pass
+print("jsonschema" in sys.modules)
+"""
+
+
+def test_only_a_validated_report_loads_jsonschema(tmp_path):
+    # pytest's own process has jsonschema loaded, so each call runs in a subprocess
+    src = Path(fusionpid.__file__).resolve().parents[1]
+    joint = tmp_path / "and.json"
+    joint.write_text(json.dumps(canonical_joint(GateSpec("AND")).to_json()))
+    partial = tmp_path / "partial.csv"
+    write_partial_csv(partial, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
+    convert = ["convert", "--schema", "partial", "--label-space", LABEL_SPACE, "--out", str(tmp_path / "r.json")]
+    cases = [
+        (None, False),
+        (["--version"], False),
+        (["pid", "--input", str(joint)], False),
+        (["synth", "--gate", "XOR", "--count", "10", "--out", str(tmp_path / "s.csv")], False),
+        (["oracle-check", "--trials", "1", "--resolution", "50"], False),
+        (convert + ["--input", str(tmp_path / "missing.csv")], False),
+        (convert + ["--input", str(partial)], True),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for args, loads in cases:
+        done = subprocess.run(
+            [sys.executable, "-c", LOADS_JSONSCHEMA, json.dumps(args)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert done.stdout.strip().splitlines()[-1] == str(loads), (args, done.stdout, done.stderr)
+    assert (tmp_path / "r.json").exists()
 
 
 def test_malformed_json_input_is_invalid_records(tmp_path):

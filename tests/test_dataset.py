@@ -331,6 +331,33 @@ def test_csv_parser_matches_dictreader_reference(record, parse):
     assert outcomes == {"parsed", "missing field", "must be", "outside", "duplicate"}
 
 
+def test_key_order_and_first_repeat_on_a_large_table():
+    # 30k rows: enough that the default argsort's handling of ties would show
+    rng = np.random.default_rng(5)
+    rows = [f"i{i},a{a},{c},yes,3" for i in range(2500) for c in CHOICES["condition"] for a in range(4)]
+    rows = [rows[k] for k in rng.permutation(len(rows))]
+    table = parse_partial(partial_csv(rows))
+    keys = (table["annotator_id"].codes, table["condition"].codes, table["item_id"].codes)
+    assert table.key_order.tolist() == np.lexsort(keys).tolist()
+    # six keys repeated at random positions, before or after the row they
+    # repeat, and one more copy of a middle row (which may be a repeat itself)
+    for _ in range(5):
+        bad = list(rows)
+        for src in rng.choice(len(rows), size=6, replace=False):
+            dst = int(rng.integers(len(bad) + 1))
+            bad.insert(dst, rows[src].replace(",yes,3", ",no,1"))
+        bad.insert(int(rng.integers(len(bad) + 1)), bad[len(bad) // 2])
+        seen = set()
+        for row in bad:
+            key = tuple(row.split(",")[:3])
+            if key in seen:
+                break
+            seen.add(key)
+        with pytest.raises(SchemaError) as err:
+            parse_partial(partial_csv(bad))
+        assert str(err.value) == f"duplicate record key {key}"
+
+
 def short_row(text, record):
     """Whether a data row of the CSV text ends before the last column a `record` field is read from."""
     header, *rows = csv.reader(io.StringIO(text)) if text else [[]]
