@@ -6,7 +6,6 @@ import sys
 from contextlib import contextmanager
 
 import click
-import numpy as np
 
 from . import __version__
 from .agreement import AgreementError, CategoryError, krippendorff_alpha, matrix_from_records, mean_confidence
@@ -31,10 +30,7 @@ from .pid import (
     MAX_ITERATIONS,
     OBJECTIVE_TOL,
     InfeasibleError,
-    OracleError,
-    brute_force_qstar,
     pid_from_joint,
-    pid_from_solution,
 )
 from .synth import GATES, GateSpec, canonical_joint, sample
 
@@ -258,7 +254,9 @@ def agreement(path, fmt, schema, metric, label_space, out):
     """Inter-annotator agreement (Krippendorff's alpha) and mean confidences."""
     if metric is None:
         metric = "interval" if schema == "decomposition" else "nominal"
-    space = _load_label_space(label_space) if label_space else None
+    if label_space is not None and schema == "decomposition":
+        _fail("invalid-config", "decomposition ratings are 0-5 scores, never encoded: --label-space does not apply")
+    space = _load_label_space(label_space) if label_space is not None else None
     table = _parse_table(path, fmt, schema)
     try:
         alphas, confidences = _agreement_summary(table, schema, metric, space=space)
@@ -270,6 +268,8 @@ def agreement(path, fmt, schema, metric, label_space, out):
         "agreement": alphas,
         "confidence": confidences,
     }
+    if space is not None:
+        report["input"]["label_space"] = space.to_config()
     _write_report(report, out, "agreement_report")
 
 
@@ -289,57 +289,6 @@ def pid(path, out):
         _fail("solver-failed", str(exc), EXIT_NONCONVERGED)
     _write_report(result.to_json(), out)
     if not result.converged:
-        sys.exit(EXIT_NONCONVERGED)
-
-
-@main.command("oracle-check")
-@click.option("--trials", type=int, required=True)
-@click.option("--seed", type=click.IntRange(0), default=0, show_default=True)
-@click.option("--resolution", type=int, default=2000, show_default=True)
-@click.option("--tolerance", type=float, default=2e-3, show_default=True)
-def oracle_check(trials, seed, resolution, tolerance):
-    """Compare the solver against the grid-search oracle on random n = 2 joints."""
-    if trials < 1:
-        _fail("invalid-config", "--trials must be positive")
-    if resolution < 2:
-        _fail("invalid-config", f"--resolution must be at least 2, got {resolution}")
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        _fail("invalid-config", f"--tolerance must be positive and finite, got {tolerance}")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    failures = 0
-    for _ in range(trials):
-        mass = rng.exponential(size=(2, 2, 2))
-        p = Joint3(mass / mass.sum())
-        try:
-            solved = pid_from_joint(p)
-        except InfeasibleError as exc:
-            _fail("solver-failed", str(exc), EXIT_NONCONVERGED)
-        try:
-            q_oracle = brute_force_qstar(p, resolution)
-        except OracleError as exc:
-            _fail("oracle-intractable", str(exc))
-        oracle = pid_from_solution(p, q_oracle)
-        gap = max(
-            abs(solved.r - oracle.r),
-            abs(solved.u1 - oracle.u1),
-            abs(solved.u2 - oracle.u2),
-            abs(solved.s - oracle.s),
-        )
-        worst = max(worst, gap)
-        if gap > tolerance:
-            failures += 1
-    summary = {
-        "trials": trials,
-        "seed": seed,
-        "resolution": resolution,
-        "tolerance": tolerance,
-        "max_component_discrepancy": worst,
-        "failures": failures,
-        "passed": failures == 0,
-    }
-    _write_report(summary, None)
-    if failures:
         sys.exit(EXIT_NONCONVERGED)
 
 

@@ -161,6 +161,16 @@ def test_convert_missing_input_exits_2(tmp_path):
     assert err["error"] == "input-not-found"
 
 
+@pytest.mark.parametrize("command", ["convert", "agreement"])
+def test_empty_label_space_is_one_input_error(tmp_path, command):
+    src = tmp_path / "partial.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
+    result = run([command, "--input", str(src), "--schema", "partial", "--label-space", ""])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line)["error"] == "input-not-found"
+
+
 def test_convert_never_writes_partial_output(tmp_path):
     src = tmp_path / "bad.csv"
     src.write_text("item_id,annotator_id,condition,label,confidence\ni1,a1,m1,0,9\n")
@@ -527,6 +537,30 @@ def test_agreement_orders_numeric_text_labels_by_number(tmp_path):
     assert json.loads(plain.output)["agreement"] == json.loads(spaced.output)["agreement"]
 
 
+def test_agreement_report_echoes_the_label_space_its_alphas_used(tmp_path):
+    lines = ["item_id,annotator_id,condition,label,confidence"]
+    for i, labels in (("i1", (0.2, 0.9)), ("i2", (-2.5, -1.5)), ("i3", (2.0, 2.9))):
+        lines += [f"{i},a{k},m1,{y},3" for k, y in enumerate(labels, 1)]
+    src = tmp_path / "partial.csv"
+    src.write_text("\n".join(lines) + "\n")
+    args = ["agreement", "--input", str(src), "--schema", "partial", "--metric", "interval"]
+    plain, binned = run(args), run(args + ["--label-space", '{"kind": "binned-continuous"}'])
+    assert plain.exit_code == binned.exit_code == 0, plain.output + binned.output
+    schema = json.loads(resources.files("fusionpid").joinpath("schemas/agreement_report.json").read_text())
+    plain, binned = json.loads(plain.output), json.loads(binned.output)
+    for report in (plain, binned):
+        jsonschema.validate(report, schema)
+    # three bins of the default range [-3, 3] put each item's two raw scores in one bin
+    assert plain["agreement"]["m1"]["alpha"] == pytest.approx(0.909, abs=1e-3)
+    assert binned["agreement"]["m1"]["alpha"] == 1.0
+    assert "label_space" not in plain["input"]
+    assert binned["input"]["label_space"] == {
+        "kind": "binned-continuous",
+        "values": ["[-3,-1]", "[-1,1]", "[1,3]"],
+        "bin_edges": [-3.0, -1.0, 1.0, 3.0],
+    }
+
+
 def test_agreement_report_is_validated_before_writing(tmp_path, monkeypatch):
     src = tmp_path / "partial.csv"
     write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
@@ -581,7 +615,6 @@ def test_only_a_validated_report_loads_jsonschema(tmp_path):
         (["--version"], False),
         (["pid", "--input", str(joint)], False),
         (["synth", "--gate", "XOR", "--count", "10", "--out", str(tmp_path / "s.csv")], False),
-        (["oracle-check", "--trials", "1", "--resolution", "50"], False),
         (convert + ["--input", str(tmp_path / "missing.csv")], False),
         (convert + ["--input", str(partial)], True),
     ]
@@ -725,31 +758,6 @@ def test_solver_failure_is_one_line_json_error(tmp_path, monkeypatch, command):
     assert "residual" in err["message"]
 
 
-def test_oracle_check_small():
-    result = run(["oracle-check", "--trials", "5", "--seed", "0", "--resolution", "400"])
-    assert result.exit_code == 0, result.output
-    summary = json.loads(result.output)
-    assert summary["passed"]
-    assert summary["max_component_discrepancy"] <= 2e-3
-
-
-def test_oracle_check_deterministic():
-    args = ["oracle-check", "--trials", "3", "--seed", "7", "--resolution", "300"]
-    assert run(args).output == run(args).output
-
-
-def test_oracle_check_grid_over_cap_is_one_intractable_line():
-    result = run(["oracle-check", "--trials", "1", "--resolution", "20000"])
-    assert result.exit_code == 2
-    [line] = result.output.strip().splitlines()
-    assert json.loads(line)["error"] == "oracle-intractable"
-
-
-def test_oracle_check_zero_trials_usage_error():
-    result = run(["oracle-check", "--trials", "0"])
-    assert result.exit_code == 2
-
-
 def test_synth_csv_output(tmp_path):
     out = tmp_path / "xor.csv"
     result = run(["synth", "--gate", "XOR", "--count", "100", "--seed", "1", "--out", str(out)])
@@ -810,18 +818,6 @@ def test_synth_deterministic():
     assert run(args).output == run(args).output
 
 
-def test_oracle_check_solver_failure_is_one_line_json_error(monkeypatch):
-    def failing_pid(p):
-        raise InfeasibleError("solver broke down numerically")
-
-    monkeypatch.setattr("fusionpid.cli.pid_from_joint", failing_pid)
-    result = run(["oracle-check", "--trials", "2", "--resolution", "50"])
-    assert result.exit_code == 1
-    assert "Traceback" not in result.output
-    [line] = result.output.strip().splitlines()
-    assert json.loads(line) == {"error": "solver-failed", "message": "solver broke down numerically"}
-
-
 @pytest.mark.parametrize("command", ["convert", "pid"])
 def test_unconverged_solve_writes_report_and_exits_1(tmp_path, monkeypatch, command):
     solve = pid.solve_qstar
@@ -876,17 +872,6 @@ def test_oversized_label_space_is_one_config_error(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "option",
-    [["--tolerance", "nan"], ["--tolerance", "inf"], ["--tolerance", "-1e-3"], ["--resolution", "1"], ["--seed", "-1"]],
-)
-def test_oracle_check_bad_option_is_one_config_error(option):
-    result = run(["oracle-check", "--trials", "1", "--resolution", "50"] + option)
-    assert result.exit_code == 2
-    [line] = result.output.strip().splitlines()
-    assert json.loads(line)["error"] == "invalid-config"
-
-
-@pytest.mark.parametrize(
     "args",
     [
         ["convert", "--input", "x.csv", "--schema", "partial", "--label-space", LABEL_SPACE, "--bogus"],
@@ -895,16 +880,16 @@ def test_oracle_check_bad_option_is_one_config_error(option):
         ["agreement", "--input", "x.csv", "--schema", "partial", "--bogus"],
         ["agreement", "--input", "x.csv"],
         ["agreement", "--input", "x.csv", "--schema", "partial", "--format", "xml"],
+        # decomposition ratings are never encoded: a label space cannot apply to them
+        ["agreement", "--input", "x.csv", "--schema", "decomposition", "--label-space", LABEL_SPACE],
         ["pid", "--input", "x.json", "--bogus"],
         ["pid"],
         ["pid", "--input"],
-        ["oracle-check", "--trials", "2", "--sizes", "3"],
-        ["oracle-check", "--seed", "1"],
-        ["oracle-check", "--trials", "two"],
         ["synth", "--gate", "XOR", "--count", "10", "--bogus"],
         ["synth", "--count", "10"],
         ["synth", "--gate", "XOR", "--count", "abc"],
         ["no-such-command"],
+        ["oracle-check", "--trials", "1"],  # the grid oracle is a test reference (tests/oracle.py), not a command
         ["--bogus"],
     ],
 )

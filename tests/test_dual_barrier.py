@@ -297,6 +297,27 @@ def test_one_newton_system_per_point_reused_across_the_barrier_jump(kind, n, mon
         assert np.array([decrement, limit]).tobytes() == np.array([ref_decrement, ref_limit]).tobytes(), t
 
 
+@pytest.mark.parametrize("kind", list(ALL_KINDS))
+def test_newton_system_margins_are_the_cell_margins_bit_for_bit(kind, monkeypatch):
+    """The margins of w that `newton_system` reads off the diagonal of E^T diag(w) E are,
+    byte for byte, `margins(w)` over the free variables: both sum each margin in cell order."""
+    checked = []
+    real_system = pid._DualBarrier.newton_system
+
+    def newton_system(self, g, p):
+        system = real_system(self, g, p)
+        u = np.exp(g) / -np.expm1(g)
+        expected = self.margins(u[self.block_of] * p)[self.free]
+        assert system[2].tobytes() == expected.tobytes()
+        checked.append(len(expected))
+        return system
+
+    monkeypatch.setattr(pid._DualBarrier, "newton_system", newton_system)
+    for n in SIZES:
+        solve_qstar(joint(kind, n))
+    assert checked
+
+
 def test_barrier_arrays_grow_like_cells_not_cells_times_variables():
     # at n = 15 the dense incidence matrix alone took 3375 x 450 doubles (12 MB)
     prog = pid._DualBarrier(joint("dense", 15))

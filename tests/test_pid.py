@@ -9,8 +9,6 @@ from fusionpid.info import Joint3, conditional_entropy_output
 from fusionpid.pid import (
     OBJECTIVE_TOL,
     InfeasibleError,
-    OracleError,
-    brute_force_qstar,
     check_consistency,
     convert,
     feasible_initial,
@@ -20,6 +18,7 @@ from fusionpid.pid import (
     solve_qstar,
 )
 from fusionpid.synth import GATES, GateSpec, canonical_joint, gate_space, sample
+from oracle import OracleError, brute_force_qstar
 
 
 def gate(name):
@@ -117,6 +116,12 @@ def test_brute_force_rejects_too_many_parameters():
     for n in (4, 3):
         with pytest.raises(OracleError):
             brute_force_qstar(random_joint(rng, n), 100)
+
+
+@pytest.mark.parametrize("resolution, message", [(1, "at least 2"), (20000, "exceeds cap")])
+def test_brute_force_rejects_a_resolution_below_2_or_over_the_cap(resolution, message):
+    with pytest.raises(OracleError, match=message):
+        brute_force_qstar(gate("XOR"), resolution)
 
 
 def test_brute_force_empty_y_slice_is_feasible():
@@ -392,7 +397,7 @@ def test_denormal_joint_certified(n):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("n", [8, 10, 16])
 @pytest.mark.parametrize("kind", ["dense", "sparse"])
 def test_large_joints_certified_and_swap_symmetric(kind, n):
     rng = np.random.default_rng(80 + n)
