@@ -5,8 +5,8 @@ dual point minus H(Y | Y1, Y2) at the returned q*, an upper bound on the
 distance to the optimum. This script draws dense joints and joints with about
 40% of their cells nonzero at n = 2, 3, 5 and 7, and prints each solve's
 Newton steps, certified gap, feasibility residual and largest consistency
-residual. A joint that carries no information about y needs no solve and
-shows 0 steps.
+residual. A joint that carries no information about y is solved and
+certified like any other.
 """
 
 import numpy as np

@@ -117,8 +117,6 @@ def krippendorff_alpha(r):
     per_unit = np.bincount(r.unit, minlength=r.units)
     pairable = per_unit >= 2
     n_pairable = int(pairable.sum())
-    if not n_pairable:
-        raise AgreementError("no unit has 2 or more ratings")
     kept = pairable[r.unit]
     present = np.unique(r.code[kept])
     merged, cats, x = _categories([r.categories[c] for c in present.tolist()])

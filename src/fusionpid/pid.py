@@ -18,7 +18,6 @@ from .info import Joint3, conditional_entropy_output, empirical_joint, informati
 
 FEAS_TOL = 1e-9
 CLAMP_TOL = 1e-6
-DEGENERATE_TOTAL = 1e-9
 CONSISTENCY_TOL = 1e-4
 # A solve is converged when its certified gap to the optimum is at most
 # OBJECTIVE_TOL bits; MAX_ITERATIONS caps the Newton steps as a safety bound.
@@ -41,10 +40,10 @@ class PIDResult:
     s: float
     total: float
     q_star: Joint3
-    iterations: int = 0
-    objective_gap: float = 0.0
-    feasibility_residual: float = 0.0
-    converged: bool = True
+    iterations: int
+    objective_gap: float
+    feasibility_residual: float
+    converged: bool
     consistency: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -101,12 +100,6 @@ def _scale(hess):
     hess *= scale
     hess.flat[:: len(diag) + 1] += RIDGE
     return scale
-
-
-def _newton_solve(hess, rhs):
-    """Solve hess x = rhs through `_scale`, which consumes the caller's matrix (no copy is made)."""
-    scale = _scale(hess)
-    return scale * np.linalg.solve(hess, scale * rhs)
 
 
 class _DualBarrier:
@@ -240,7 +233,9 @@ class _DualBarrier:
             excess = self.margins(q) - self.marg
             if np.max(np.abs(excess)) <= tol:
                 break
-            y = np.append(_newton_solve(self._cell_term(q), excess[self.free]), 0.0)
+            fit = self._cell_term(q)
+            scale = _scale(fit)
+            y = np.append(scale * np.linalg.solve(fit, scale * excess[self.free]), 0.0)
             log_q -= y[self.pos_a] + y[self.pos_b]
         return q
 
@@ -398,14 +393,9 @@ def convert(data, smoothing=0.0):
 
 
 def pid_from_joint(p):
+    """R, U1, U2, S of the joint p from its certified q*, with the consistency report."""
     info = information(p)
-    if info["total"] <= DEGENERATE_TOTAL:
-        # no task information: the sum identity forces every component to 0
-        result = PIDResult(
-            r=0.0, u1=0.0, u2=0.0, s=0.0, total=0.0, q_star=feasible_initial(p)
-        )
-    else:
-        q_star, diagnostics = solve_qstar(p)
-        result = pid_from_solution(p, q_star, diagnostics, info)
+    q_star, diagnostics = solve_qstar(p)
+    result = pid_from_solution(p, q_star, diagnostics, info)
     result.consistency.update(check_consistency(result, p, info))
     return result

@@ -121,6 +121,12 @@ def test_mean_confidence_multimodal_above_unimodal():
     assert mean("both") > max(mean("m1"), mean("m2"))
 
 
+@pytest.mark.parametrize("values, mean", [([-1, -1], "-1.0"), ([6, 7], "6.5")])
+def test_mean_confidence_outside_the_rating_scale_is_error(values, mean):
+    with pytest.raises(AgreementError, match=rf"^mean confidence {mean} outside \[0, 5\]$"):
+        mean_confidence(values)
+
+
 def test_mean_confidence_empty_is_error():
     with pytest.raises(AgreementError):
         mean_confidence([])

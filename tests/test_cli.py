@@ -758,6 +758,45 @@ def test_solver_failure_is_one_line_json_error(tmp_path, monkeypatch, command):
     assert "residual" in err["message"]
 
 
+@pytest.mark.parametrize(
+    "joint",
+    [{"size": 1, "mass": [1.0]}, {"size": 2, "mass": [0.125] * 8}],
+    ids=["point", "uniform"],
+)
+def test_pid_command_certifies_a_joint_with_no_task_information(tmp_path, joint):
+    src = tmp_path / "joint.json"
+    src.write_text(json.dumps(joint))
+    result = run(["pid", "--input", str(src)])
+    assert result.exit_code == 0, result.output
+    assert result.stderr == ""
+    report = json.loads(result.stdout)
+    assert report["iterations"] > 0 and report["converged"] and report["consistency"]["passed"], report
+    assert [report[k] for k in ("r", "u1", "u2", "s", "total")] == pytest.approx([0.0] * 5, abs=1e-9)
+
+
+def nan_cell(q):
+    q[0] = np.nan
+    return q
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [(nan_cell, "solver broke down numerically"), (lambda q: q * (1 + 1e-5), "solver left the feasible set")],
+)
+def test_solver_failure_inside_the_solve_is_one_line_json_error(tmp_path, monkeypatch, spoil, message):
+    # the raise sites of `solve_qstar` itself, reached through the command
+    recover = pid._DualBarrier.recover
+    monkeypatch.setattr(pid._DualBarrier, "recover", lambda self, *args: spoil(recover(self, *args)))
+    src = tmp_path / "and.json"
+    src.write_text(json.dumps(canonical_joint(GateSpec("AND", noise=0.1)).to_json()))
+    result = run(["pid", "--input", str(src)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    [line] = result.stderr.strip().splitlines()
+    err = json.loads(line)
+    assert err["error"] == "solver-failed" and err["message"].startswith(message), err
+
+
 def test_synth_csv_output(tmp_path):
     out = tmp_path / "xor.csv"
     result = run(["synth", "--gate", "XOR", "--count", "100", "--seed", "1", "--out", str(out)])
@@ -898,6 +937,13 @@ def test_usage_error_is_one_config_error(args):
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
     assert json.loads(line)["error"] == "invalid-config"
+
+
+def test_no_command_prints_the_help_text_and_exits_2():
+    result = run([])
+    assert result.exit_code == 2
+    assert "Usage:" in result.output and "Commands:" in result.output
+    assert not any(line.startswith("{") for line in result.output.splitlines())
 
 
 @pytest.mark.parametrize("args", [["--help"], ["--version"], ["convert", "--help"], ["synth", "--help"]])

@@ -629,6 +629,18 @@ def cf_csv(rows):
     return io.StringIO(CF_HEADER + "\n".join(rows))
 
 
+@pytest.mark.parametrize(
+    "parse, header, triples",
+    [(parse_partial, PARTIAL_HEADER, triples_from_partial), (parse_counterfactual, CF_HEADER, triples_from_counterfactual)],
+)
+def test_header_only_table_produces_no_triples(parse, header, triples):
+    # the CLI refuses such a file earlier, as "no records in input"
+    table = parse(io.StringIO(header))
+    assert not len(table)
+    with pytest.raises(SchemaError, match="^no triples produced$"):
+        triples(table, ORDINAL)
+
+
 def test_counterfactual_equal_revisions_average_to_self():
     recs = parse_counterfactual(cf_csv(["i1,a,first-m1,1,2,4,4", "i1,b,first-m2,-1,2,3,3"]))
     data = triples_from_counterfactual(recs, ORDINAL)

@@ -1,6 +1,9 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and none of them loads scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import fusionpid
@@ -45,3 +48,14 @@ def test_package_top_level_holds_only_the_docstring_and_version():
     docstring, version = tree.body
     assert isinstance(docstring, ast.Expr) and isinstance(docstring.value, ast.Constant)
     assert [target.id for target in version.targets] == ["__version__"]
+
+
+def test_no_module_loads_scipy():
+    # `pip install fusionpid` brings numpy, click and jsonschema only; a fresh
+    # interpreter, since pytest's own process may have scipy loaded already
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert modules
+    code = f"import importlib, sys\nfor m in {modules!r}: importlib.import_module('fusionpid.' + m)\nprint('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False", done.stderr

@@ -9,6 +9,7 @@ from fusionpid.info import Joint3, conditional_entropy_output
 from fusionpid.pid import (
     OBJECTIVE_TOL,
     InfeasibleError,
+    _DualBarrier,
     check_consistency,
     convert,
     feasible_initial,
@@ -429,3 +430,85 @@ def test_newton_steps_within_budget():
     for res in results:
         assert res.converged and res.objective_gap <= OBJECTIVE_TOL and res.consistency["passed"], res.to_json()
     assert sum(res.iterations for res in results) <= NEWTON_STEP_BUDGET
+
+
+def no_information_joint(rng, n, kind):
+    """A joint with I(Y1, Y2; Y) = 0 of one of five kinds."""
+    mass = np.zeros((n, n, n))
+    if kind == "product":  # p(y1) p(y2) p(y), each factor with a zero entry when n > 1
+        factors = [rng.exponential(size=n) for _ in range(3)]
+        if n > 1:
+            for f in factors:
+                f[rng.integers(n)] = 0.0
+        mass = np.einsum("i,j,k->ijk", *factors)
+    elif kind == "sparse-pair":  # y independent of a (y1, y2) pair on ~40% of its cells
+        pair = np.zeros((n, n))
+        while not pair.any():
+            pair = rng.exponential(size=(n, n)) * (rng.random((n, n)) < 0.4)
+        mass = pair[:, :, None] * rng.exponential(size=n)
+    elif kind == "y-constant":
+        mass[:, :, rng.integers(n)] = rng.exponential(size=(n, n))
+    elif kind == "inputs-constant":
+        mass[rng.integers(n), rng.integers(n)] = rng.exponential(size=n)
+    else:  # a point mass
+        mass[tuple(rng.integers(n, size=3))] = 1.0
+    return Joint3(mass / mass.sum())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["product", "sparse-pair", "y-constant", "inputs-constant", "point"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+def test_joint_with_no_task_information_is_certified_by_the_solver(n, kind):
+    rng = np.random.default_rng(90 + n)
+    p = no_information_joint(rng, n, kind)
+    res = pid_from_joint(p)
+    assert res.converged and res.objective_gap <= OBJECTIVE_TOL, res.to_json()
+    assert res.iterations > 0 and res.consistency["passed"], res.to_json()
+    assert np.all((components(res) >= 0) & (components(res) <= 1e-9)), res.to_json()
+    assert abs(res.total) <= 1e-12
+
+
+AND_NOISY = canonical_joint(GateSpec("AND", noise=0.1))
+
+
+@pytest.mark.filterwarnings("error")
+def test_nan_in_recovered_q_is_a_numerical_breakdown(monkeypatch):
+    recover = _DualBarrier.recover
+
+    def with_nan(self, *args):
+        q = recover(self, *args)
+        q[0] = np.nan
+        return q
+
+    monkeypatch.setattr(_DualBarrier, "recover", with_nan)
+    with pytest.raises(InfeasibleError, match="^solver broke down numerically$"):
+        solve_qstar(AND_NOISY)
+
+
+@pytest.mark.filterwarnings("error")
+def test_recovered_q_off_its_marginals_left_the_feasible_set(monkeypatch):
+    recover = _DualBarrier.recover
+    monkeypatch.setattr(_DualBarrier, "recover", lambda self, *args: recover(self, *args) * (1 + 1e-5))
+    with pytest.raises(InfeasibleError, match=r"^solver left the feasible set \(residual 4\.5\d*e-06\)$"):
+        solve_qstar(AND_NOISY)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [1, 3, 8, 15])
+def test_one_failed_line_search_still_certifies(monkeypatch, k):
+    # a failed search ends its barrier stage at the point it started from; the
+    # solve reads q* there or goes on to the next stage
+    line_search, calls = _DualBarrier.line_search, []
+
+    def fails_on_kth(self, *args):
+        calls.append(None)
+        return None if len(calls) == k else line_search(self, *args)
+
+    monkeypatch.setattr(_DualBarrier, "line_search", fails_on_kth)
+    rng = np.random.default_rng(95)
+    for p in [AND_NOISY] + [random_joint(rng, n) for n in (3, 5, 7)]:
+        calls.clear()
+        res = pid_from_joint(p)
+        assert len(calls) >= k
+        assert res.converged and res.objective_gap <= OBJECTIVE_TOL, res.to_json()
+        assert res.feasibility_residual <= 1e-9 and res.consistency["passed"], res.to_json()
