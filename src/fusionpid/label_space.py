@@ -8,9 +8,9 @@ from dataclasses import dataclass
 KINDS = ("nominal", "ordinal", "binned-continuous")
 
 # The largest label count a PID solve can take: a dense n = 32 joint took
-# 13 s in 33 Newton steps and 143 MB peak RSS (one thread of a 2-core x86
-# box), n = 25 5.3-5.8 s, n = 20 1.4 s; time grows about as n^4.5 and the
-# Newton matrix as n^4.
+# 12-15 s in 33-37 Newton steps and 253-268 MB peak RSS, n = 20 1.1-1.3 s
+# and 66 MB (fresh process, one OpenBLAS thread of a shared 2-core Intel
+# Xeon VM); time grows about as n^4.5 and the Newton matrix as n^4.
 MAX_LABELS = 32
 
 

@@ -52,8 +52,13 @@ class PIDResult:
 
 
 def _marginals(p):
-    """p(y1, y), p(y2, y) and p(y) of the joint p: the data of the polytope."""
-    m1, m2 = p.mass.sum(axis=1), p.mass.sum(axis=0)
+    """p(y1, y), p(y2, y) and p(y) of the joint p: the data of the polytope. The cells below zero that
+    `Joint3` admits as rounding count as zero, the rest rescaled to total 1, so both marginals agree on p(y)."""
+    mass = p.mass
+    if mass.min() < 0:
+        mass = np.maximum(mass, 0.0)
+        mass /= mass.sum()
+    m1, m2 = mass.sum(axis=1), mass.sum(axis=0)
     return m1, m2, m1.sum(axis=0)
 
 
@@ -258,13 +263,15 @@ def solve_qstar(joint):
     stage, at the larger t, solve the same system. q* is read off the
     central-path multipliers, q_ijk = lambda_ij softmax_k(-a_ik - b_jk), and
     a per-y rescaling of its rows and columns in the log domain makes its
-    marginals exact. The reported objective_gap is the certificate: the dual
-    value at the strictly feasible dual point minus H(Y | Y1, Y2) at the
-    returned q*, a sound upper bound on the distance to the optimum, and
-    the solve is converged when it is at most OBJECTIVE_TOL. MAX_ITERATIONS
+    marginals exact; q* is then normalised to total mass 1. MAX_ITERATIONS
     caps the Newton steps; a solve stopped there returns unconverged.
 
-    Returns (Joint3, diagnostics dict).
+    Returns (q*, diagnostics), all of them about that q*: `iterations`;
+    `objective_gap`, the certificate, the dual value at the strictly
+    feasible dual point minus H(Y | Y1, Y2) at q*, a sound upper bound on
+    its distance to the optimum; `converged`, gap <= OBJECTIVE_TOL; and
+    `feasibility_residual`, its `feasible_residual`. Raises InfeasibleError
+    when q* or the gap is not finite or the residual is above FEAS_TOL.
     """
     # `p` names the in-block softmax below, so the joint is `joint` here
     prog = _DualBarrier(joint)
@@ -300,10 +307,10 @@ def solve_qstar(joint):
             system = prog.newton_system(g, p)
         if final or it >= MAX_ITERATIONS:
             q[prog.cells] = prog.recover(s, g, t, 0.01 * FEAS_TOL)
-            objective = conditional_entropy_output(q)
+            q /= q.sum()
             # a uniform shift of a restores any rounding-level infeasibility
             dual = (float(prog.marg @ x) + max(0.0, float(g.max()))) / LN2
-            gap = max(dual - objective, 0.0)
+            gap = max(dual - conditional_entropy_output(q), 0.0)
             if gap <= OBJECTIVE_TOL or it >= MAX_ITERATIONS or t >= 1e3 * t_final:
                 break
         # the last jump lands on t_final rather than up to BARRIER_GROWTH past it
@@ -318,16 +325,15 @@ def solve_qstar(joint):
     # written so that NaN fails them: overflow in `recover` can leave NaN in q
     if not (np.isfinite(gap) and np.all(np.isfinite(q))):
         raise InfeasibleError("solver broke down numerically")
-    if not residual <= FEAS_TOL * 100:
+    if not residual <= FEAS_TOL:
         raise InfeasibleError(f"solver left the feasible set (residual {residual})")
     diagnostics = {
         "iterations": it,
         "objective_gap": gap,
         "feasibility_residual": residual,
         "converged": gap <= OBJECTIVE_TOL,
-        "objective": objective,
     }
-    return Joint3(q / q.sum()), diagnostics
+    return Joint3(q), diagnostics
 
 
 def _clamp(value, failures, name):
@@ -337,42 +343,33 @@ def _clamp(value, failures, name):
     return max(value, 0.0)
 
 
-def pid_from_solution(p, q_star, diagnostics=None, p_info=None):
-    """Extract R, U1, U2, S (in bits) from the optimizing distribution.
-
-    `p_info` is p's `information`, when the caller has it already.
-    """
-    resid = feasible_residual(q_star.mass, p)
-    if resid > 1e-6:
-        raise InfeasibleError(f"q_star violates the marginal constraints ({resid:.2e})")
-    total = (information(p) if p_info is None else p_info)["total"]
+def pid_from_solution(q_star, diagnostics, p_info):
+    """R, U1, U2, S in bits of the joint p from its q*, the solve's `diagnostics` and p's `information` `p_info`."""
     info = information(q_star)
     failures = []
     r = _clamp(info["ii"], failures, "R")
     u1 = _clamp(info["c1"], failures, "U1")
     u2 = _clamp(info["c2"], failures, "U2")
-    s = _clamp(total - info["total"], failures, "S")
-    diagnostics = diagnostics or {}
+    s = _clamp(p_info["total"] - info["total"], failures, "S")
     result = PIDResult(
         r=r,
         u1=u1,
         u2=u2,
         s=s,
-        total=total,
+        total=p_info["total"],
         q_star=q_star,
-        iterations=diagnostics.get("iterations", 0),
-        objective_gap=diagnostics.get("objective_gap", 0.0),
-        feasibility_residual=resid,
-        converged=diagnostics.get("converged", True) and not failures,
+        iterations=diagnostics["iterations"],
+        objective_gap=diagnostics["objective_gap"],
+        feasibility_residual=diagnostics["feasibility_residual"],
+        converged=diagnostics["converged"] and not failures,
     )
     if failures:
         result.consistency["failures"] = failures
     return result
 
 
-def check_consistency(result, p, p_info=None):
-    """Residuals of the five bookkeeping identities tying R/U1/U2/S to p (`p_info`: its `information`, if known)."""
-    info = information(p) if p_info is None else p_info
+def check_consistency(result, info):
+    """Residuals of the five bookkeeping identities tying R/U1/U2/S to p, whose `information` is `info`."""
     residuals = {
         "r_plus_u1": abs(result.r + result.u1 - info["i1"]),
         "r_plus_u2": abs(result.r + result.u2 - info["i2"]),
@@ -396,6 +393,6 @@ def pid_from_joint(p):
     """R, U1, U2, S of the joint p from its certified q*, with the consistency report."""
     info = information(p)
     q_star, diagnostics = solve_qstar(p)
-    result = pid_from_solution(p, q_star, diagnostics, info)
-    result.consistency.update(check_consistency(result, p, info))
+    result = pid_from_solution(q_star, diagnostics, info)
+    result.consistency.update(check_consistency(result, info))
     return result

@@ -2,15 +2,17 @@
 
 An independent, coarser check of `fusionpid.pid.solve_qstar`: for n = 2 each
 y-slice of a feasible coupling is fixed by one cell, so the oracle grids that
-cell in both slices and scores every pair. The acceptance tests compare the
-solver's R/U1/U2/S with the oracle's at resolution 2000.
+cell in both slices and scores every pair. `oracle_components` reads
+R/U1/U2/S off the grid q with `fusionpid.info.information` alone, sharing no
+code with `fusionpid.pid.pid_from_solution`; the acceptance tests compare the
+solver's components with it at resolution 2000.
 """
 
 import math
 
 import numpy as np
 
-from fusionpid.info import Joint3
+from fusionpid.info import Joint3, information
 from fusionpid.pid import _marginals
 
 
@@ -72,3 +74,9 @@ def brute_force_qstar(p, grid_resolution=1000):
             best_val, best = vals[i, j], (a + i, j)
     q = np.stack([q0[:, best[0]], q1[:, best[1]]], axis=1).reshape(2, 2, 2)
     return Joint3(q / q.sum())
+
+
+def oracle_components(p, grid_resolution):
+    """R, U1, U2, S of p in bits: I(Y1;Y2;Y), I(Y1;Y|Y2), I(Y2;Y|Y1) of the grid q, and p's I(Y1,Y2;Y) minus q's."""
+    q = information(brute_force_qstar(p, grid_resolution))
+    return np.array([q["ii"], q["c1"], q["c2"], information(p)["total"] - q["total"]])

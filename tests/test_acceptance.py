@@ -12,16 +12,11 @@ import pytest
 
 from fusionpid.agreement import Ratings, krippendorff_alpha
 from fusionpid.dataset import parse_counterfactual, parse_partial, triples_from_counterfactual, triples_from_partial
-from fusionpid.info import Joint3, empirical_joint
+from fusionpid.info import Joint3, empirical_joint, information
 from fusionpid.label_space import build_label_space
-from fusionpid.pid import (
-    check_consistency,
-    convert,
-    pid_from_joint,
-    pid_from_solution,
-)
+from fusionpid.pid import check_consistency, convert, pid_from_joint
 from fusionpid.synth import DOMINANT, GATES, GateSpec, canonical_joint, sample
-from oracle import brute_force_qstar
+from oracle import oracle_components
 
 GATE_EXPECTED = {
     "XOR": (0.0, 0.0, 0.0, 1.0),
@@ -50,8 +45,7 @@ def test_gate_suite_vs_oracle():
         res = pid_from_joint(p)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"{name} solve took {elapsed:.3f}s"
-        oracle = pid_from_solution(p, brute_force_qstar(p, 2000))
-        gap = np.max(np.abs(components(res) - components(oracle)))
+        gap = np.max(np.abs(components(res) - oracle_components(p, 2000)))
         worst = max(worst, gap)
         assert gap <= 1e-3, f"{name}: component gap {gap:.2e} vs oracle"
         assert components(res) == pytest.approx(np.array(expected), abs=1e-3)
@@ -67,7 +61,7 @@ def test_consistency_identities_random():
         n = int(rng.choice([2, 3, 4]))
         p = random_joint(rng, n)
         res = pid_from_joint(p)
-        report = check_consistency(res, p)
+        report = check_consistency(res, information(p))
         worst = max(worst, max(report["residuals"].values()))
         assert report["passed"], report
     elapsed = time.perf_counter() - start
@@ -82,8 +76,7 @@ def test_oracle_equivalence_binary():
     for _ in range(100):
         p = random_joint(rng, 2)
         solved = pid_from_joint(p)
-        oracle = pid_from_solution(p, brute_force_qstar(p, 2000))
-        gap = np.max(np.abs(components(solved) - components(oracle)))
+        gap = np.max(np.abs(components(solved) - oracle_components(p, 2000)))
         worst = max(worst, gap)
         assert gap <= 2e-3, f"solver/oracle discrepancy {gap:.2e}"
     print(f"PASS oracle equivalence: 100 random n=2 joints, max component "

@@ -779,22 +779,58 @@ def nan_cell(q):
     return q
 
 
-@pytest.mark.parametrize(
-    "spoil, message",
-    [(nan_cell, "solver broke down numerically"), (lambda q: q * (1 + 1e-5), "solver left the feasible set")],
-)
-def test_solver_failure_inside_the_solve_is_one_line_json_error(tmp_path, monkeypatch, spoil, message):
-    # the raise sites of `solve_qstar` itself, reached through the command
+def scaled_cell(q):
+    q[0] *= 1 + 1e-5
+    return q
+
+
+def spoil_recover(monkeypatch, spoil):
+    """Make `_DualBarrier.recover` return spoil(q) for the q it recovers."""
     recover = pid._DualBarrier.recover
     monkeypatch.setattr(pid._DualBarrier, "recover", lambda self, *args: spoil(recover(self, *args)))
-    src = tmp_path / "and.json"
-    src.write_text(json.dumps(canonical_joint(GateSpec("AND", noise=0.1)).to_json()))
-    result = run(["pid", "--input", str(src)])
+
+
+def assert_one_solver_failed_line(result, message):
     assert result.exit_code == 1
     assert result.stdout == ""
     [line] = result.stderr.strip().splitlines()
     err = json.loads(line)
     assert err["error"] == "solver-failed" and err["message"].startswith(message), err
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [(nan_cell, "solver broke down numerically"), (scaled_cell, "solver left the feasible set (residual 2.47")],
+)
+def test_solver_failure_inside_the_solve_is_one_line_json_error(tmp_path, monkeypatch, spoil, message):
+    # the raise sites of `solve_qstar` itself, reached through the command
+    spoil_recover(monkeypatch, spoil)
+    src = tmp_path / "and.json"
+    src.write_text(json.dumps(canonical_joint(GateSpec("AND", noise=0.1)).to_json()))
+    assert_one_solver_failed_line(run(["pid", "--input", str(src)]), message)
+
+
+def partial_convert_args(tmp_path):
+    src = tmp_path / "and.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("AND", noise=0.1)), 200, seed=5))
+    return ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE]
+
+
+def test_convert_reports_a_residual_within_the_tolerance_it_prints(tmp_path):
+    result = run(partial_convert_args(tmp_path))
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    assert report["pid"]["feasibility_residual"] <= report["config"]["solver"]["tol_feasibility"], report
+
+
+def test_convert_refuses_a_qstar_off_its_marginals_by_more_than_the_printed_tolerance(tmp_path, monkeypatch):
+    # 1e-8 on one cell leaves q* between 1e-9 and 1e-8 off its marginals
+    def added_to_one_cell(q):
+        q[0] += 1e-8
+        return q
+
+    spoil_recover(monkeypatch, added_to_one_cell)
+    assert_one_solver_failed_line(run(partial_convert_args(tmp_path)), "solver left the feasible set")
 
 
 def test_synth_csv_output(tmp_path):

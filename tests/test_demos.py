@@ -1,4 +1,8 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion, with a RuntimeWarning an error.
+
+pyproject.toml's `filterwarnings` reaches only this process, so each demo's
+interpreter gets the same rule through `-W`.
+"""
 
 import os
 import subprocess
@@ -17,5 +21,6 @@ SRC = str(Path(fusionpid.__file__).resolve().parent.parent)
 def test_demo_runs(demo):
     path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, PYTHONPATH=path)
-    result = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300)
+    cmd = [sys.executable, "-W", "error::RuntimeWarning", str(demo)]
+    result = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr

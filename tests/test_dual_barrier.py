@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fusionpid import pid
-from fusionpid.info import Joint3
+from fusionpid.info import Joint3, information
 from fusionpid.pid import (
     CENTERING_TOL,
     CLAMP_TOL,
@@ -442,7 +442,7 @@ def test_entropy_table_matches_per_term_reference(n):
         checked += 1
         components, residuals = reference_terms(p, res)
         assert [res.r, res.u1, res.u2, res.s, res.total] == pytest.approx(components, abs=1e-12)
-        table = check_consistency(res, p)["residuals"]
+        table = check_consistency(res, information(p))["residuals"]
         assert table.keys() == residuals.keys()
         for key, value in residuals.items():
             assert table[key] == pytest.approx(value, abs=1e-12), key
