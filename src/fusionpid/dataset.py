@@ -3,7 +3,8 @@
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from dataclasses import dataclass
 from itertools import chain, cycle, repeat
 from operator import add, itemgetter
 
@@ -13,9 +14,13 @@ from .label_space import MAX_LABELS, encode
 
 CONDITIONS = ("m1", "m2", "both")
 ORDERS = ("first-m1", "first-m2")
-# fields restricted to a fixed set of values; together with item and
-# annotator each one forms the key that must be unique among the records
+# a record field's kind comes from its name (`_column`). Fields restricted to
+# a fixed set of values; together with item and annotator each one forms the
+# key that must be unique among the records
 CHOICES = {"condition": CONDITIONS, "order": ORDERS}
+# the id fields and the raw-label fields; any other field is a rating
+IDS = ("item_id", "annotator_id")
+LABELS = ("label", "label_first", "label_both")
 # the values of a rating field; a rating is its own index among them
 RATINGS = range(6)
 
@@ -27,38 +32,11 @@ class SchemaError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PartialRecord:
-    item_id: str
-    annotator_id: str
-    condition: str
-    label: Label
-    confidence: int
-
-
-@dataclass(frozen=True)
-class CounterfactualRecord:
-    item_id: str
-    annotator_id: str
-    order: str
-    label_first: Label
-    label_both: Label
-    confidence_first: int
-    confidence_both: int
-
-
-@dataclass(frozen=True)
-class DecompositionRecord:
-    item_id: str
-    annotator_id: str
-    r: int
-    u1: int
-    u2: int
-    s: int
-    conf_r: int
-    conf_u1: int
-    conf_u2: int
-    conf_s: int
+PartialRecord = namedtuple("PartialRecord", "item_id annotator_id condition label confidence")
+CounterfactualRecord = namedtuple(
+    "CounterfactualRecord", "item_id annotator_id order label_first label_both confidence_first confidence_both"
+)
+DecompositionRecord = namedtuple("DecompositionRecord", "item_id annotator_id r u1 u2 s conf_r conf_u1 conf_u2 conf_s")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,14 +49,15 @@ class Codes:
 
 @dataclass(eq=False)
 class AnnotationTable:
-    """Annotation rows of one record type, held by column.
+    """Annotation rows of one record type, held by column; iterated, the rows as records.
 
-    `item_id` and `annotator_id` are `Codes` over the sorted distinct ids;
-    `condition` / `order` are `Codes` over CHOICES; labels are `Codes` over
-    the distinct raw labels, told apart by type as well as value (JSON 1 and
-    1.0 are two labels); 0..5 ratings are int64 arrays. `key_order` holds
-    the row positions sorted by the record key: item, then condition / order
-    (if the record has one) in the order of its choices, then annotator.
+    Each field's kind is read from its name (`_column`): IDS are `Codes`
+    over the sorted distinct ids; a CHOICES field is `Codes` over its
+    choices; LABELS are `Codes` over the distinct raw labels, told apart by
+    type as well as value (JSON 1 and 1.0 are two labels); every other field
+    is a 0..5 rating, an int64 array. `key_order` holds the row positions
+    sorted by the record key: item, then condition / order (if the record
+    has one) in the order of its choices, then annotator.
     """
 
     record: type
@@ -344,15 +323,15 @@ def _json_columns(stream, names):
     return [_levels([row.get(name) for row in rows]) for name in names], rows.__getitem__
 
 
-def _column(f, levels, codes, row_at):
+def _column(name, levels, codes, row_at):
     """One validated table column from a field's raw levels and codes.
 
     Levels are checked in order of first appearance, so the first bad level
-    is the column's first bad row. A rating becomes an int64 array, a choice
-    `Codes` over its CHOICES, an id `Codes` over its sorted text (levels
-    that read the same merged) and a label `Codes` over its raw values.
+    is the column's first bad row. The field's name gives its kind: a
+    CHOICES field becomes `Codes` over its choices, an IDS field `Codes`
+    over its sorted text (levels that read the same merged), a LABELS field
+    `Codes` over its raw values, and any other field a rating, an int64 array.
     """
-    name = f.name
 
     def present():
         for j, raw in enumerate(levels):
@@ -360,20 +339,6 @@ def _column(f, levels, codes, row_at):
                 raise SchemaError(f"missing field {name!r} in row {row_at(int(np.argmax(codes == j)))!r}")
             yield raw
 
-    if f.type is int:
-        ratings = []
-        for raw in present():
-            # int() would read JSON true as 1 and 4.5 as 4
-            if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer():
-                raise SchemaError(f"{name} must be an integer: {raw!r}")
-            try:
-                value = int(raw)
-            except (TypeError, ValueError, OverflowError):
-                raise SchemaError(f"{name} must be an integer: {raw!r}") from None
-            if value not in RATINGS:
-                raise SchemaError(f"{name}={value} outside [0, 5]")
-            ratings.append(value)
-        return np.array(ratings, np.int64)[codes]
     if name in CHOICES:
         choices = CHOICES[name]
         index = []
@@ -382,14 +347,29 @@ def _column(f, levels, codes, row_at):
                 raise SchemaError(f"{name} must be one of {choices}, got {raw!r}")
             index.append(choices.index(raw))
         return Codes(choices, np.array(index, np.intp)[codes])
-    if f.type is str:
+    if name in IDS:
         ids = list(map(str, present()))
         rank = {v: i for i, v in enumerate(sorted(set(ids)))}
         return Codes(list(rank), np.array([rank[v] for v in ids], np.intp)[codes])
+    if name in LABELS:
+        for raw in present():
+            if not isinstance(raw, Label):
+                raise SchemaError(f"{name} must be a string or a number, got {raw!r}")
+        return Codes(levels, codes)
+    ratings = []
     for raw in present():
-        if not isinstance(raw, Label):
-            raise SchemaError(f"{name} must be a string or a number, got {raw!r}")
-    return Codes(levels, codes)
+        # int() would read JSON true as 1, 4.5 as 4 and the text 0_5 (digit grouping) as 5
+        grouped = isinstance(raw, str) and "_" in raw
+        if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer() or grouped:
+            raise SchemaError(f"{name} must be an integer: {raw!r}")
+        try:
+            value = int(raw)
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError(f"{name} must be an integer: {raw!r}") from None
+        if value not in RATINGS:
+            raise SchemaError(f"{name}={value} outside [0, 5]")
+        ratings.append(value)
+    return np.array(ratings, np.int64)[codes]
 
 
 def _table(record, raw, row_at):
@@ -400,7 +380,7 @@ def _table(record, raw, row_at):
     neighbours in it are duplicates: the key is then sorted again, stably,
     so that the first repeat in input order is reported.
     """
-    columns = {f.name: _column(f, *col, row_at) for f, col in zip(fields(record), raw)}
+    columns = {name: _column(name, *col, row_at) for name, col in zip(record._fields, raw)}
     item, annotator = columns["item_id"], columns["annotator_id"]
     choice = [columns[name] for name in CHOICES if name in columns]
     combined = item.codes.astype(np.int64)
@@ -419,11 +399,10 @@ def _table(record, raw, row_at):
 
 def _parse(stream, fmt, record):
     """The table of `record` rows in a CSV or JSON stream, with its fields as the columns."""
-    names = [f.name for f in fields(record)]
     if fmt == "csv":
-        raw, row_at = _csv_columns(stream, names)
+        raw, row_at = _csv_columns(stream, record._fields)
     elif fmt == "json":
-        raw, row_at = _json_columns(stream, names)
+        raw, row_at = _json_columns(stream, record._fields)
     else:
         raise SchemaError(f"unknown format {fmt!r}")
     return _table(record, raw, row_at)

@@ -1,6 +1,5 @@
 import io
 import json
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -92,7 +91,7 @@ def test_ordinal_metric_runs_and_orders():
 
 def partial_table(recs):
     """The table of `recs`, parsed from their JSON text (which keeps 1 and 1.0 apart)."""
-    return parse_partial(io.StringIO(json.dumps([asdict(r) for r in recs])), "json")
+    return parse_partial(io.StringIO(json.dumps([r._asdict() for r in recs])), "json")
 
 
 def test_mean_confidence_values():

@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-from dataclasses import astuple, fields
 from itertools import product
 from types import SimpleNamespace
 
@@ -12,6 +11,7 @@ from fusionpid import dataset
 from fusionpid.dataset import (
     CHOICES,
     CounterfactualRecord,
+    DecompositionRecord,
     PartialRecord,
     SchemaError,
     TripleDataset,
@@ -96,7 +96,7 @@ def test_parse_json_keeps_numeric_labels_and_stringifies_ids():
     assert (rec.item_id, rec.annotator_id, rec.label_first, rec.label_both) == ("7", "3", -2, 1.5)
 
 
-@pytest.mark.parametrize("confidence", [4.5, True, float("inf")])
+@pytest.mark.parametrize("confidence", [4.5, True, float("inf"), "0_5"])
 def test_parse_json_partial_confidence_must_be_an_integer(confidence):
     row = {"item_id": "i1", "annotator_id": "a1", "condition": "both", "label": "no", "confidence": confidence}
     with pytest.raises(SchemaError, match=rf"^confidence must be an integer: {confidence!r}$"):
@@ -170,6 +170,7 @@ def test_csv_reads_like_dictreader():
          "'label': None, 'confidence': None}"),
         (["i1,a1,m1,yes,4", "i1,a2,m9"], "condition must be one of ('m1', 'm2', 'both'), got 'm9'"),
         (["i1,a1,m1,yes,4", "i1,a2,m2,no,x"], "confidence must be an integer: 'x'"),
+        (["i1,a1,m1,yes,4", "i1,a2,m2,no,0_5"], "confidence must be an integer: '0_5'"),
         (["i1,a1,m1,yes,4", "i1,a2,m2,no,6"], "confidence=6 outside [0, 5]"),
         (["i1,a1,m1,yes,4", "i2,a1,m1,no,2", "i1,a1,m1,no,2"], "duplicate record key ('i1', 'a1', 'm1')"),
     ],
@@ -201,16 +202,25 @@ def test_short_row_names_every_header_column():
 
 
 # raw CSV text per column (by name prefix), and, for files meant to fail, the bad values
+RATING_TEXT = ("0", "1", "2", "3", "4", "5", " 4")
+RATING_BAD = ("7", "x", "2.0", "0_5")
+DECOMPOSITION_PREFIXES = ("r", "u", "s", "conf_")
 CSV_TEXT = {
     "item_id": ("i1", "i2", "i10", "i9"),
     "annotator_id": ("a", "b", "B", "a10"),
     "condition": CHOICES["condition"],
     "order": CHOICES["order"],
     "label": ("no", "yes", "yes, sure", "two\nlines", 'say "hi"', "", "-3"),
-    "confidence": ("0", "1", "2", "3", "4", "5", " 4"),
+    "confidence": RATING_TEXT,
+    **dict.fromkeys(DECOMPOSITION_PREFIXES, RATING_TEXT),
     "note": ("", "n, b", "x\ny"),
 }
-CSV_BAD = {"condition": ("m9",), "order": ("first-m3",), "confidence": ("7", "x", "2.0")}
+CSV_BAD = {
+    "condition": ("m9",),
+    "order": ("first-m3",),
+    "confidence": RATING_BAD,
+    **dict.fromkeys(DECOMPOSITION_PREFIXES, RATING_BAD),
+}
 
 
 # quote-free text per column: wide, non-ASCII and empty fields, two ids that differ past their 8th byte
@@ -234,16 +244,16 @@ def random_rows(rng, record, text=CSV_TEXT):
     columns shuffled, an unrelated column among them, one column name
     repeated, blank lines ([]) and extra trailing fields; a file meant to
     fail also gets short rows, bad values or repeated keys."""
-    names = [f.name for f in fields(record)]
+    names = record._fields
     header = [str(n) for n in rng.permutation(names)]
     header.insert(int(rng.integers(1, len(header))), "note")
     header.insert(int(rng.integers(0, len(header) + 1)), str(rng.choice(names)))
     last = {name: i for i, name in enumerate(header)}
     fault = rng.choice(["none", "short", "value", "repeat"])
-    key_names = ["item_id", "annotator_id", next(n for n in names if n in CHOICES)]
+    key_names = ["item_id", "annotator_id", *(n for n in names if n in CHOICES)]
     keys = list(product(*(text[n] for n in key_names)))
     rows = [header]
-    for k in rng.choice(len(keys), 20, replace=fault == "repeat"):
+    for k in rng.choice(len(keys), min(20, len(keys)), replace=fault == "repeat"):
         key = dict(zip(key_names, keys[k]))
         row = [key[n] if last[n] == i and n in key else csv_text(rng, n, fault, text) for i, n in enumerate(header)]
         if rng.random() < 0.2:
@@ -270,31 +280,39 @@ def plain_csv(rng, record):
     return text[: -len(end)] if rng.random() < 0.3 else text
 
 
+# the fields the reference reads as 0..5 ratings
+RATED = {
+    *("confidence", "confidence_first", "confidence_both"),
+    *("r", "u1", "u2", "s", "conf_r", "conf_u1", "conf_u2", "conf_s"),
+}
+
+
 def dictreader_reference(text, record):
     """Row loop over csv.DictReader: each field checked down the rows in
     record order, its first bad row reported, then the first repeated key."""
     reader = csv.DictReader(io.StringIO(text))
     rows = list(reader)
-    names = [f.name for f in fields(record)]
-    missing = set(names) - set(reader.fieldnames)
+    missing = set(record._fields) - set(reader.fieldnames)
     if missing:
         raise SchemaError(f"missing columns: {sorted(missing)}")
     columns = []
-    for f in fields(record):
+    for name in record._fields:
         column = []
         for row in rows:
-            raw = row[f.name]
+            raw = row[name]
             if raw is None:
-                raise SchemaError(f"missing field {f.name!r} in row {row!r}")
-            if f.type is int:
+                raise SchemaError(f"missing field {name!r} in row {row!r}")
+            if name in RATED:
                 try:
+                    if "_" in raw:  # int() would read it as digit grouping
+                        raise ValueError
                     raw = int(raw)
                 except ValueError:
-                    raise SchemaError(f"{f.name} must be an integer: {raw!r}")
+                    raise SchemaError(f"{name} must be an integer: {raw!r}")
                 if not 0 <= raw <= 5:
-                    raise SchemaError(f"{f.name}={raw} outside [0, 5]")
-            elif f.name in CHOICES and raw not in CHOICES[f.name]:
-                raise SchemaError(f"{f.name} must be one of {CHOICES[f.name]}, got {raw!r}")
+                    raise SchemaError(f"{name}={raw} outside [0, 5]")
+            elif name in CHOICES and raw not in CHOICES[name]:
+                raise SchemaError(f"{name} must be one of {CHOICES[name]}, got {raw!r}")
             column.append(raw)
         columns.append(column)
     records = [record(*values) for values in zip(*columns)]
@@ -307,7 +325,15 @@ def dictreader_reference(text, record):
     return records
 
 
-@pytest.mark.parametrize("record, parse", [(PartialRecord, parse_partial), (CounterfactualRecord, parse_counterfactual)])
+# each record type with its parser, for the random-file comparisons
+RECORDS = [
+    (PartialRecord, parse_partial),
+    (CounterfactualRecord, parse_counterfactual),
+    (DecompositionRecord, parse_decomposition),
+]
+
+
+@pytest.mark.parametrize("record, parse", RECORDS)
 def test_csv_parser_matches_dictreader_reference(record, parse):
     rng = np.random.default_rng(21)
     outcomes = set()
@@ -323,9 +349,8 @@ def test_csv_parser_matches_dictreader_reference(record, parse):
             continue
         table = parse(io.StringIO(text))
         assert list(table) == want
-        # the one key sort is lexsort's order of (item, choice, annotator)
-        choice = next(table[n] for n in CHOICES if n in table.columns)
-        keys = (table["annotator_id"].codes, choice.codes, table["item_id"].codes)
+        # the one key sort is lexsort's order of (item, choice if any, annotator)
+        keys = [table[n].codes for n in ("annotator_id", *CHOICES, "item_id") if n in table.columns]
         assert table.key_order.tolist() == np.lexsort(keys).tolist()
         outcomes.add("parsed")
     assert outcomes == {"parsed", "missing field", "must be", "outside", "duplicate"}
@@ -361,7 +386,7 @@ def test_key_order_and_first_repeat_on_a_large_table():
 def short_row(text, record):
     """Whether a data row of the CSV text ends before the last column a `record` field is read from."""
     header, *rows = csv.reader(io.StringIO(text)) if text else [[]]
-    names = {f.name for f in fields(record)}
+    names = set(record._fields)
     width = max((i + 1 for i, name in enumerate(header) if name in names), default=0)
     return any(0 < len(row) < width for row in rows)
 
@@ -373,7 +398,7 @@ def refuse(*args, **kwargs):
 def reference(text, record):
     """`dictreader_reference` of `text`, or its `SchemaError`; a `csv.Error` is the parser's "malformed CSV"."""
     try:
-        return dictreader_reference(text or ",".join(f.name for f in fields(record)), record)  # empty: no header
+        return dictreader_reference(text or ",".join(record._fields), record)  # empty: no header
     except csv.Error as exc:
         return SchemaError(f"malformed CSV: {exc}")
     except SchemaError as exc:
@@ -394,11 +419,11 @@ def outcome(want, text, parse):
 
 # a 64-character block makes most files several blocks, their fields' widths differing between blocks
 @pytest.mark.parametrize("block", [dataset._BLOCK, 64])
-@pytest.mark.parametrize("record, parse", [(PartialRecord, parse_partial), (CounterfactualRecord, parse_counterfactual)])
+@pytest.mark.parametrize("record, parse", RECORDS)
 def test_quote_free_csv_matches_dictreader_reference_without_csv_reader(record, parse, block, monkeypatch):
     monkeypatch.setattr(dataset, "_BLOCK", block)
     rng = np.random.default_rng(22)
-    names = [f.name for f in fields(record)]
+    names = record._fields
     texts = [plain_csv(rng, record) for _ in range(80)]
     texts += ["", ",".join(names), ",".join(names) + "\r\n", ",".join(names[1:]) + "\nx\n"]
     outcomes = set()
@@ -605,7 +630,7 @@ def test_pairing_matches_loop_reference_on_uneven_items(pairing):
             for ann in rng.choice(["z", "a10", "a9", "B", "c"], size=rng.integers(1, 5), replace=False):
                 records.append(PartialRecord(f"i{i}", str(ann), cond, str(rng.choice(["no", "yes"])), 3))
     records = [records[j] for j in rng.permutation(len(records))]
-    table = parse_partial(partial_csv([",".join(map(str, astuple(r))) for r in records]))
+    table = parse_partial(partial_csv([",".join(map(str, r)) for r in records]))
     data = triples_from_partial(table, NOMINAL, pairing=pairing)
     samples, weights = reference_triples(records, NOMINAL, pairing)
     assert data.samples.tolist() == samples

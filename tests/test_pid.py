@@ -527,22 +527,36 @@ def test_result_reports_the_residual_of_its_certified_qstar(monkeypatch):
         assert res.feasibility_residual == solve_qstar(p)[1]["feasibility_residual"] <= FEAS_TOL
 
 
+# the most line searches an unforced solve of the failed-line-search test's joints makes
+LINE_SEARCHES = 26
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("k", [1, 3, 8, 15])
+@pytest.mark.parametrize("k", range(1, LINE_SEARCHES + 1))
 def test_one_failed_line_search_still_certifies(monkeypatch, k):
     # a failed search ends its barrier stage at the point it started from; the
-    # solve reads q* there or goes on to the next stage
-    line_search, calls = _DualBarrier.line_search, []
+    # solve reads q* there or goes on to the next stage. Every search of every
+    # unforced solve fails in one case, the final stage's searches included
+    line_search, calls, fail = _DualBarrier.line_search, [], 0
 
     def fails_on_kth(self, *args):
         calls.append(None)
-        return None if len(calls) == k else line_search(self, *args)
+        return None if len(calls) == fail else line_search(self, *args)
 
     monkeypatch.setattr(_DualBarrier, "line_search", fails_on_kth)
     rng = np.random.default_rng(95)
+    forced = 0
     for p in [AND_NOISY] + [random_joint(rng, n) for n in (3, 5, 7)]:
         calls.clear()
+        fail = 0
+        pid_from_joint(p)
+        assert len(calls) <= LINE_SEARCHES
+        if len(calls) < k:
+            continue
+        calls.clear()
+        fail = k
         res = pid_from_joint(p)
-        assert len(calls) >= k
+        forced += 1
         assert res.converged and res.objective_gap <= OBJECTIVE_TOL, res.to_json()
         assert res.feasibility_residual <= 1e-9 and res.consistency["passed"], res.to_json()
+    assert forced
