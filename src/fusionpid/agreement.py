@@ -117,8 +117,9 @@ def krippendorff_alpha(r):
     per_unit = np.bincount(r.unit, minlength=r.units)
     pairable = per_unit >= 2
     n_pairable = int(pairable.sum())
-    kept = pairable[r.unit]
-    present = np.unique(r.code[kept])
+    kept = np.flatnonzero(pairable[r.unit])  # index gathers cost less than boolean masks
+    code = r.code[kept]
+    present = np.flatnonzero(np.bincount(code, minlength=len(r.categories)))  # sorted, without np.unique's hashing
     merged, cats, x = _categories([r.categories[c] for c in present.tolist()])
     if r.metric == "interval" and x is None:
         raise CategoryError(f"the interval metric needs numeric labels, got {cats}")
@@ -127,7 +128,7 @@ def krippendorff_alpha(r):
     category[present] = merged
     unit = (np.cumsum(pairable) - 1)[r.unit[kept]]
     # the nonzero entries of N, as (unit, category) cells sorted by unit
-    cells, count = np.unique(unit * k + category[r.code[kept]], return_counts=True)
+    cells, count = np.unique(unit * k + category[code], return_counts=True)
     cell_unit, cell_category = np.divmod(cells, k)
     # every ordered pair (a, b) of one unit's cells, a cell with itself included
     nnz = np.bincount(cell_unit, minlength=n_pairable)

@@ -6,6 +6,7 @@ import sys
 from contextlib import contextmanager
 
 import click
+import numpy as np
 
 from . import __version__
 from .agreement import AgreementError, CategoryError, krippendorff_alpha, matrix_from_records, mean_confidence
@@ -49,9 +50,10 @@ def _read(path, parse, error):
 
     A leading UTF-8 byte-order mark is skipped. A file that is missing, or
     cannot be read or decoded as UTF-8, is one `input-not-found` or
-    `input-unreadable` line; content that `parse` rejects (`SchemaError`,
-    `JSONDecodeError`, or JSON nested deeper than the decoder's recursion
-    limit) is one `error` line.
+    `input-unreadable` line; content that `parse` rejects (`SchemaError`, or
+    JSON that `json` refuses: malformed, nested deeper than the decoder's
+    recursion limit, or an integer literal over Python's 4300-digit limit,
+    a plain `ValueError`) is one `error` line.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -60,10 +62,10 @@ def _read(path, parse, error):
         _fail("input-not-found", f"input file not found: {path}")
     except (OSError, UnicodeDecodeError) as exc:
         _fail("input-unreadable", f"cannot read {path}: {exc}")
-    except (json.JSONDecodeError, RecursionError) as exc:
-        _fail(error, f"malformed JSON in {path}: {exc}")
-    except SchemaError as exc:
+    except SchemaError as exc:  # a ValueError: ahead of the JSON clause
         _fail(error, str(exc))
+    except (ValueError, RecursionError) as exc:
+        _fail(error, f"malformed JSON in {path}: {exc}")
 
 
 def _write(text, out):
@@ -82,10 +84,10 @@ def _load_label_space(text):
     try:
         cfg = json.loads(text) if text.lstrip().startswith("{") else _read(text, json.load, "invalid-label-space")
         return build_label_space(cfg)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        _fail("invalid-label-space", f"label-space JSON is malformed: {exc}")
-    except LabelSpaceError as exc:
+    except LabelSpaceError as exc:  # a ValueError: ahead of the JSON clause
         _fail("invalid-label-space", str(exc))
+    except (ValueError, RecursionError) as exc:
+        _fail("invalid-label-space", f"label-space JSON is malformed: {exc}")
 
 
 def _parse_table(path, fmt, schema):
@@ -99,22 +101,6 @@ def _parse_table(path, fmt, schema):
     if not len(table):
         _fail("invalid-records", "no records in input")
     return table
-
-
-def _write_report(report, out, schema=None):
-    """Validate `report` against the named shipped schema, if any, then write it."""
-    if schema is not None:
-        # only `convert` and `agreement` validate what they write: load jsonschema here
-        from importlib import resources
-
-        import jsonschema
-
-        text = resources.files("fusionpid").joinpath(f"schemas/{schema}.json").read_text()
-        spec = json.loads(text)
-        # the shipped schemas are checked once, by the tests, not on every run
-        jsonschema.validators.validator_for(spec)(spec).validate(report)
-    # build and validate fully before touching the output path
-    _write(json.dumps(report, indent=2, sort_keys=True), out)
 
 
 def _alpha_json(item, value, metric):
@@ -148,7 +134,7 @@ def _agreement_summary(table, schema, metric, space=None):
     item = table["item_id"].codes
     alphas, confidences = {}, {}
     for name, (key, value, field, conf_field) in measures.items():
-        rows = slice(None) if key is None else table[key].codes == CHOICES[key].index(value)
+        rows = slice(None) if key is None else np.flatnonzero(table[key].codes == CHOICES[key].index(value))
         codes, cats = categories[field]
         alphas[name] = _alpha_json(item[rows], Codes(cats, codes[rows]), metric)
         conf = table[conf_field][rows]
@@ -238,7 +224,7 @@ def convert(path, fmt, schema, label_space, pairing, smoothing, metric, out):
         "agreement": alphas,
         "confidence": confidences,
     }
-    _write_report(report, out, "run_report")
+    _write(json.dumps(report, indent=2, sort_keys=True), out)
     if not result.converged:
         sys.exit(EXIT_NONCONVERGED)
 
@@ -270,7 +256,7 @@ def agreement(path, fmt, schema, metric, label_space, out):
     }
     if space is not None:
         report["input"]["label_space"] = space.to_config()
-    _write_report(report, out, "agreement_report")
+    _write(json.dumps(report, indent=2, sort_keys=True), out)
 
 
 @main.command()
@@ -287,7 +273,7 @@ def pid(path, out):
         result = pid_from_joint(p)
     except InfeasibleError as exc:
         _fail("solver-failed", str(exc), EXIT_NONCONVERGED)
-    _write_report(result.to_json(), out)
+    _write(json.dumps(result.to_json(), indent=2, sort_keys=True), out)
     if not result.converged:
         sys.exit(EXIT_NONCONVERGED)
 

@@ -173,8 +173,8 @@ _BLOCK = 1 << 20
 # the bytes at or below "," in UTF-8 text that a field of unquoted CSV
 # cannot hold; any other byte there (a space, say) is field text
 _NUL, _NEWLINE, _RETURN, _QUOTE, _COMMA = b'\0\n\r",'
-# per byte count 0..8, the mask of that many leading bytes of a little-endian word
-_MASKS = np.array([(1 << 8 * n) - 1 for n in range(9)], np.uint64)
+# per byte count 0..8, the mask of that many leading bytes of a big-endian word
+_MASKS = np.array([(1 << 64) - (1 << 64 - 8 * n) for n in range(9)], np.uint64)
 # the most 8-byte words in a field's key: every key of a column is as wide
 # as its widest field, so one long field would cost every row its width
 _KEY_WORDS = 8
@@ -212,15 +212,16 @@ def _lines(data, size):
 
 
 def _field_keys(words, start, length):
-    """Each field's bytes, zero-padded, as one row of little-endian 8-byte words.
+    """Each field's bytes, zero-padded, as one row of big-endian 8-byte words.
 
     `words` views the block as one word at every byte offset. A field holds
-    no NUL, so padding never makes two fields' keys equal.
+    no NUL, so padding never makes two fields' keys equal, and keys order
+    as their bytes do: for UTF-8 text, as `str` does.
     """
     width = -(-int(length.max(initial=1)) // 8)
     if width > _KEY_WORDS:
         raise _NeedsReader
-    keys = np.empty((len(start), width), "<u8")
+    keys = np.empty((len(start), width), np.uint64)
     for j in range(width):
         at = np.minimum(start + 8 * j, len(words) - 1)  # past a field's end its mask is 0
         keys[:, j] = words[at] & _MASKS[np.clip(length - 8 * j, 0, 8)]
@@ -228,9 +229,9 @@ def _field_keys(words, start, length):
 
 
 def _factorised(blocks):
-    """(levels, codes) of a column from its blocks' keys, levels decoded in order of first appearance."""
+    """(levels, codes) of a column from its blocks' keys, levels decoded in key order."""
     width = max((keys.shape[1] for keys in blocks), default=1)
-    keys = np.zeros((sum(map(len, blocks)), width), "<u8")
+    keys = np.zeros((sum(map(len, blocks)), width), np.uint64)
     row = 0
     while blocks:  # each block is freed once copied
         block = blocks.pop(0)
@@ -242,13 +243,10 @@ def _factorised(blocks):
     for j in range(1, width):
         words, word = np.unique(keys[:, j], return_inverse=True)
         distinct, inverse = np.unique(inverse * len(words) + word, return_inverse=True)
-    first = np.full(len(distinct), len(keys))
-    np.minimum.at(first, inverse, np.arange(len(keys)))
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    text = keys[first[order]].view(f"S{8 * width}").ravel().tolist()  # "S" drops the zero padding
-    return [b.decode("utf-8", "surrogatepass") for b in text], rank[inverse]
+    level_row = np.empty(len(distinct), np.intp)
+    level_row[inverse] = np.arange(len(keys))  # a row of each level, to decode
+    text = keys[level_row].astype(">u8").view(f"S{8 * width}").ravel().tolist()  # "S" drops the zero padding
+    return [b.decode("utf-8", "surrogatepass") for b in text], inverse
 
 
 def _byte_columns(stream, names):
@@ -265,7 +263,7 @@ def _byte_columns(stream, names):
         # eight NULs after the block, so that a word can start at any of its bytes
         data = np.frombuffer((text + stream.readline() + "\0" * 8).encode("utf-8", "surrogatepass"), np.uint8)
         del text
-        words = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
+        words = np.ndarray((len(data) - 7,), ">u8", data, strides=(1,))
         start, end, commas, first, count = _lines(data, len(data) - 8)
         rows = end > start  # csv.reader skips blank lines
         if positions is None:
@@ -311,9 +309,10 @@ def _reader_columns(stream, names):
 
 def _json_columns(stream, names):
     """(levels, codes) per field from a JSON array of objects, and the row for a row number."""
+    text = stream.read()  # outside the try: text that is not UTF-8 is the caller's to report
     try:
-        rows = json.load(stream)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+        rows = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # malformed, nested too deep, or an integer over 4300 digits
         raise SchemaError(f"malformed JSON: {exc}") from None
     if not isinstance(rows, list):
         raise SchemaError("JSON input must be an array of objects")
@@ -326,38 +325,40 @@ def _json_columns(stream, names):
 def _column(name, levels, codes, row_at):
     """One validated table column from a field's raw levels and codes.
 
-    Levels are checked in order of first appearance, so the first bad level
-    is the column's first bad row. The field's name gives its kind: a
-    CHOICES field becomes `Codes` over its choices, an IDS field `Codes`
-    over its sorted text (levels that read the same merged), a LABELS field
-    `Codes` over its raw values, and any other field a rating, an int64 array.
+    The field's name gives its kind: a CHOICES field becomes `Codes` over
+    its choices, an IDS field `Codes` over its sorted text (levels that
+    read the same merged), a LABELS field `Codes` over its raw values, and
+    any other field a rating, an int64 array. Levels come in any order: a
+    level that is None (a missing field) or that its kind refuses refuses
+    the column with the error of the first row, in input order, that has it.
     """
 
-    def present():
-        for j, raw in enumerate(levels):
-            if raw is None:
-                raise SchemaError(f"missing field {name!r} in row {row_at(int(np.argmax(codes == j)))!r}")
-            yield raw
+    def parsed(parse):  # `parse` of each level, raising SchemaError on one it refuses
+        values = []
+        for raw in levels:
+            try:
+                values.append(None if raw is None else parse(raw))
+            except SchemaError:
+                values.append(None)
+        bad = np.array([value is None for value in values], bool)
+        if bad.any():
+            row = int(np.argmax(bad[codes]))
+            if levels[codes[row]] is None:
+                raise SchemaError(f"missing field {name!r} in row {row_at(row)!r}")
+            parse(levels[codes[row]])  # raises its error again
+        return values
 
-    if name in CHOICES:
-        choices = CHOICES[name]
-        index = []
-        for raw in present():
-            if raw not in choices:
-                raise SchemaError(f"{name} must be one of {choices}, got {raw!r}")
-            index.append(choices.index(raw))
-        return Codes(choices, np.array(index, np.intp)[codes])
-    if name in IDS:
-        ids = list(map(str, present()))
-        rank = {v: i for i, v in enumerate(sorted(set(ids)))}
-        return Codes(list(rank), np.array([rank[v] for v in ids], np.intp)[codes])
-    if name in LABELS:
-        for raw in present():
-            if not isinstance(raw, Label):
-                raise SchemaError(f"{name} must be a string or a number, got {raw!r}")
-        return Codes(levels, codes)
-    ratings = []
-    for raw in present():
+    def choice(raw):
+        if raw not in CHOICES[name]:
+            raise SchemaError(f"{name} must be one of {CHOICES[name]}, got {raw!r}")
+        return CHOICES[name].index(raw)
+
+    def label(raw):
+        if not isinstance(raw, Label):
+            raise SchemaError(f"{name} must be a string or a number, got {raw!r}")
+        return raw
+
+    def rating(raw):
         # int() would read JSON true as 1, 4.5 as 4 and the text 0_5 (digit grouping) as 5
         grouped = isinstance(raw, str) and "_" in raw
         if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer() or grouped:
@@ -368,8 +369,18 @@ def _column(name, levels, codes, row_at):
             raise SchemaError(f"{name} must be an integer: {raw!r}") from None
         if value not in RATINGS:
             raise SchemaError(f"{name}={value} outside [0, 5]")
-        ratings.append(value)
-    return np.array(ratings, np.int64)[codes]
+        return value
+
+    if name in CHOICES:
+        return Codes(CHOICES[name], np.array(parsed(choice), np.intp)[codes])
+    if name in IDS:
+        ids = parsed(str)
+        rank = {v: i for i, v in enumerate(sorted(set(ids)))}
+        return Codes(list(rank), np.array([rank[v] for v in ids], np.intp)[codes])
+    if name in LABELS:
+        parsed(label)
+        return Codes(levels, codes)
+    return np.array(parsed(rating), np.int64)[codes]
 
 
 def _table(record, raw, row_at):

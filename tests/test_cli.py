@@ -20,6 +20,7 @@ from fusionpid.info import empirical_joint
 from fusionpid.label_space import MAX_LABELS
 from fusionpid.pid import InfeasibleError
 from fusionpid.synth import GATES, GateSpec, canonical_joint, sample
+from reports import VALIDATORS, check_report
 
 LABEL_SPACE = '{"kind": "nominal", "values": ["0", "1"]}'
 
@@ -49,7 +50,10 @@ def partial_rows(data):
 
 
 def run(args):
-    return CliRunner().invoke(main, args, catch_exceptions=False)
+    """`fusionpid` with `args`; a report that `convert` or `agreement` writes must meet its schema."""
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    check_report(args, result.exit_code, result.stdout)
+    return result
 
 
 def test_convert_xor_partial_csv(tmp_path):
@@ -225,8 +229,6 @@ def test_convert_binned_continuous_report(tmp_path):
     result = run(["convert", "--input", str(src), "--schema", "partial", "--label-space", space, "--out", str(out)])
     assert result.exit_code == 0, result.output
     report = json.loads(out.read_text())
-    schema = resources.files("fusionpid").joinpath("schemas/run_report.json").read_text()
-    jsonschema.validate(report, json.loads(schema))
     assert report["input"]["label_space"] == {
         "kind": "binned-continuous",
         "values": ["[-3,0]", "[0,3]"],
@@ -546,10 +548,7 @@ def test_agreement_report_echoes_the_label_space_its_alphas_used(tmp_path):
     args = ["agreement", "--input", str(src), "--schema", "partial", "--metric", "interval"]
     plain, binned = run(args), run(args + ["--label-space", '{"kind": "binned-continuous"}'])
     assert plain.exit_code == binned.exit_code == 0, plain.output + binned.output
-    schema = json.loads(resources.files("fusionpid").joinpath("schemas/agreement_report.json").read_text())
     plain, binned = json.loads(plain.output), json.loads(binned.output)
-    for report in (plain, binned):
-        jsonschema.validate(report, schema)
     # three bins of the default range [-3, 3] put each item's two raw scores in one bin
     assert plain["agreement"]["m1"]["alpha"] == pytest.approx(0.909, abs=1e-3)
     assert binned["agreement"]["m1"]["alpha"] == 1.0
@@ -561,31 +560,16 @@ def test_agreement_report_echoes_the_label_space_its_alphas_used(tmp_path):
     }
 
 
-def test_agreement_report_is_validated_before_writing(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["convert", "agreement"])
+def test_report_schema_refuses_a_mean_confidence_above_5(tmp_path, command):
     src = tmp_path / "partial.csv"
     write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
-    out = tmp_path / "report.json"
-    args = ["agreement", "--input", str(src), "--schema", "partial", "--out", str(out)]
-    assert run(args).exit_code == 0
-    monkeypatch.setattr("fusionpid.cli._agreement_summary", lambda *a, **k: ({}, {"m1": 7.0}))
-    out.unlink()
-    with pytest.raises(jsonschema.ValidationError):
-        run(args)
-    assert not out.exists()
-
-
-def test_convert_report_is_validated_before_writing(tmp_path, monkeypatch):
-    src = tmp_path / "partial.csv"
-    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
-    out = tmp_path / "report.json"
-    args = ["convert", "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE, "--out", str(out)]
-    assert run(args).exit_code == 0
-    # a mean confidence of 7 is above the schema's maximum of 5
-    monkeypatch.setattr("fusionpid.cli._agreement_summary", lambda *a, **k: ({}, {"m1": 7.0}))
-    out.unlink()
-    with pytest.raises(jsonschema.ValidationError):
-        run(args)
-    assert not out.exists()
+    result = run([command, "--input", str(src), "--schema", "partial", "--label-space", LABEL_SPACE])
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    report["confidence"]["m1"] = 7.0
+    with pytest.raises(jsonschema.ValidationError, match="maximum of 5"):
+        VALIDATORS[command].validate(report)
 
 
 # runs one CLI call in a fresh interpreter and prints whether it loaded jsonschema
@@ -602,7 +586,7 @@ print("jsonschema" in sys.modules)
 """
 
 
-def test_only_a_validated_report_loads_jsonschema(tmp_path):
+def test_no_command_loads_jsonschema(tmp_path):
     # pytest's own process has jsonschema loaded, so each call runs in a subprocess
     src = Path(fusionpid.__file__).resolve().parents[1]
     joint = tmp_path / "and.json"
@@ -611,21 +595,22 @@ def test_only_a_validated_report_loads_jsonschema(tmp_path):
     write_partial_csv(partial, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
     convert = ["convert", "--schema", "partial", "--label-space", LABEL_SPACE, "--out", str(tmp_path / "r.json")]
     cases = [
-        (None, False),
-        (["--version"], False),
-        (["pid", "--input", str(joint)], False),
-        (["synth", "--gate", "XOR", "--count", "10", "--out", str(tmp_path / "s.csv")], False),
-        (convert + ["--input", str(tmp_path / "missing.csv")], False),
-        (convert + ["--input", str(partial)], True),
+        None,
+        ["--version"],
+        ["pid", "--input", str(joint)],
+        ["synth", "--gate", "XOR", "--count", "10", "--out", str(tmp_path / "s.csv")],
+        convert + ["--input", str(tmp_path / "missing.csv")],
+        convert + ["--input", str(partial)],
+        ["agreement", "--input", str(partial), "--schema", "partial", "--out", str(tmp_path / "a.json")],
     ]
     env = {**os.environ, "PYTHONPATH": str(src)}
-    for args, loads in cases:
+    for args in cases:
         done = subprocess.run(
             [sys.executable, "-c", LOADS_JSONSCHEMA, json.dumps(args)],
             capture_output=True, text=True, env=env, check=True,
         )
-        assert done.stdout.strip().splitlines()[-1] == str(loads), (args, done.stdout, done.stderr)
-    assert (tmp_path / "r.json").exists()
+        assert done.stdout.strip().splitlines()[-1] == "False", (args, done.stdout, done.stderr)
+    assert (tmp_path / "r.json").exists() and (tmp_path / "a.json").exists()
 
 
 def test_malformed_json_input_is_invalid_records(tmp_path):
@@ -634,6 +619,42 @@ def test_malformed_json_input_is_invalid_records(tmp_path):
     result = run(["agreement", "--input", str(src), "--format", "json", "--schema", "partial"])
     assert result.exit_code == 2
     assert json.loads(result.output.strip().splitlines()[-1])["error"] == "invalid-records"
+
+
+# an integer literal over Python's 4300-digit limit: json refuses it with a plain ValueError
+BIG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "args, files, code",
+    [
+        (["pid", "--input", "joint.json"], {"joint.json": f'{{"size": 1, "mass": [{BIG}]}}'}, "invalid-distribution"),
+        (
+            ["agreement", "--input", "rows.json", "--format", "json", "--schema", "partial"],
+            {"rows.json": f'[{{"item_id": "i1", "annotator_id": "a1", "condition": "m1", "label": "0", "confidence": {BIG}}}]'},
+            "invalid-records",
+        ),
+        (
+            ["convert", "--input", "in.csv", "--schema", "partial", "--label-space", "space.json"],
+            {"in.csv": "item_id,annotator_id,condition,label,confidence\n", "space.json": f'{{"kind": "ordinal", "range": [0, {BIG}]}}'},
+            "invalid-label-space",
+        ),
+        (
+            ["convert", "--input", "in.csv", "--schema", "partial", "--label-space", f'{{"kind": "ordinal", "range": [0, {BIG}]}}'],
+            {"in.csv": "item_id,annotator_id,condition,label,confidence\n"},
+            "invalid-label-space",
+        ),
+    ],
+    ids=["pid-mass", "agreement-json-confidence", "label-space-file", "label-space-inline"],
+)
+def test_integer_over_the_digit_limit_is_one_error_line(tmp_path, monkeypatch, args, files, code):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text)
+    result = run(args)
+    assert result.exit_code == 2, result.output
+    [line] = result.stderr.splitlines()
+    assert json.loads(line)["error"] == code
 
 
 def test_pid_command_and_joint(tmp_path):

@@ -3,9 +3,10 @@
 Small input files for `convert`, `agreement`, `pid` and `--label-space`,
 drawn from text that readers must take or refuse (quotes, byte-order marks,
 short rows, bools, NaN, nested lists, nesting past the JSON decoder's
-recursion limit), end either in exit 0 or in exactly one JSON line with
-`error` and `message` on stderr and exit 1 or 2. A file read again with a
-UTF-8 byte-order mark in front gives the same output.
+recursion limit, integers past its 4300-digit limit), end either in exit 0,
+with any report written meeting its shipped schema, or in exactly one JSON
+line with `error` and `message` on stderr and exit 1 or 2. A file read
+again with a UTF-8 byte-order mark in front gives the same output.
 """
 
 import json
@@ -17,11 +18,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionpid.cli import main
+from reports import check_report
 
 BOM = "\ufeff"
 DEEP = "[" * 5000 + "]" * 5000  # nested past the JSON decoder's recursion limit
 # a JSON string that `dumps` turns into DEEP's raw text
 DEEP_MARK = "\0deep"
+# an integer literal over Python's 4300-digit limit, which json.loads refuses with a plain
+# ValueError; `json.dumps` cannot write it, so BIG_MARK stands for its raw text
+BIG = "9" * 5000
+BIG_MARK = "\0big"
 LABEL_SPACE = '{"kind": "nominal", "values": ["0", "1"]}'
 # raw field text that the readers must take or refuse in one line
 ODD = ["", '"', '""', '"0"', '"m1"', "'", BOM, "NaN", "nan", "-inf", "1e400", "true", "2.5", "-1", "9", "é", " 0"]
@@ -59,15 +65,15 @@ JSON_VALUES = st.recursive(
     | st.booleans()
     | st.integers(-3, 9)
     | st.floats()
-    | st.sampled_from(LABELS + ODD + [DEEP_MARK]),
+    | st.sampled_from(LABELS + ODD + [DEEP_MARK, BIG_MARK]),
     lambda inner: st.lists(inner, max_size=2),
     max_leaves=4,
 )
 
 
 def dumps(value):
-    """JSON text of `value`, NaN and infinities included, with DEEP_MARK as DEEP."""
-    return json.dumps(value).replace(json.dumps(DEEP_MARK), DEEP)
+    """JSON text of `value`, NaN and infinities included, with DEEP_MARK as DEEP and BIG_MARK as BIG."""
+    return json.dumps(value).replace(json.dumps(DEEP_MARK), DEEP).replace(json.dumps(BIG_MARK), BIG)
 
 
 @st.composite
@@ -155,7 +161,9 @@ LABEL_SPACES = VALID_SPACES | LOOSE_SPACES | JSON_VALUES | st.just(DEEP_MARK)
 
 
 def invoke(args):
+    """(exit code, stdout, stderr) of `fusionpid` with `args`; a report written must meet its schema."""
     result = CliRunner().invoke(main, args)
+    check_report(args, result.exit_code, result.stdout)
     return result.exit_code, result.stdout, result.stderr
 
 

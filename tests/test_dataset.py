@@ -436,6 +436,26 @@ def test_quote_free_csv_matches_dictreader_reference_without_csv_reader(record, 
     assert outcomes == {"parsed", "missing field", "missing columns", "must be", "outside", "duplicate"}
 
 
+@pytest.mark.parametrize(
+    "first, later, message",
+    [
+        ("i1,a,zz,0,3", "i2,a,aa,0,3", "condition must be one of ('m1', 'm2', 'both'), got 'zz'"),
+        ("i1,a,m1,0,9", "i2,a,m1,0,6", "confidence=9 outside [0, 5]"),
+    ],
+    ids=["condition", "confidence"],
+)
+def test_byte_coder_names_the_first_bad_row_in_input_order(first, later, message, monkeypatch):
+    # over a block of text, so read in two; the levels come in byte order, where the later bad value sorts first
+    rows = [f"j{i:06d},a,m1,0,3" for i in range(80_000)]
+    rows[10], rows[-10] = first, later
+    text = PARTIAL_HEADER + "\n".join(rows) + "\n"
+    assert len(text) > dataset._BLOCK
+    monkeypatch.setattr(dataset.csv, "reader", refuse)
+    with pytest.raises(SchemaError) as err:
+        parse_partial(io.StringIO(text))
+    assert str(err.value) == message
+
+
 # one file per input that csv.reader reads right or in less memory, and the field size limit to read it with
 @pytest.mark.parametrize(
     "rows, limit",

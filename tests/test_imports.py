@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports, every top-level name is read, and none loads scipy."""
+"""Every module of the package uses each name it imports, every top-level name is read, and none loads scipy or jsonschema."""
 
 import ast
 import os
@@ -103,12 +103,15 @@ def test_package_top_level_holds_only_the_docstring_and_version():
     assert [target.id for target in version.targets] == ["__version__"]
 
 
-def test_no_module_loads_scipy():
-    # `pip install fusionpid` brings numpy, click and jsonschema only; a fresh
-    # interpreter, since pytest's own process may have scipy loaded already
+def test_no_module_loads_scipy_or_jsonschema():
+    # `pip install fusionpid` brings numpy and click only (jsonschema is in the
+    # `test` extra); a fresh interpreter, since pytest's own process has loaded them
     modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
     assert modules
-    code = f"import importlib, sys\nfor m in {modules!r}: importlib.import_module('fusionpid.' + m)\nprint('scipy' in sys.modules)"
+    code = (
+        f"import importlib, sys\nfor m in {modules!r}: importlib.import_module('fusionpid.' + m)\n"
+        "print([name for name in ('scipy', 'jsonschema') if name in sys.modules])"
+    )
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "False", done.stderr
+    assert done.stdout.strip() == "[]", done.stderr
