@@ -10,7 +10,8 @@ from operator import add, itemgetter
 
 import numpy as np
 
-from .label_space import MAX_LABELS, encode
+from .info import TripleDataset
+from .label_space import encode
 
 CONDITIONS = ("m1", "m2", "both")
 ORDERS = ("first-m1", "first-m2")
@@ -76,40 +77,6 @@ class AnnotationTable:
             for c in self.columns.values()
         ]
         return map(self.record, *cols)
-
-
-@dataclass
-class TripleDataset:
-    """Weighted samples (y1, y2, y) over a shared label space.
-
-    samples: (N, 3) label indices, stored as a C-contiguous uint8 array (a
-    space holds at most MAX_LABELS = 32 labels, so an index fits one byte and
-    a row three; counting the joint reads a third of the bytes int64 rows
-    would take); weights: (N,) positive numbers, kept as given when integers
-    (a sampled dataset's draw counts) and cast to float otherwise.
-    """
-
-    space: object
-    samples: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        n = self.space.size
-        if n > MAX_LABELS:  # an index must fit the uint8 cast below
-            raise SchemaError(f"label space has {n} labels, more than the {MAX_LABELS} supported")
-        self.samples = np.asarray(self.samples)
-        weights = np.asarray(self.weights)  # integer counts stay exact above 2^53
-        self.weights = weights if weights.dtype.kind in "iu" else np.asarray(self.weights, dtype=float)
-        shape_ok = self.samples.shape[1:] == (3,) and self.weights.shape == self.samples.shape[:1]
-        if not shape_ok or self.samples.dtype.kind not in "iu":
-            raise SchemaError("samples must be an (N, 3) integer array and weights an (N,) array")
-        if len(self.weights):
-            # reductions, not (N,)-sized masks; the minimum of weights with a NaN is NaN, which fails `> 0`
-            if not self.weights.min() > 0:
-                raise SchemaError(f"nonpositive weight {self.weights[np.argmin(self.weights > 0)]}")
-            if self.samples.min() < 0 or self.samples.max() >= n:
-                raise SchemaError(f"index out of range for space of size {n}")
-        self.samples = np.ascontiguousarray(self.samples, np.uint8)
 
 
 class _Index(dict):

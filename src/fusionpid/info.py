@@ -1,5 +1,7 @@
-"""Joint distributions, the empirical joint of a triple dataset, and every
-information term of a joint from one table of its entropies, in bits."""
+"""Joint distributions, weighted triple datasets and their empirical joints,
+and every information term of a joint from one table of its entropies, in bits."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,7 +15,8 @@ class DistributionError(ValueError):
 
 
 class Joint3:
-    """Joint distribution p(y1, y2, y) on a shared support of size n."""
+    """Joint distribution p(y1, y2, y) on a shared support of size n. Cells down to -MASS_TOL are admitted
+    as rounding: they are set to zero and the rest rescaled to total 1. Any other mass is kept as given."""
 
     def __init__(self, mass):
         self.mass = np.asarray(mass, dtype=float)
@@ -26,6 +29,9 @@ class Joint3:
         total = float(self.mass.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise DistributionError(f"total mass {total} != 1")
+        if self.mass.min() < 0:
+            self.mass = np.maximum(self.mass, 0.0)
+            self.mass /= self.mass.sum()
 
     @property
     def size(self):
@@ -48,6 +54,40 @@ class Joint3:
         if mass.size != n**3:
             raise DistributionError(f"mass array has {mass.size} entries, expected {n**3}")
         return cls(mass.reshape(n, n, n))
+
+
+@dataclass
+class TripleDataset:
+    """Weighted samples (y1, y2, y) over a shared label space.
+
+    samples: (N, 3) label indices, stored as a C-contiguous uint8 array (a
+    space holds at most MAX_LABELS = 32 labels, so an index fits one byte and
+    a row three; counting the joint reads a third of the bytes int64 rows
+    would take); weights: (N,) positive numbers, kept as given when integers
+    (a sampled dataset's draw counts) and cast to float otherwise.
+    """
+
+    space: object
+    samples: np.ndarray
+    weights: np.ndarray
+
+    def __post_init__(self):
+        n = self.space.size
+        if n > MAX_LABELS:  # an index must fit the uint8 cast below
+            raise DistributionError(f"label space has {n} labels, more than the {MAX_LABELS} supported")
+        self.samples = np.asarray(self.samples)
+        weights = np.asarray(self.weights)  # integer counts stay exact above 2^53
+        self.weights = weights if weights.dtype.kind in "iu" else np.asarray(self.weights, dtype=float)
+        shape_ok = self.samples.shape[1:] == (3,) and self.weights.shape == self.samples.shape[:1]
+        if not shape_ok or self.samples.dtype.kind not in "iu":
+            raise DistributionError("samples must be an (N, 3) integer array and weights an (N,) array")
+        if len(self.weights):
+            # reductions, not (N,)-sized masks; the minimum of weights with a NaN is NaN, which fails `> 0`
+            if not self.weights.min() > 0:
+                raise DistributionError(f"nonpositive weight {self.weights[np.argmin(self.weights > 0)]}")
+            if self.samples.min() < 0 or self.samples.max() >= n:
+                raise DistributionError(f"index out of range for space of size {n}")
+        self.samples = np.ascontiguousarray(self.samples, np.uint8)
 
 
 def empirical_joint(data, smoothing=0.0):

@@ -52,13 +52,8 @@ class PIDResult:
 
 
 def _marginals(p):
-    """p(y1, y), p(y2, y) and p(y) of the joint p: the data of the polytope. The cells below zero that
-    `Joint3` admits as rounding count as zero, the rest rescaled to total 1, so both marginals agree on p(y)."""
-    mass = p.mass
-    if mass.min() < 0:
-        mass = np.maximum(mass, 0.0)
-        mass /= mass.sum()
-    m1, m2 = mass.sum(axis=1), mass.sum(axis=0)
+    """p(y1, y), p(y2, y) and p(y) of the joint p: the data of the polytope."""
+    m1, m2 = p.mass.sum(axis=1), p.mass.sum(axis=0)
     return m1, m2, m1.sum(axis=0)
 
 
@@ -234,9 +229,10 @@ class _DualBarrier:
         """
         log_q = s - np.log(-t * np.expm1(g))[self.block_of]
         for _ in range(FIT_STEPS):
-            q = np.exp(log_q)
+            with np.errstate(over="ignore"):  # a diverging fit: `solve_qstar` refuses the infinite q
+                q = np.exp(log_q)
             excess = self.margins(q) - self.marg
-            if np.max(np.abs(excess)) <= tol:
+            if not tol < np.max(np.abs(excess)) < math.inf:  # fitted, or not finite
                 break
             fit = self._cell_term(q)
             scale = _scale(fit)
@@ -271,7 +267,7 @@ def solve_qstar(joint):
     feasible dual point minus H(Y | Y1, Y2) at q*, a sound upper bound on
     its distance to the optimum; `converged`, gap <= OBJECTIVE_TOL; and
     `feasibility_residual`, its `feasible_residual`. Raises InfeasibleError
-    when q* or the gap is not finite or the residual is above FEAS_TOL.
+    when a recovered q is not finite or the residual is above FEAS_TOL.
     """
     # `p` names the in-block softmax below, so the joint is `joint` here
     prog = _DualBarrier(joint)
@@ -307,6 +303,8 @@ def solve_qstar(joint):
             system = prog.newton_system(g, p)
         if final or it >= MAX_ITERATIONS:
             q[prog.cells] = prog.recover(s, g, t, 0.01 * FEAS_TOL)
+            if not np.all(np.isfinite(q)):
+                raise InfeasibleError("solver broke down numerically")
             q /= q.sum()
             # a uniform shift of a restores any rounding-level infeasibility
             dual = (float(prog.marg @ x) + max(0.0, float(g.max()))) / LN2
@@ -322,10 +320,7 @@ def solve_qstar(joint):
         # raising t overshoots the new center by about the growth factor
         step = 1.0 / growth
     residual = feasible_residual(q, joint)
-    # written so that NaN fails them: overflow in `recover` can leave NaN in q
-    if not (np.isfinite(gap) and np.all(np.isfinite(q))):
-        raise InfeasibleError("solver broke down numerically")
-    if not residual <= FEAS_TOL:
+    if not residual <= FEAS_TOL:  # written so that NaN fails it
         raise InfeasibleError(f"solver left the feasible set (residual {residual})")
     diagnostics = {
         "iterations": it,

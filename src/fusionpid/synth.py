@@ -4,8 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TripleDataset
-from .info import Joint3
+from .info import Joint3, TripleDataset
 from .label_space import build_label_space
 
 GATES = ("XOR", "AND", "OR", "COPY", "UNIQUE1", "UNIQUE2")
@@ -51,20 +50,16 @@ def gate_space(n=2):
 
 
 def sample(p, count, seed):
-    """`count` i.i.d. draws from p as one multinomial: a TripleDataset of the
-    drawn cells, in C order, each weighted by its number of draws.
+    """`count` i.i.d. draws from p as one multinomial over its cells: a TripleDataset of the drawn cells,
+    in C order, each weighted by its number of draws (positive int64 counts, summing exactly to `count`).
 
-    Cells at or below 0 (a Joint3 admits -MASS_TOL) are never drawn and the
-    rest are renormalised; a cell drawn 0 times is left out, so the weights
-    are the positive int64 counts, summing exactly to `count`.
+    A zero cell never draws: the multinomial gives a cell of probability 0 no draws, and the trailing zero
+    cells are trimmed, since its last cell takes whatever the others did not draw.
     """
     if not 1 <= count <= np.iinfo(np.int64).max:  # numpy's multinomial takes an int64 count
         raise ValueError(f"count must lie in [1, 2^63 - 1], got {count}")
-    space = gate_space(p.size)  # refuses n > MAX_LABELS before the uint8 cast
-    mass = p.mass.ravel()
-    support = np.flatnonzero(mass > 0)
-    pvals = mass[support]
-    counts = np.random.default_rng(seed).multinomial(count, pvals / pvals.sum())
-    drawn = counts > 0
-    cells = np.stack(np.unravel_index(support[drawn], p.mass.shape), axis=1)
-    return TripleDataset(space, cells.astype(np.uint8), counts[drawn])
+    space = gate_space(p.size)
+    pvals = np.trim_zeros(p.mass.ravel() / p.mass.sum(), "b")
+    counts = np.random.default_rng(seed).multinomial(count, pvals)
+    drawn = np.flatnonzero(counts)
+    return TripleDataset(space, np.stack(np.unravel_index(drawn, p.mass.shape), axis=1), counts[drawn])

@@ -15,8 +15,7 @@ from click.testing import CliRunner
 import fusionpid
 from fusionpid import pid
 from fusionpid.cli import main
-from fusionpid.dataset import TripleDataset
-from fusionpid.info import empirical_joint
+from fusionpid.info import TripleDataset, empirical_joint
 from fusionpid.label_space import MAX_LABELS
 from fusionpid.pid import InfeasibleError
 from fusionpid.synth import GATES, GateSpec, canonical_joint, sample
@@ -829,6 +828,15 @@ def test_solver_failure_inside_the_solve_is_one_line_json_error(tmp_path, monkey
     src = tmp_path / "and.json"
     src.write_text(json.dumps(canonical_joint(GateSpec("AND", noise=0.1)).to_json()))
     assert_one_solver_failed_line(run(["pid", "--input", str(src)]), message)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_whose_line_searches_all_fail_is_one_line_json_error(tmp_path, monkeypatch):
+    # no numpy warning ahead of the error line
+    monkeypatch.setattr(pid._DualBarrier, "line_search", lambda self, *args: None)
+    src = tmp_path / "and.json"
+    src.write_text(json.dumps(canonical_joint(GateSpec("AND", noise=0.1)).to_json()))
+    assert_one_solver_failed_line(run(["pid", "--input", str(src)]), "solver broke down numerically")
 
 
 def partial_convert_args(tmp_path):

@@ -14,7 +14,6 @@ from fusionpid.dataset import (
     DecompositionRecord,
     PartialRecord,
     SchemaError,
-    TripleDataset,
     parse_counterfactual,
     parse_decomposition,
     parse_partial,
@@ -22,7 +21,7 @@ from fusionpid.dataset import (
     triples_from_counterfactual,
     triples_from_partial,
 )
-from fusionpid.info import DistributionError, empirical_joint
+from fusionpid.info import DistributionError, TripleDataset, empirical_joint
 from fusionpid.label_space import MAX_LABELS, build_label_space
 
 NOMINAL = build_label_space({"kind": "nominal", "values": ["no", "yes"]})
@@ -574,18 +573,18 @@ def test_rotation_total_weight_three_per_item():
 
 
 def test_triple_dataset_validation():
-    with pytest.raises(SchemaError):
+    with pytest.raises(DistributionError):
         TripleDataset(NOMINAL, [(0, 1, 0)], [1.0, 1.0])  # one weight per sample
-    with pytest.raises(SchemaError):
+    with pytest.raises(DistributionError):
         TripleDataset(NOMINAL, [(0, 1, 0)], [[1.0]])  # weights not one-dimensional
-    with pytest.raises(SchemaError):
+    with pytest.raises(DistributionError):
         TripleDataset(NOMINAL, [(0, 1)], [1.0])  # not a triple
-    with pytest.raises(SchemaError):
+    with pytest.raises(DistributionError):
         TripleDataset(NOMINAL, [(0.0, 1.0, 0.0)], [1.0])  # not integer indices
-    with pytest.raises(SchemaError):
+    with pytest.raises(DistributionError):
         TripleDataset(NOMINAL, [(0, 2, 0)], [1.0])  # index out of range
     for w in (0.0, -1.0, np.nan):
-        with pytest.raises(SchemaError):
+        with pytest.raises(DistributionError):
             TripleDataset(NOMINAL, [(0, 1, 0), (1, 1, 1)], [1.0, w])
 
 
@@ -599,7 +598,7 @@ def test_triple_dataset_validation():
     ],
 )
 def test_triple_dataset_messages_name_first_bad_entry(samples, weights, message):
-    with pytest.raises(SchemaError, match=f"^{message}$"):
+    with pytest.raises(DistributionError, match=f"^{message}$"):
         TripleDataset(NOMINAL, samples, weights)
 
 
@@ -612,7 +611,7 @@ def test_triple_dataset_stores_contiguous_uint8_rows():
 
 def test_triple_dataset_refuses_space_over_max_labels():
     too_big = SimpleNamespace(kind="nominal", size=MAX_LABELS + 1)
-    with pytest.raises(SchemaError, match=f"^label space has 33 labels, more than the {MAX_LABELS} supported$"):
+    with pytest.raises(DistributionError, match=f"^label space has 33 labels, more than the {MAX_LABELS} supported$"):
         TripleDataset(too_big, [(0, 1, 32)], [1.0])
 
 

@@ -103,15 +103,22 @@ def test_package_top_level_holds_only_the_docstring_and_version():
     assert [target.id for target in version.targets] == ["__version__"]
 
 
-def test_no_module_loads_scipy_or_jsonschema():
-    # `pip install fusionpid` brings numpy and click only (jsonschema is in the
-    # `test` extra); a fresh interpreter, since pytest's own process has loaded them
-    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
-    assert modules
-    code = (
-        f"import importlib, sys\nfor m in {modules!r}: importlib.import_module('fusionpid.' + m)\n"
-        "print([name for name in ('scipy', 'jsonschema') if name in sys.modules])"
-    )
+def loaded(imports, names):
+    """Those of `names` in `sys.modules` after `imports` in a fresh interpreter (pytest's own has loaded them)."""
+    code = f"import sys\n{imports}\nprint([name for name in {names!r} if name in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "[]", done.stderr
+    return done.stdout.strip()
+
+
+def test_no_module_loads_scipy_or_jsonschema():
+    # `pip install fusionpid` brings numpy and click only (jsonschema is in the `test` extra)
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+    assert modules
+    imports = f"import importlib\nfor m in {modules!r}: importlib.import_module('fusionpid.' + m)"
+    assert loaded(imports, ("scipy", "jsonschema")) == "[]"
+
+
+def test_sampling_loads_no_parser():
+    # the sampler's TripleDataset lives beside the joint it counts, away from the file parsers
+    assert loaded("import fusionpid.synth", ("fusionpid.dataset", "csv", "json")) == "[]"

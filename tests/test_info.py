@@ -3,8 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fusionpid.dataset import TripleDataset
-from fusionpid.info import DistributionError, Joint3, conditional_entropy_output, empirical_joint, information
+from fusionpid.info import (
+    DistributionError,
+    Joint3,
+    TripleDataset,
+    conditional_entropy_output,
+    empirical_joint,
+    information,
+)
 from fusionpid.label_space import MAX_LABELS, build_label_space
 from fusionpid.synth import GATES, GateSpec, canonical_joint, gate_space, sample
 
@@ -39,6 +45,22 @@ def test_mass_validation():
         Joint3(np.full((2, 2, 2), -0.125))
     with pytest.raises(DistributionError):
         Joint3(np.zeros((2, 3, 2)))
+
+
+def test_joint3_zeroes_admitted_negative_cells_and_keeps_any_other_mass_as_given():
+    mass = np.full((2, 2, 2), 0.125)
+    mass[0, 1, 0], mass[1, 1, 1] = -5e-10, 0.25 + 5e-10
+    p = Joint3(mass)
+    assert p.mass[0, 1, 0] == 0.0 and p.mass.min() == 0.0
+    assert abs(p.mass.sum() - 1.0) <= 1e-15
+    assert np.array_equal(p.mass, np.maximum(mass, 0.0) / np.maximum(mass, 0.0).sum())
+    assert mass[0, 1, 0] == -5e-10  # the input is not written to
+    # without a negative cell the mass is kept bit for bit, a total off 1 within MASS_TOL too
+    for clean in (random_joint(np.random.default_rng(3), 3).mass, np.full((2, 2, 2), 0.125 + 1e-10)):
+        assert np.array_equal(Joint3(clean).mass, clean)
+    mass[0, 1, 0], mass[1, 1, 1] = -2e-9, 0.25 + 2e-9
+    with pytest.raises(DistributionError, match="^negative probability mass$"):
+        Joint3(mass)
 
 
 def test_joint3_json_roundtrip():

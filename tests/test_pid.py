@@ -7,8 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fusionpid.dataset import TripleDataset
-from fusionpid.info import Joint3, conditional_entropy_output, information
+from fusionpid.info import Joint3, TripleDataset, conditional_entropy_output, information
 from fusionpid.pid import (
     FEAS_TOL,
     OBJECTIVE_TOL,
@@ -58,16 +57,32 @@ def test_feasible_initial_residual_random():
         assert feasible_residual(feasible_initial(p).mass, p) <= 1e-12
 
 
-def test_joint_whose_admitted_negative_cells_sum_below_tolerance_in_a_marginal_is_solved():
-    # each cell is within Joint3's -1e-9 tolerance; their (y1, y) sums of -2.4e-9 are zero support
+def admitted_negative_mass():
+    """A mass whose cells are each within Joint3's -1e-9 tolerance, their (y1, y) sums of -2.4e-9 not."""
     mass = np.full((3, 3, 3), 1 / 21)
     mass[0, :, 1] = 0.0
     mass[0, :, 0] = -0.8e-9
     mass[1, 1, 1] += 2.4e-9
+    return mass
+
+
+def test_joint_whose_admitted_negative_cells_sum_below_tolerance_in_a_marginal_is_solved():
+    mass = admitted_negative_mass()
+    assert mass.sum(axis=1)[0, 0] < -1e-9
+    # Joint3 zeroes the cells, so that marginal is zero support
     p = Joint3(mass)
-    assert p.mass.sum(axis=1)[0, 0] < -1e-9
+    assert p.mass.min() == 0.0 and p.mass.sum(axis=1)[0, 0] == 0.0
     res = pid_from_joint(p)
     assert res.converged and res.consistency["passed"], res.to_json()
+
+
+@pytest.mark.filterwarnings("error")
+def test_admitted_negative_cells_leave_the_decomposition_exact():
+    # the solve and `information` read the one zeroed joint: R + U1 + U2 + S is
+    # its total to rounding, where reading the raw cells missed it by 1e-8
+    res = pid_from_joint(Joint3(admitted_negative_mass()))
+    assert max(res.consistency["residuals"].values()) <= 1e-12, res.to_json()
+    assert abs(res.r + res.u1 + res.u2 + res.s - res.total) <= 1e-12, res.to_json()
 
 
 def test_solve_xor_objective_one_bit():
@@ -525,6 +540,15 @@ def test_result_reports_the_residual_of_its_certified_qstar(monkeypatch):
     for p in gates + [Joint3(mass) for _, mass, _ in solve_joints(1, 1.0)]:
         res = pid_from_joint(p)
         assert res.feasibility_residual == solve_qstar(p)[1]["feasibility_residual"] <= FEAS_TOL
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_whose_line_searches_all_fail_breaks_down_without_a_warning(monkeypatch):
+    # every stage ends at its starting point, and fitting q* there diverges:
+    # the first q that overflows ends the solve, before any numpy warning
+    monkeypatch.setattr(_DualBarrier, "line_search", lambda self, *args: None)
+    with pytest.raises(InfeasibleError, match="^solver broke down numerically$"):
+        pid_from_joint(AND_NOISY)
 
 
 # the most line searches an unforced solve of the failed-line-search test's joints makes

@@ -80,14 +80,16 @@ def test_dominant_map_covers_gates():
 
 
 def test_sample_within_mass_tolerance_never_draws_nonpositive_cells():
-    # a Joint3 admits cells down to -MASS_TOL; numpy's multinomial refuses them as pvals
+    # numpy's multinomial refuses a negative cell as a pval; a Joint3 admits
+    # cells down to -MASS_TOL and zeroes them, so the sampler never sees one
     mass = np.zeros((2, 2, 2))
     mass[0, 0, 0] = 0.5 + 5e-10
     mass[1, 1, 1] = 0.5
     mass[0, 1, 0] = -5e-10
-    p = Joint3(mass)
     with pytest.raises(ValueError):
-        np.random.default_rng(0).multinomial(10, p.mass.ravel())
+        np.random.default_rng(0).multinomial(10, mass.ravel())
+    p = Joint3(mass)
+    assert p.mass[0, 1, 0] == 0.0
     for seed in range(5):
         data = sample(p, 10000, seed=seed)
         assert data.weights.sum() == 10000
@@ -111,14 +113,35 @@ def test_sample_weights_are_draw_counts_over_positive_cells(gate):
     assert np.all(data.weights >= 1) and np.all(p.mass[tuple(data.samples.T)] > 0)
 
 
-def test_sample_is_one_multinomial_of_the_positive_cells():
-    p = canonical_joint(GateSpec("AND", noise=0.2))
-    data = sample(p, 5000, seed=4)
+def assert_one_multinomial_of_the_positive_cells(p, count, seed):
+    data = sample(p, count, seed)
     support = np.flatnonzero(p.mass.ravel() > 0)
     pvals = p.mass.ravel()[support]
-    counts = np.random.default_rng(4).multinomial(5000, pvals / pvals.sum())
-    assert np.array_equal(np.ravel_multi_index(data.samples.T, (2, 2, 2)), support[counts > 0])
+    counts = np.random.default_rng(seed).multinomial(count, pvals / pvals.sum())
+    assert np.array_equal(np.ravel_multi_index(data.samples.T, p.mass.shape), support[counts > 0])
     assert np.array_equal(data.weights, counts[counts > 0])
+
+
+def test_sample_is_one_multinomial_of_the_positive_cells():
+    assert_one_multinomial_of_the_positive_cells(canonical_joint(GateSpec("AND", noise=0.2)), 5000, 4)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sample_of_sparse_joints_is_one_multinomial_of_the_positive_cells(seed):
+    # the draw runs over every cell; a zero one draws nothing
+    rng = np.random.default_rng(60 + seed)
+    joints = [canonical_joint(GateSpec("COPY", noise=noise)) for noise in (0.0, 0.1)]
+    for n in (2, 3, 4, 5):
+        mass = rng.exponential(size=(n, n, n)) * (rng.random((n, n, n)) < 0.4)
+        mass[0, 0, 0] += 0.01  # one positive cell at least
+        joints.append(Joint3(mass / mass.sum()))
+    for p in joints:
+        for count in (1, 17, 5000, 10**6):
+            assert_one_multinomial_of_the_positive_cells(p, count, seed)
+        # the last cell takes what the others leave: were trailing zero cells drawn, a count
+        # this large would leave them some when rounding puts the last positive cell's share below 1
+        data = sample(p, 10**18, seed)
+        assert data.weights.sum() == 10**18 and np.all(p.mass[tuple(data.samples.T)] > 0)
 
 
 @pytest.mark.parametrize("n", [2, 7, 32])
