@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Codes, _levels, _runs  # _levels: for the records form, read by perfbench/test_perfbench.py
+from .dataset import Codes, _levels  # _levels: for the records form, read by perfbench/test_perfbench.py
 
 METRICS = ("nominal", "ordinal", "interval")
 
@@ -66,12 +66,12 @@ class AlphaResult:
 def _categories(values):
     """Each value's category, one value per category and, if all are finite numbers, their numbers.
 
-    Values that all read as finite numbers (numbers and numeric text alike)
-    sort and merge by number, so 5, 5.0 and "5" are one category; other
-    values sort and merge by value.
+    Values that all read as finite numbers (numbers and numeric text alike,
+    but not text with a digit-grouping "_") sort and merge by number, so 5,
+    5.0 and "5" are one category; other values sort and merge by value.
     """
     try:
-        number = np.array([float(v) for v in values])
+        number = np.array([np.nan if "_" in str(v) else float(v) for v in values])  # float() reads "1_0" as 10
     except (TypeError, ValueError, OverflowError):
         number = np.array([np.nan])
     if np.isfinite(number).all():
@@ -93,26 +93,26 @@ def _categories(values):
 
 
 def krippendorff_alpha(r):
-    """alpha = 1 - D_o / D_e over the coincidence matrix of `Ratings` r.
+    """alpha = 1 - D_o / D_e of `Ratings` r, from per-unit sums.
 
-    Units with fewer than 2 ratings are excluded. The coincidence matrix is
-    counted per unit (Krippendorff, "Computing Krippendorff's
-    alpha-reliability", 2011): with N[u, c] the count of category c in unit
-    u and w_u = 1 / (m_u - 1) for its m_u ratings,
-    o = N^T diag(w) N - diag(sum_u w_u N[u]), summed over the pairs of
-    nonzero counts within each unit, so memory grows with those pairs and
-    not with units x categories.
+    Units with fewer than 2 ratings are excluded; unit u's m_u ratings pair
+    with weight 1 / (m_u - 1) (Krippendorff, "Computing Krippendorff's
+    alpha-reliability", 2011). Of u's ordered pairs, m_u^2 - sum_c N[u, c]^2
+    differ (nominal; N[u, c] counts category c in u), and their squared
+    differences sum to 2 (m_u sum x^2 - (sum x)^2) (interval, ordinal); D_e
+    takes the same sums over all pairable ratings. Memory grows with the
+    ratings, not with pairs or categories.
 
     Only this function decides what a category is. The values present sort
     and merge by number when all are finite numbers or numeric text ("-3"
     before "-1"; 5, 5.0 and "5" one category), else by value (equal values,
     such as labels with one index in a label space, one category); values
-    that cannot be sorted together raise CategoryError. Squared distances:
-    nominal 1 - I; interval (x_c - x_c')^2 on the values; ordinal the same
-    on the mid-ranks x_c = sum_{g<=c} n_g - n_c / 2 of the totals n_g, which
-    equals Krippendorff's (sum_{g=c..c'} n_g - (n_c + n_c') / 2)^2. Returns
-    AlphaResult with alpha None when every pairable value is identical
-    (D_e = 0, undefined).
+    that cannot be sorted together raise CategoryError. x is the numbers
+    (interval) or the mid-ranks x_c = sum_{g<=c} t_g - t_c / 2 of the
+    category totals t (ordinal), whose differences give Krippendorff's
+    ordinal distance. Alpha is unchanged by affine maps of x, so x is scaled
+    into [-1, 1] and any finite label works. Alpha is None when every
+    pairable value is identical (D_e = 0, undefined).
     """
     per_unit = np.bincount(r.unit, minlength=r.units)
     pairable = per_unit >= 2
@@ -127,27 +127,26 @@ def krippendorff_alpha(r):
     category = np.empty(len(r.categories), np.intp)
     category[present] = merged
     unit = (np.cumsum(pairable) - 1)[r.unit[kept]]
-    # the nonzero entries of N, as (unit, category) cells sorted by unit
+    # the nonzero entries of N, as (unit, category) cells sorted by unit, then by category
     cells, count = np.unique(unit * k + category[code], return_counts=True)
     cell_unit, cell_category = np.divmod(cells, k)
-    # every ordered pair (a, b) of one unit's cells, a cell with itself included
-    nnz = np.bincount(cell_unit, minlength=n_pairable)
-    pair_unit, pos = _runs(nnz**2)
-    first = (np.cumsum(nnz) - nnz)[pair_unit]
-    a, b = first + pos // nnz[pair_unit], first + pos % nnz[pair_unit]
-    w = (1.0 / (per_unit[pairable] - 1))[pair_unit]
-    weight = w * (count[a] * (count[b] - (a == b)))
-    o = np.bincount(cell_category[a] * k + cell_category[b], weight, minlength=k * k).reshape(k, k)
-    totals = o.sum(axis=1)
-    n = totals.sum()
-    if r.metric == "ordinal":
-        x = np.cumsum(totals) - totals / 2.0  # mid-ranks
-    d = 1.0 - np.eye(k) if r.metric == "nominal" else (x[:, None] - x) ** 2
-    d_e = float((np.outer(totals, totals) * d).sum()) / (n * (n - 1))
-    if d_e == 0.0:
-        return AlphaResult(alpha=None, n_units=r.units, n_pairable=n_pairable)
-    d_o = float((o * d).sum()) / n
-    return AlphaResult(alpha=1.0 - d_o / d_e, n_units=r.units, n_pairable=n_pairable)
+    m, n = per_unit[pairable], len(code)
+    totals = np.bincount(cell_category, count, k)
+    if r.metric == "nominal":
+        within = m**2 - np.bincount(cell_unit, count**2, n_pairable)
+        among = n**2 - float(totals @ totals)
+    else:
+        if r.metric == "ordinal":
+            x = np.cumsum(totals) - totals / 2.0  # mid-ranks
+        x = x / (np.abs(x).max() or 1.0)  # alpha is unchanged by affine maps of x; in [-1, 1] no square overflows
+        lowest = cell_category[np.r_[True, cell_unit[1:] != cell_unit[:-1]]]  # of each unit
+        y = x[cell_category] - x[lowest][cell_unit]  # exactly 0 throughout a unit whose ratings agree
+        within = m * np.bincount(cell_unit, count * y * y, n_pairable)
+        within -= np.bincount(cell_unit, count * y, n_pairable) ** 2
+        y = x - float(totals @ x) / n  # less the mean, so that the two terms do not cancel
+        among = n * float(totals @ (y * y)) - float(totals @ y) ** 2
+    d_o, d_e = float(within @ (1.0 / (m - 1))) / n, among / (n * (n - 1))
+    return AlphaResult(None if d_e == 0.0 else 1.0 - d_o / d_e, r.units, n_pairable)
 
 
 def mean_confidence(values):

@@ -267,7 +267,7 @@ def pid(path, out):
     obj = _read(path, json.load, "invalid-distribution")
     try:
         p = Joint3.from_json(obj)
-    except (DistributionError, KeyError, OverflowError, TypeError, ValueError) as exc:
+    except (DistributionError, OverflowError) as exc:  # OverflowError: an integer mass beyond float range
         _fail("invalid-distribution", str(exc))
     try:
         result = pid_from_joint(p)

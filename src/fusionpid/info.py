@@ -42,10 +42,14 @@ class Joint3:
 
     @classmethod
     def from_json(cls, obj):
+        if not isinstance(obj, dict) or "size" not in obj or "mass" not in obj:
+            raise DistributionError("a joint must be a JSON object with 'size' and 'mass'")
         n = obj["size"]
         # a JSON integer (not a bool) that a label space could have produced
         if type(n) is not int or not 1 <= n <= MAX_LABELS:
             raise DistributionError(f"size must be an integer in [1, {MAX_LABELS}], got {n!r}")
+        if not isinstance(obj["mass"], list):
+            raise DistributionError("mass must be an array of numbers")
         # JSON numbers only, not bools, as for `size`: asarray would read true as 1.0 and "0.125" as 0.125
         bad = [v for v in obj["mass"] if type(v) not in (int, float)]
         if bad:

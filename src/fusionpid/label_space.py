@@ -40,10 +40,14 @@ class LabelSpace:
             raise LabelSpaceError("label space needs at least 2 labels")
         if len(set(self.values)) != len(self.values):
             raise LabelSpaceError("duplicate label values")
+        if any(isinstance(v, float) and not math.isfinite(v) for v in self.values):  # NaN and infinities are not JSON
+            raise LabelSpaceError(f"label values must be finite, got {list(self.values)}")
         if self.kind == "binned-continuous":
             if self.bin_edges is None or len(self.bin_edges) < 3:
                 raise LabelSpaceError("binned-continuous needs at least 3 bin edges")
             edges = list(self.bin_edges)
+            if not all(-math.inf < e < math.inf for e in edges):
+                raise LabelSpaceError(f"bin edges must be finite, got {edges}")
             if not all(b > a for a, b in zip(edges, edges[1:])):
                 raise LabelSpaceError("bin edges must be strictly ascending")
             if len(self.values) != len(edges) - 1:
@@ -113,6 +117,8 @@ def encode(space, raw):
                 return i
         raise LabelSpaceError(f"unknown label {raw!r} for {space.kind} space")
     if space.kind == "binned-continuous":
+        if isinstance(raw, str) and "_" in raw:  # float() would read the digit grouping of 0_1 as 1.0
+            raise LabelSpaceError(f"not a real value: {raw!r}")
         try:
             x = float(raw)
         except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range

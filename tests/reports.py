@@ -3,6 +3,7 @@
 `convert` and `agreement` do not validate what they write: their schemas
 (`schemas/run_report.json`, `schemas/agreement_report.json`) are the
 contract, and these tests and the benchmark's checks hold the reports to it.
+Every report, `pid`'s too, must also parse as strict JSON.
 """
 
 import json
@@ -21,11 +22,18 @@ def _validator(name):
 VALIDATORS = {"convert": _validator("run_report"), "agreement": _validator("agreement_report")}
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def check_report(args, exit_code, stdout):
-    """Validate the report that a successful `convert` or `agreement` call with `args`
-    wrote: to the last `--out` path given, or else to stdout."""
-    if exit_code != 0 or not args or args[0] not in VALIDATORS or "--help" in args:
+    """Check the report that a successful `convert`, `agreement` or `pid` call with `args`
+    wrote, to the last `--out` path given or else to stdout: it is strict JSON (no NaN
+    or infinities, which `json.dumps` writes and other readers refuse) and meets its schema."""
+    if exit_code != 0 or not args or args[0] not in (*VALIDATORS, "pid") or "--help" in args:
         return
     outs = [value for option, value in zip(args, args[1:]) if option == "--out"]
     text = Path(outs[-1]).read_text() if outs else stdout
-    VALIDATORS[args[0]].validate(json.loads(text))
+    report = json.loads(text, parse_constant=_not_json)
+    if args[0] in VALIDATORS:
+        VALIDATORS[args[0]].validate(report)

@@ -76,6 +76,34 @@ def test_alpha_deterministic_and_unanimous_units():
         assert krippendorff_alpha(m).alpha == first
 
 
+@pytest.mark.parametrize("metric", ["nominal", "ordinal", "interval"])
+def test_unanimous_study_reads_exactly_one(metric):
+    # values whose squares and sums round: a unit that agrees must still add exactly 0
+    rows = [[0.1, 0.1, 0.1], [1e200, 1e200], [-1.7e308, -1.7e308, -1.7e308, None], [7 / 3, 7 / 3], [-3, -3]]
+    assert krippendorff_alpha(matrix(rows, metric)).alpha == 1.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_interval_alpha_is_unchanged_by_scaling_the_labels():
+    # interval alpha is unchanged by affine maps of the labels; squared at 1e200 they overflowed
+    rows = [[0, 1], [5, 4, 5], [0, 0], [5, 5], [-2, 3, None], [1, 1]]
+    want = krippendorff_alpha(matrix(rows, "interval")).alpha
+    for scale in (1e200, -1e200, 1e-200):
+        scaled = [[None if v is None else v * scale for v in row] for row in rows]
+        assert krippendorff_alpha(matrix(scaled, "interval")).alpha == pytest.approx(want, abs=1e-12)
+    huge = [[1.7e308, 1.7e308], [-1.7e308, 1.7e308], [-1.7e308, -1.7e308]]
+    assert krippendorff_alpha(matrix(huge, "interval")).alpha == pytest.approx(4 / 9, abs=1e-12)
+
+
+def test_digit_grouping_text_is_not_a_number():
+    # float() reads "1_0" as 10: it is its own category, not one with "10"
+    rows = [["1_0", "10"], ["10", "10"], ["1_0", "1_0"]]
+    assert krippendorff_alpha(matrix(rows)).alpha == pytest.approx(4 / 9, abs=1e-12)  # one category: undefined
+    assert krippendorff_alpha(matrix([["10", "10.0"], ["10", "10"], ["2", "2"]])).alpha == 1.0
+    with pytest.raises(CategoryError):
+        krippendorff_alpha(matrix(rows, "interval"))
+
+
 def test_interval_metric_penalizes_distance():
     near = matrix([[0, 1], [5, 4], [0, 0], [5, 5]], "interval")
     far = matrix([[0, 5], [5, 0], [0, 0], [5, 5]], "interval")

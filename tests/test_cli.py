@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -49,7 +50,7 @@ def partial_rows(data):
 
 
 def run(args):
-    """`fusionpid` with `args`; a report that `convert` or `agreement` writes must meet its schema."""
+    """`fusionpid` with `args`; a report written must be strict JSON and meet its schema."""
     result = CliRunner().invoke(main, args, catch_exceptions=False)
     check_report(args, result.exit_code, result.stdout)
     return result
@@ -255,6 +256,21 @@ def test_binned_nan_score_is_one_error_line(tmp_path, fmt, score, command, code)
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
     assert json.loads(line) == {"error": code, "message": f"not a finite real value: {score!r}"}
+
+
+@pytest.mark.parametrize("command, code", [("convert", "conversion-failed"), ("agreement", "agreement-failed")])
+def test_binned_score_with_digit_grouping_is_one_error_line(tmp_path, command, code):
+    # float() reads the text 0_1 as 1.0, which used to be binned into [-1,1]
+    scores = list(zip(("m1", "m2", "both"), ("0_1", "1.5", "-2")))
+    lines = ["item_id,annotator_id,condition,label,confidence"]
+    lines += [f"i{i},a{k},{cond},{y},4" for i in range(3) for k, (cond, y) in enumerate(scores)]
+    src = tmp_path / "scores.csv"
+    src.write_text("\n".join(lines) + "\n")
+    args = ["--input", str(src), "--schema", "partial", "--label-space", '{"kind": "binned-continuous"}']
+    result = run([command, *args])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": code, "message": "not a real value: '0_1'"}
 
 
 @pytest.mark.parametrize("command, code", [("convert", "conversion-failed"), ("agreement", "agreement-failed")])
@@ -538,6 +554,19 @@ def test_agreement_orders_numeric_text_labels_by_number(tmp_path):
     assert json.loads(plain.output)["agreement"] == json.loads(spaced.output)["agreement"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_agreement_interval_alpha_of_labels_near_the_float_limit_is_finite(tmp_path):
+    # squared, 1e200 overflows: alpha used to be NaN, which is not JSON, after two RuntimeWarnings
+    lines = ["item_id,annotator_id,condition,label,confidence"]
+    for i, labels in enumerate([("1e200", "1e200"), ("-1e200", "1e200"), ("-1e200", "-1e200")]):
+        lines += [f"i{i},a{k},m1,{y},3" for k, y in enumerate(labels)]
+    src = tmp_path / "partial.csv"
+    src.write_text("\n".join(lines) + "\n")
+    result = run(["agreement", "--input", str(src), "--schema", "partial", "--metric", "interval"])
+    assert result.exit_code == 0 and result.stderr == "", result.output
+    assert json.loads(result.stdout)["agreement"]["m1"]["alpha"] == pytest.approx(4 / 9, abs=1e-12)
+
+
 def test_agreement_report_echoes_the_label_space_its_alphas_used(tmp_path):
     lines = ["item_id,annotator_id,condition,label,confidence"]
     for i, labels in (("i1", (0.2, 0.9)), ("i2", (-2.5, -1.5)), ("i3", (2.0, 2.9))):
@@ -682,6 +711,27 @@ def test_pid_command_copy_joint(tmp_path):
 def test_pid_command_rejects_bad_mass(tmp_path, mass, message):
     src = tmp_path / "bad.json"
     src.write_text(json.dumps({"size": 2, "mass": mass}))
+    result = run(["pid", "--input", str(src)])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": "invalid-distribution", "message": message}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("null", "a joint must be a JSON object with 'size' and 'mass'"),
+        ('"x"', "a joint must be a JSON object with 'size' and 'mass'"),
+        ("[0.125]", "a joint must be a JSON object with 'size' and 'mass'"),
+        ('{"size": 3}', "a joint must be a JSON object with 'size' and 'mass'"),
+        ('{"size": 2, "mass": null}', "mass must be an array of numbers"),
+        ('{"size": 1, "mass": 1.0}', "mass must be an array of numbers"),
+    ],
+)
+def test_pid_command_names_a_joint_of_the_wrong_shape(tmp_path, text, message):
+    # these used to report Python's own errors, such as "'NoneType' object is not subscriptable"
+    src = tmp_path / "joint.json"
+    src.write_text(text)
     result = run(["pid", "--input", str(src)])
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
@@ -961,6 +1011,31 @@ def test_malformed_label_space_is_one_config_error(tmp_path, command, config):
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
     assert json.loads(line)["error"] == "invalid-label-space"
+
+
+@pytest.mark.parametrize("command", ["convert", "agreement"])
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"kind": "binned-continuous", "bin_edges": [0, 1, math.inf]}, "bin edges must be finite, got [0.0, 1.0, inf]"),
+        ({"kind": "binned-continuous", "bin_edges": [-math.inf, 0, 1]}, "bin edges must be finite, got [-inf, 0.0, 1.0]"),
+        ({"kind": "nominal", "values": [math.nan, "0", "1"]}, "label values must be finite, got [nan, '0', '1']"),
+        ({"kind": "ordinal", "values": [math.inf, "0", "1"]}, "label values must be finite, got [inf, '0', '1']"),
+    ],
+)
+def test_non_finite_label_space_is_one_config_error(tmp_path, command, inline, config, message):
+    # the report echoes its label space, and NaN and infinities are not JSON
+    config = json.dumps(config)  # writes them as NaN, Infinity and -Infinity, which json.loads reads
+    src = tmp_path / "xor.csv"
+    write_partial_csv(src, sample(canonical_joint(GateSpec("XOR")), 20, seed=1))
+    if not inline:
+        (tmp_path / "space.json").write_text(config)
+        config = str(tmp_path / "space.json")
+    result = run([command, "--input", str(src), "--schema", "partial", "--label-space", config])
+    assert result.exit_code == 2
+    [line] = result.output.strip().splitlines()
+    assert json.loads(line) == {"error": "invalid-label-space", "message": message}
 
 
 @pytest.mark.parametrize("command", ["convert", "agreement"])

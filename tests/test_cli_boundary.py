@@ -2,14 +2,16 @@
 
 Small input files for `convert`, `agreement`, `pid` and `--label-space`,
 drawn from text that readers must take or refuse (quotes, byte-order marks,
-short rows, bools, NaN, nested lists, nesting past the JSON decoder's
-recursion limit, integers past its 4300-digit limit), end either in exit 0,
-with any report written meeting its shipped schema, or in exactly one JSON
-line with `error` and `message` on stderr and exit 1 or 2. A file read
-again with a UTF-8 byte-order mark in front gives the same output.
+short rows, bools, NaN and infinities, nested lists, nesting past the JSON
+decoder's recursion limit, integers past its 4300-digit limit), end either
+in exit 0, with any report written strict JSON that meets its shipped
+schema, or in exactly one JSON line with `error` and `message` on stderr and
+exit 1 or 2. A file read again with a UTF-8 byte-order mark in front gives
+the same output.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -157,11 +159,30 @@ LOOSE_SPACES = st.fixed_dictionaries(
         "bin_edges": st.lists(st.floats() | JSON_VALUES, max_size=4),
     },
 )
-LABEL_SPACES = VALID_SPACES | LOOSE_SPACES | JSON_VALUES | st.just(DEEP_MARK)
+# each kind's list of labels or bin edges in a valid space
+LISTS = {
+    "nominal": ("values", ["0", "1"]),
+    "ordinal": ("values", [0, 1]),
+    "binned-continuous": ("bin_edges", [-1, 0.5, 2]),
+}
+
+
+def non_finite_space(kind, value, at):
+    """A space of `kind` with `value` put in place `at` of its list."""
+    key, items = LISTS[kind]
+    return {"kind": kind, key: items[:at] + [value] + items[at:]}
+
+
+# NaN and infinities are not JSON: a report that echoed such a space would not parse
+NON_FINITE_SPACES = st.builds(
+    non_finite_space, st.sampled_from(list(LISTS)), st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 3)
+)
+LABEL_SPACES = VALID_SPACES | NON_FINITE_SPACES | LOOSE_SPACES | JSON_VALUES | st.just(DEEP_MARK)
 
 
 def invoke(args):
-    """(exit code, stdout, stderr) of `fusionpid` with `args`; a report written must meet its schema."""
+    """(exit code, stdout, stderr) of `fusionpid` with `args`; a report written must be strict JSON
+    and meet its schema."""
     result = CliRunner().invoke(main, args)
     check_report(args, result.exit_code, result.stdout)
     return result.exit_code, result.stdout, result.stderr

@@ -82,9 +82,11 @@ def test_encode_unknown_and_out_of_range():
         encode(binned, 3.5)
 
 
-@pytest.mark.parametrize("raw", ["nan", "NaN", "-nan", float("nan"), "inf", float("-inf"), 10**400, "1e999"])
+@pytest.mark.parametrize(
+    "raw", ["nan", "NaN", "-nan", float("nan"), "inf", float("-inf"), 10**400, "1e999", "0_1", "2_5"]
+)
 def test_binned_encode_refuses_a_value_that_is_not_a_finite_real(raw):
-    # NaN compares false with every edge: it used to land in bin 0
+    # NaN compares false with every edge: it used to land in bin 0; float() reads the text 0_1 as 1.0
     space = build_label_space({"kind": "binned-continuous", "bin_edges": [-3, -1, 1, 3]})
     with pytest.raises(LabelSpaceError, match="not a .*real value"):
         encode(space, raw)
@@ -150,6 +152,11 @@ def test_binned_encode_monotone():
         ("binned-continuous", ("a", "b"), (0.0, 1.0), "at least 3 bin edges"),
         ("binned-continuous", ("a", "b", "c"), (0.0, 1.0, 2.0), "bin count must be edge count minus one"),
         ("nominal", ("a", "b"), (0.0, 1.0, 2.0), "bin_edges only valid for binned-continuous"),
+        # NaN and infinities are not JSON: a report echoing the space would not parse
+        ("binned-continuous", ("a", "b"), (0.0, 1.0, float("inf")), "bin edges must be finite"),
+        ("binned-continuous", ("a", "b"), (float("-inf"), 0.5, 1.0), "bin edges must be finite"),
+        ("nominal", (float("nan"), "0", "1"), None, "label values must be finite"),
+        ("ordinal", (float("inf"), "0", "1"), None, "label values must be finite"),
     ],
 )
 def test_label_space_built_directly_checks_its_kind_and_bins(kind, values, bin_edges, message):
