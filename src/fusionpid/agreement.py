@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Codes, _levels  # _levels: for the records form, read by perfbench/test_perfbench.py
+from .label_space import number
 
 METRICS = ("nominal", "ordinal", "interval")
 
@@ -66,17 +67,14 @@ class AlphaResult:
 def _categories(values):
     """Each value's category, one value per category and, if all are finite numbers, their numbers.
 
-    Values that all read as finite numbers (numbers and numeric text alike,
-    but not text with a digit-grouping "_") sort and merge by number, so 5,
-    5.0 and "5" are one category; other values sort and merge by value.
+    Values that all read as numbers (`label_space.number`: not bools, nor
+    text with "_" or non-ASCII digits) sort and merge by number, so 5, 5.0,
+    "5" and " 5" are one category; other values sort and merge by value.
     """
-    try:
-        number = np.array([np.nan if "_" in str(v) else float(v) for v in values])  # float() reads "1_0" as 10
-    except (TypeError, ValueError, OverflowError):
-        number = np.array([np.nan])
-    if np.isfinite(number).all():
-        rank = np.argsort(number, kind="stable")
-        ordered = number[rank]
+    numeric = np.array([number(v) for v in values], float)  # NaN for a value that is no number
+    if np.isfinite(numeric).all():
+        rank = np.argsort(numeric, kind="stable")
+        ordered = numeric[rank]
         first = np.r_[True, ordered[1:] != ordered[:-1]]
         x = ordered[first]
     else:
@@ -104,7 +102,7 @@ def krippendorff_alpha(r):
     ratings, not with pairs or categories.
 
     Only this function decides what a category is. The values present sort
-    and merge by number when all are finite numbers or numeric text ("-3"
+    and merge by number when all read as numbers (`label_space.number`; "-3"
     before "-1"; 5, 5.0 and "5" one category), else by value (equal values,
     such as labels with one index in a label space, one category); values
     that cannot be sorted together raise CategoryError. x is the numbers

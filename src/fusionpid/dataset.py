@@ -11,7 +11,7 @@ from operator import add, itemgetter
 import numpy as np
 
 from .info import TripleDataset
-from .label_space import encode
+from .label_space import encode, number
 
 CONDITIONS = ("m1", "m2", "both")
 ORDERS = ("first-m1", "first-m2")
@@ -295,7 +295,8 @@ def _column(name, levels, codes, row_at):
     The field's name gives its kind: a CHOICES field becomes `Codes` over
     its choices, an IDS field `Codes` over its sorted text (levels that
     read the same merged), a LABELS field `Codes` over its raw values, and
-    any other field a rating, an int64 array. Levels come in any order: a
+    any other field a rating in [0, 5], an int64 array: a `number` that is
+    an integer, from text that int() reads too. Levels come in any order: a
     level that is None (a missing field) or that its kind refuses refuses
     the column with the error of the first row, in input order, that has it.
     """
@@ -326,17 +327,12 @@ def _column(name, levels, codes, row_at):
         return raw
 
     def rating(raw):
-        # int() would read JSON true as 1, 4.5 as 4 and the text 0_5 (digit grouping) as 5
-        grouped = isinstance(raw, str) and "_" in raw
-        if isinstance(raw, bool) or isinstance(raw, float) and not raw.is_integer() or grouped:
-            raise SchemaError(f"{name} must be an integer: {raw!r}")
-        try:
-            value = int(raw)
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(f"{name} must be an integer: {raw!r}") from None
-        if value not in RATINGS:
-            raise SchemaError(f"{name}={value} outside [0, 5]")
-        return value
+        x = number(raw)  # None for JSON true and for the text 0_5 or ٤
+        if x is None or not x.is_integer() or isinstance(raw, str) and not raw.strip().lstrip("+-").isdigit():
+            raise SchemaError(f"{name} must be an integer: {raw!r}")  # 4.5, and text such as 2.0 that int() refuses
+        if x not in RATINGS:
+            raise SchemaError(f"{name}={int(x)} outside [0, 5]")
+        return int(x)
 
     if name in CHOICES:
         return Codes(CHOICES[name], np.array(parsed(choice), np.intp)[codes])

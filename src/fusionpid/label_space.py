@@ -2,6 +2,7 @@
 
 import bisect
 import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -38,7 +39,7 @@ class LabelSpace:
             raise LabelSpaceError(f"label space has {len(self.values)} labels, more than the {MAX_LABELS} supported")
         if len(self.values) < 2:
             raise LabelSpaceError("label space needs at least 2 labels")
-        if len(set(self.values)) != len(self.values):
+        if not len(self.values) == len(set(self.values)) == len(set(map(str, self.values))):  # CSV text is str(value)
             raise LabelSpaceError("duplicate label values")
         if any(isinstance(v, float) and not math.isfinite(v) for v in self.values):  # NaN and infinities are not JSON
             raise LabelSpaceError(f"label values must be finite, got {list(self.values)}")
@@ -83,7 +84,9 @@ def build_label_space(config):
     kind = config["kind"]
     try:
         if kind == "binned-continuous":
-            edges = tuple(float(e) for e in config.get("bin_edges", DEFAULT_CONTINUOUS_EDGES))
+            edges = tuple(map(number, config.get("bin_edges", DEFAULT_CONTINUOUS_EDGES)))
+            if None in edges:  # the defaults are numbers
+                raise LabelSpaceError(f"bin edges must be finite numbers, got {config['bin_edges']!r}")
             names = tuple(f"[{a:g},{b:g}]" for a, b in zip(edges, edges[1:]))
             return LabelSpace(kind=kind, values=names, bin_edges=edges)
         if kind == "ordinal" and "range" in config:
@@ -101,15 +104,29 @@ def build_label_space(config):
             return LabelSpace(kind=kind, values=tuple(config.get("values", ())))
     except LabelSpaceError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         # wrong shapes and types in the JSON: a range that is not a pair,
-        # non-numeric bin edges, unhashable label values
+        # bin edges that are no list, unhashable label values
         raise LabelSpaceError(f"malformed {kind} label space: {exc}") from None
     raise LabelSpaceError(f"unknown label-space kind: {kind!r}")
 
 
+def number(raw):
+    """The finite float that a label, rating or bin edge spells, or None.
+
+    A bool is none, and an int or float (numpy's too) is its own. Text is one when float() reads it, it is ASCII
+    and it has no "_": float() reads "\u0661" as 1 and "1_0" as 10. ASCII whitespace around it is allowed.
+    """
+    text = isinstance(raw, str) and raw.isascii() and "_" not in raw
+    try:
+        x = float(raw) if text or isinstance(raw, numbers.Real) and not isinstance(raw, bool) else math.nan
+    except (ValueError, OverflowError):  # text that float() does not read; an int beyond the float range
+        return None
+    return x if math.isfinite(x) else None
+
+
 def encode(space, raw):
-    """Map a raw label value to its index in [0, space.size)."""
+    """Map a raw label value to its index in [0, space.size); a binned space bins the value's `number`."""
     if isinstance(raw, bool):
         # True == 1 == 1.0: without this a JSON true would be read as label 1, or land in a bin
         for i, v in enumerate(space.values):
@@ -117,13 +134,8 @@ def encode(space, raw):
                 return i
         raise LabelSpaceError(f"unknown label {raw!r} for {space.kind} space")
     if space.kind == "binned-continuous":
-        if isinstance(raw, str) and "_" in raw:  # float() would read the digit grouping of 0_1 as 1.0
-            raise LabelSpaceError(f"not a real value: {raw!r}")
-        try:
-            x = float(raw)
-        except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond float range
-            raise LabelSpaceError(f"not a real value: {raw!r}")
-        if not math.isfinite(x):  # NaN compares false with every edge and would land in bin 0
+        x = number(raw)
+        if x is None:  # NaN compares false with every edge and would land in bin 0
             raise LabelSpaceError(f"not a finite real value: {raw!r}")
         edges = space.bin_edges
         if x < edges[0] or x > edges[-1]:

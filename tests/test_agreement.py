@@ -8,6 +8,7 @@ from fusionpid.agreement import (
     AgreementError,
     CategoryError,
     Ratings,
+    _categories,
     krippendorff_alpha,
     matrix_from_records,
     mean_confidence,
@@ -293,6 +294,24 @@ def test_mixed_type_labels_cannot_be_ordered():
         krippendorff_alpha(m)
     with pytest.raises(CategoryError):
         krippendorff_alpha(matrix([["a", "b"], ["b", "b"]], "interval"))
+    with pytest.raises(CategoryError):  # a bool is no number: True used to be measured as 1
+        krippendorff_alpha(matrix([[True, 2.5], [2.5, 2.5]], "interval"))
+
+
+# a value is a number as `label_space.number` reads it: ASCII whitespace around
+# number text is allowed; "_", non-ASCII digits and non-ASCII spaces make it none
+@pytest.mark.parametrize(
+    "values, distinct",
+    [
+        ([" 1", "1", "0"], ["0", " 1"]),
+        (["1", "1.0 ", "\t1\n"], ["1"]),
+        (["\u0661", "1", "0"], ["0", "1", "\u0661"]),  # float() reads the Arabic-Indic one as 1
+        (["\u00a01", "1", "0"], ["0", "1", "\u00a01"]),
+        (["1_0", "10"], ["10", "1_0"]),
+    ],
+)
+def test_categories_merge_by_number_only_values_that_are_numbers(values, distinct):
+    assert _categories(values)[1] == distinct
 
 
 @pytest.mark.parametrize("metric", ["nominal", "ordinal", "interval"])

@@ -237,7 +237,11 @@ def test_convert_binned_continuous_report(tmp_path):
     assert abs(report["pid"]["s"] - 1.0) <= 0.05
 
 
-@pytest.mark.parametrize("fmt, score", [("csv", "nan"), ("csv", "NaN"), ("csv", "-nan"), ("json", float("nan"))])
+# "\u0661" (Arabic-Indic one) and "\u00a00.5" (a no-break space before 0.5) used to be binned as 1 and 0.5
+@pytest.mark.parametrize(
+    "fmt, score",
+    [("csv", "nan"), ("csv", "NaN"), ("csv", "-nan"), ("json", float("nan")), ("csv", "\u0661"), ("csv", "\u00a00.5")],
+)
 @pytest.mark.parametrize("command, code", [("convert", "conversion-failed"), ("agreement", "agreement-failed")])
 def test_binned_nan_score_is_one_error_line(tmp_path, fmt, score, command, code):
     rows = [
@@ -270,7 +274,7 @@ def test_binned_score_with_digit_grouping_is_one_error_line(tmp_path, command, c
     result = run([command, *args])
     assert result.exit_code == 2
     [line] = result.output.strip().splitlines()
-    assert json.loads(line) == {"error": code, "message": "not a real value: '0_1'"}
+    assert json.loads(line) == {"error": code, "message": "not a finite real value: '0_1'"}
 
 
 @pytest.mark.parametrize("command, code", [("convert", "conversion-failed"), ("agreement", "agreement-failed")])
@@ -1018,10 +1022,14 @@ def test_malformed_label_space_is_one_config_error(tmp_path, command, config):
 @pytest.mark.parametrize(
     "config, message",
     [
-        ({"kind": "binned-continuous", "bin_edges": [0, 1, math.inf]}, "bin edges must be finite, got [0.0, 1.0, inf]"),
-        ({"kind": "binned-continuous", "bin_edges": [-math.inf, 0, 1]}, "bin edges must be finite, got [-inf, 0.0, 1.0]"),
+        ({"kind": "binned-continuous", "bin_edges": [0, 1, math.inf]}, "bin edges must be finite numbers, got [0, 1, inf]"),
+        ({"kind": "binned-continuous", "bin_edges": [-math.inf, 0, 1]}, "bin edges must be finite numbers, got [-inf, 0, 1]"),
         ({"kind": "nominal", "values": [math.nan, "0", "1"]}, "label values must be finite, got [nan, '0', '1']"),
         ({"kind": "ordinal", "values": [math.inf, "0", "1"]}, "label values must be finite, got [inf, '0', '1']"),
+        # float() reads "1_0" as 10 and "\u0661" as 1, and True == 1: each was read as an edge
+        ({"kind": "binned-continuous", "bin_edges": ["0", "1_0", "20"]}, "bin edges must be finite numbers, got ['0', '1_0', '20']"),
+        ({"kind": "binned-continuous", "bin_edges": [False, True, 2]}, "bin edges must be finite numbers, got [False, True, 2]"),
+        ({"kind": "binned-continuous", "bin_edges": ["0", "\u0661", "2"]}, "bin edges must be finite numbers, got ['0', '\u0661', '2']"),
     ],
 )
 def test_non_finite_label_space_is_one_config_error(tmp_path, command, inline, config, message):

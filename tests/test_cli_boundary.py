@@ -2,7 +2,8 @@
 
 Small input files for `convert`, `agreement`, `pid` and `--label-space`,
 drawn from text that readers must take or refuse (quotes, byte-order marks,
-short rows, bools, NaN and infinities, nested lists, nesting past the JSON
+short rows, bools, NaN and infinities, digit grouping, non-ASCII digits
+and spaces, nested lists, nesting past the JSON
 decoder's recursion limit, integers past its 4300-digit limit), end either
 in exit 0, with any report written strict JSON that meets its shipped
 schema, or in exactly one JSON line with `error` and `message` on stderr and
@@ -32,7 +33,7 @@ BIG = "9" * 5000
 BIG_MARK = "\0big"
 LABEL_SPACE = '{"kind": "nominal", "values": ["0", "1"]}'
 # raw field text that the readers must take or refuse in one line
-ODD = ["", '"', '""', '"0"', '"m1"', "'", BOM, "NaN", "nan", "-inf", "1e400", "true", "2.5", "-1", "9", "é", " 0"]
+ODD = ["", '"', '""', '"0"', '"m1"', "'", BOM, "NaN", "nan", "-inf", "1e400", "true", "2.5", "-1", "9", "é", " 0", "1_0", "\u0664", "\u00a01"]
 IDS = ["i1", "i2", "i3"]
 ANNOTATORS = ["a1", "a2", "a3"]
 LABELS = ["0", "1"]
@@ -167,17 +168,18 @@ LISTS = {
 }
 
 
-def non_finite_space(kind, value, at):
+def space_with(kind, value, at):
     """A space of `kind` with `value` put in place `at` of its list."""
     key, items = LISTS[kind]
     return {"kind": kind, key: items[:at] + [value] + items[at:]}
 
 
-# NaN and infinities are not JSON: a report that echoed such a space would not parse
-NON_FINITE_SPACES = st.builds(
-    non_finite_space, st.sampled_from(list(LISTS)), st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 3)
-)
-LABEL_SPACES = VALID_SPACES | NON_FINITE_SPACES | LOOSE_SPACES | JSON_VALUES | st.just(DEEP_MARK)
+# NaN and infinities are not JSON: a report that echoed such a space would not parse.
+# Bools and text, such as a bin edge "0.75" that fits between 0.5 and 2, are numbers
+# or not by one rule: "1_0", an Arabic-Indic four and a no-break space make text none
+ODD_ITEMS = [math.nan, math.inf, -math.inf, True, False, "0.75", " 0.75", "1_0", "\u0664", "\u00a01"]
+ODD_ITEM_SPACES = st.builds(space_with, st.sampled_from(list(LISTS)), st.sampled_from(ODD_ITEMS), st.integers(0, 3))
+LABEL_SPACES = VALID_SPACES | ODD_ITEM_SPACES | LOOSE_SPACES | JSON_VALUES | st.just(DEEP_MARK)
 
 
 def invoke(args):

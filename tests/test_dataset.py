@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 from itertools import product
 from types import SimpleNamespace
 
@@ -95,10 +96,11 @@ def test_parse_json_keeps_numeric_labels_and_stringifies_ids():
     assert (rec.item_id, rec.annotator_id, rec.label_first, rec.label_both) == ("7", "3", -2, 1.5)
 
 
-@pytest.mark.parametrize("confidence", [4.5, True, float("inf"), "0_5"])
+# int() reads "\u0664" (Arabic-Indic four) and a no-break space around 4 as 4
+@pytest.mark.parametrize("confidence", [4.5, True, float("inf"), "0_5", "\u0664", "\u00a04"])
 def test_parse_json_partial_confidence_must_be_an_integer(confidence):
     row = {"item_id": "i1", "annotator_id": "a1", "condition": "both", "label": "no", "confidence": confidence}
-    with pytest.raises(SchemaError, match=rf"^confidence must be an integer: {confidence!r}$"):
+    with pytest.raises(SchemaError, match=rf"^confidence must be an integer: {re.escape(repr(confidence))}$"):
         parse_partial(io.StringIO(json.dumps([row])), "json")
 
 
@@ -172,6 +174,8 @@ def test_csv_reads_like_dictreader():
         (["i1,a1,m1,yes,4", "i1,a2,m2,no,0_5"], "confidence must be an integer: '0_5'"),
         (["i1,a1,m1,yes,4", "i1,a2,m2,no,6"], "confidence=6 outside [0, 5]"),
         (["i1,a1,m1,yes,4", "i2,a1,m1,no,2", "i1,a1,m1,no,2"], "duplicate record key ('i1', 'a1', 'm1')"),
+        (["i1,a1,m1,yes,4", "i1,a2,m2,no,\u0664"], "confidence must be an integer: '\u0664'"),
+        (["i1,a1,m1,yes,4", "i1,a2,m2,no,\u00a04"], "confidence must be an integer: '\\xa04'"),
     ],
 )
 def test_one_bad_row_message(rows, message):

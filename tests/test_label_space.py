@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fusionpid.label_space import (
     LabelSpaceError,
     build_label_space,
     encode,
+    number,
 )
 
 
@@ -33,6 +36,10 @@ def test_binned_continuous_bin_count():
         {"kind": "binned-continuous", "bin_edges": [0, 2, 1]},
         {"kind": "nominal", "values": ["only"]},
         {"kind": "ordinal", "range": [2, 2]},
+        # values that share a CSV text: "1" used to encode as index 1 and JSON 1 as index 0
+        {"kind": "nominal", "values": [1, "1"]},
+        {"kind": "nominal", "values": [True, "True"]},
+        {"kind": "ordinal", "values": [0.5, "0.5", 2]},
     ],
 )
 def test_invalid_configs_rejected(config):
@@ -83,10 +90,11 @@ def test_encode_unknown_and_out_of_range():
 
 
 @pytest.mark.parametrize(
-    "raw", ["nan", "NaN", "-nan", float("nan"), "inf", float("-inf"), 10**400, "1e999", "0_1", "2_5"]
+    "raw", ["nan", "NaN", "-nan", float("nan"), "inf", float("-inf"), 10**400, "1e999", "0_1", "2_5", "\u0661", "\u00a00.5"]
 )
 def test_binned_encode_refuses_a_value_that_is_not_a_finite_real(raw):
-    # NaN compares false with every edge: it used to land in bin 0; float() reads the text 0_1 as 1.0
+    # NaN compares false with every edge: it used to land in bin 0; float() reads the text 0_1 as 1.0,
+    # the Arabic-Indic digit one as 1 and a no-break space around a number as a space
     space = build_label_space({"kind": "binned-continuous", "bin_edges": [-3, -1, 1, 3]})
     with pytest.raises(LabelSpaceError, match="not a .*real value"):
         encode(space, raw)
@@ -123,9 +131,42 @@ def test_encode_refuses_a_number_on_a_bool_space(raw):
 
 def test_encode_keeps_bools_and_numbers_of_one_space_apart():
     space = build_label_space({"kind": "nominal", "values": [False, 1]})
-    assert [encode(space, v) for v in (False, 1, 1.0)] == [0, 1, 1]
+    assert [encode(space, v) for v in (False, 1, 1.0, "False", "1")] == [0, 1, 1, 0, 1]  # and their CSV text
     with pytest.raises(LabelSpaceError, match="unknown label 0"):
         encode(space, 0)
+
+
+@pytest.mark.parametrize(
+    "raw, want",
+    [
+        (2, 2.0),
+        (-2.5, -2.5),
+        (np.int64(-3), -3.0),
+        (np.float32(0.5), 0.5),
+        ("-3", -3.0),
+        (" 1 ", 1.0),
+        ("\t2.5\n", 2.5),
+        ("1e3", 1000.0),
+        (True, None),
+        (False, None),
+        (np.True_, None),
+        ("1_0", None),
+        ("\u0661", None),  # Arabic-Indic one
+        ("\u00a01", None),  # a no-break space before 1
+        ("nan", None),
+        (math.nan, None),
+        ("-inf", None),
+        ("1e400", None),
+        (10**400, None),
+        ("0x10", None),
+        ("", None),
+        ("x", None),
+        (None, None),
+        ([1], None),
+    ],
+)
+def test_number_reads_finite_numbers_and_their_ascii_text(raw, want):
+    assert number(raw) == want
 
 
 def test_encode_gives_the_index_of_each_value():
@@ -157,6 +198,7 @@ def test_binned_encode_monotone():
         ("binned-continuous", ("a", "b"), (float("-inf"), 0.5, 1.0), "bin edges must be finite"),
         ("nominal", (float("nan"), "0", "1"), None, "label values must be finite"),
         ("ordinal", (float("inf"), "0", "1"), None, "label values must be finite"),
+        ("nominal", (0.5, "0.5"), None, "^duplicate label values$"),  # one CSV text
     ],
 )
 def test_label_space_built_directly_checks_its_kind_and_bins(kind, values, bin_edges, message):
