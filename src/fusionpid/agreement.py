@@ -69,7 +69,7 @@ def _categories(values):
 
     Values that all read as numbers (`label_space.number`: not bools, nor
     text with "_" or non-ASCII digits) sort and merge by number, so 5, 5.0,
-    "5" and " 5" are one category; other values sort and merge by value.
+    "5" and " 5" are one category; other values by value, bools apart from numbers (True == 1).
     """
     numeric = np.array([number(v) for v in values], float)  # NaN for a value that is no number
     if np.isfinite(numeric).all():
@@ -78,12 +78,13 @@ def _categories(values):
         first = np.r_[True, ordered[1:] != ordered[:-1]]
         x = ordered[first]
     else:
+        keys = [(v, isinstance(v, (bool, np.bool_))) for v in values]
         try:
-            rank = np.array(sorted(range(len(values)), key=values.__getitem__))
+            rank = np.array(sorted(range(len(values)), key=keys.__getitem__))
         except TypeError:
             kinds = sorted({type(v).__name__ for v in values})
             raise CategoryError(f"labels of types {kinds} cannot be ordered together") from None
-        ordered = [values[i] for i in rank]
+        ordered = [keys[i] for i in rank]
         first = np.array([True] + [a != b for a, b in zip(ordered, ordered[1:])])
         x = None
     distinct = [values[i] for i in rank[first]]

@@ -480,14 +480,3 @@ def triples_from_counterfactual(table, space):
         return TripleDataset(space, np.stack([y1, y2, y], axis=1), w)
     samples = np.stack([y1, y2, i12, y1, y2, i21], axis=1).reshape(-1, 3)
     return TripleDataset(space, samples, np.repeat(w / 2.0, 2))
-
-
-def summarize_decomposition(table):
-    """Mean rating and mean confidence per interaction, over all rows of a decomposition table."""
-    if not len(table):
-        raise SchemaError("empty decomposition record list")
-
-    def means(prefix):
-        return {k: int(table[prefix + k].sum()) / len(table) for k in ("r", "u1", "u2", "s")}
-
-    return {"ratings": means(""), "confidences": means("conf_")}

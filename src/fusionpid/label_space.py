@@ -47,8 +47,8 @@ class LabelSpace:
             if self.bin_edges is None or len(self.bin_edges) < 3:
                 raise LabelSpaceError("binned-continuous needs at least 3 bin edges")
             edges = list(self.bin_edges)
-            if not all(-math.inf < e < math.inf for e in edges):
-                raise LabelSpaceError(f"bin edges must be finite, got {edges}")
+            if not all(number(e) == e for e in edges):  # text, bools, NaN and infinities are not their own number
+                raise LabelSpaceError(f"bin edges must be finite numbers, got {edges}")
             if not all(b > a for a, b in zip(edges, edges[1:])):
                 raise LabelSpaceError("bin edges must be strictly ascending")
             if len(self.values) != len(edges) - 1:

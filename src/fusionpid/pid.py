@@ -17,7 +17,6 @@ import numpy as np
 from .info import Joint3, conditional_entropy_output, empirical_joint, information
 
 FEAS_TOL = 1e-9
-CLAMP_TOL = 1e-6
 CONSISTENCY_TOL = 1e-4
 # A solve is converged when its certified gap to the optimum is at most
 # OBJECTIVE_TOL bits; MAX_ITERATIONS caps the Newton steps as a safety bound.
@@ -138,7 +137,6 @@ class _DualBarrier:
         free[n * n + np.argmax(m2, axis=0) * n + np.arange(n)] = False
         self.free = np.flatnonzero(free)
         self.marg_free = self.marg[self.free]
-        self.col_ab = np.concatenate([self.col_a, self.col_b])
         # Newton systems are assembled by index arithmetic in rows of width
         # F + 1: the F free variables, then a spare slot, sliced off, for the
         # fixed and untouched ones. pos_a, pos_b: each cell's two variables.
@@ -155,10 +153,6 @@ class _DualBarrier:
     @property
     def n_blocks(self):
         return len(self.starts)
-
-    def margins(self, cell_mass):
-        """The (y1, y) and (y2, y) marginals of per-cell masses, as one vector like `marg`."""
-        return np.bincount(self.col_ab, np.concatenate([cell_mass, cell_mass]), len(self.marg))
 
     def blocks(self, x):
         """Cell exponents s = -(a_ik + b_jk), block log-sum-exps g, in-block softmax p."""
@@ -222,21 +216,21 @@ class _DualBarrier:
     def recover(self, s, g, t, tol):
         """q* on the cells from the central-path multipliers, with exact marginals.
 
-        log q_ijk = -a_ik - b_jk - log(t (1 - exp(g_ij))). Its marginals are
-        off by the centering residual; rescaling the rows (i, k) and columns
-        (j, k) of every y-slice removes that (iterative proportional fitting,
-        with each rescaling found by Newton's method on the log scalings).
+        log q_ijk = -a_ik - b_jk - log(t (1 - exp(g_ij))) is off its marginals by the centering residual;
+        rescaling the rows (i, k) and columns (j, k) of every y-slice removes that (iterative proportional
+        fitting, each rescaling found by Newton's method on the log scalings). Only free margins are checked:
+        per y, p's and q's sum to p(y), so a fixed b is off by at most (2n - 1) tol, < FEAS_TOL in `solve_qstar`.
         """
         log_q = s - np.log(-t * np.expm1(g))[self.block_of]
         for _ in range(FIT_STEPS):
             with np.errstate(over="ignore"):  # a diverging fit: `solve_qstar` refuses the infinite q
                 q = np.exp(log_q)
-            excess = self.margins(q) - self.marg
+            fit = self._cell_term(q)
+            excess = fit.diagonal() - self.marg_free
             if not tol < np.max(np.abs(excess)) < math.inf:  # fitted, or not finite
                 break
-            fit = self._cell_term(q)
             scale = _scale(fit)
-            y = np.append(scale * np.linalg.solve(fit, scale * excess[self.free]), 0.0)
+            y = np.append(scale * np.linalg.solve(fit, scale * excess), 0.0)
             log_q -= y[self.pos_a] + y[self.pos_b]
         return q
 
@@ -332,7 +326,9 @@ def solve_qstar(joint):
 
 
 def _clamp(value, failures, name):
-    if value < -CLAMP_TOL:
+    # U1, U2 are CMIs, >= 0 for any q; R and S of a q* with exact marginals fall short of R*, S* >= 0 by
+    # H* - H(q*) <= objective_gap, so a value under -OBJECTIVE_TOL on a converged solve is a failed certificate
+    if value < -OBJECTIVE_TOL:
         failures.append(f"{name} = {value:.3e} below clamp tolerance")
         return value
     return max(value, 0.0)

@@ -314,6 +314,13 @@ def test_categories_merge_by_number_only_values_that_are_numbers(values, distinc
     assert _categories(values)[1] == distinct
 
 
+def test_categories_never_merge_a_bool_with_a_number():
+    # True == 1 == 1.0, but JSON true and 1 are two labels, as `parse_partial` keeps them
+    codes, distinct, x = _categories([True, 1, 1.0])
+    assert codes.tolist() == [1, 0, 0] and distinct == [1, True] and x is None
+    assert _categories([np.False_, 0, False])[0].tolist() == [1, 0, 1]
+
+
 @pytest.mark.parametrize("metric", ["nominal", "ordinal", "interval"])
 def test_equal_numbers_and_numeric_text_match_pair_loop(metric):
     rng = np.random.default_rng(13)

@@ -541,6 +541,21 @@ def test_agreement_labels_the_metric_cannot_compare_fail_cleanly(tmp_path, label
     assert json.loads(result.output.strip().splitlines()[-1])["error"] == "agreement-failed"
 
 
+def test_agreement_counts_a_json_true_and_a_1_as_two_labels(tmp_path):
+    # merged, true and 1 agreed everywhere and alpha was undefined; apart, one item of three disagrees
+    units = [(True, 1), (True, True), (1, 1)]
+    rows = [
+        {"item_id": f"i{i}", "annotator_id": f"a{k}", "condition": "m1", "label": y, "confidence": 3}
+        for i, labels in enumerate(units)
+        for k, y in enumerate(labels)
+    ]
+    src = tmp_path / "rows.json"
+    src.write_text(json.dumps(rows))
+    result = run(["agreement", "--input", str(src), "--format", "json", "--schema", "partial"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["agreement"]["m1"]["alpha"] == pytest.approx(4 / 9, abs=1e-12)
+
+
 def test_agreement_orders_numeric_text_labels_by_number(tmp_path):
     # 7-point labels as CSV text; sorted as text, "-1" would come before "-3"
     first = [-3, -2, -1, 0, 1, 2, 3, -1]

@@ -18,7 +18,6 @@ from fusionpid.dataset import (
     parse_counterfactual,
     parse_decomposition,
     parse_partial,
-    summarize_decomposition,
     triples_from_counterfactual,
     triples_from_partial,
 )
@@ -719,26 +718,3 @@ def test_counterfactual_missing_order_is_error():
     recs = parse_counterfactual(cf_csv(["i1,a,first-m1,yes,yes,4,4"]))
     with pytest.raises(SchemaError):
         triples_from_counterfactual(recs, NOMINAL)
-
-
-def test_summarize_single_record():
-    recs = parse_decomposition(io.StringIO(DECOMP_HEADER + "i1,a1,1,2,3,4,5,5,5,5"))
-    summary = summarize_decomposition(recs)
-    assert summary["ratings"] == {"r": 1, "u1": 2, "u2": 3, "s": 4}
-
-
-def test_summarize_midpoint():
-    rows = "i1,a1,0,0,0,0,0,0,0,0\ni2,a1,5,5,5,5,5,5,5,5"
-    summary = summarize_decomposition(parse_decomposition(io.StringIO(DECOMP_HEADER + rows)))
-    assert all(v == 2.5 for v in summary["ratings"].values())
-
-
-def test_summarize_pure_synergy_pattern():
-    rows = "\n".join(f"i{i},a1,0,0,0,5,4,4,4,5" for i in range(10))
-    summary = summarize_decomposition(parse_decomposition(io.StringIO(DECOMP_HEADER + rows)))
-    assert summary["ratings"] == {"r": 0, "u1": 0, "u2": 0, "s": 5}
-
-
-def test_summarize_empty_is_error():
-    with pytest.raises(SchemaError):
-        summarize_decomposition(parse_decomposition(io.StringIO(DECOMP_HEADER)))

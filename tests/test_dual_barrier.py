@@ -15,7 +15,7 @@ from fusionpid import pid
 from fusionpid.info import Joint3, information
 from fusionpid.pid import (
     CENTERING_TOL,
-    CLAMP_TOL,
+    FEAS_TOL,
     FIT_STEPS,
     GAP_SHARE,
     LN2,
@@ -117,17 +117,16 @@ def reference_newton_system(prog, t, g, p):
 
 def reference_recover(prog, s, g, t, tol):
     """`recover` with the incidence matrix: q on the cells and every fit matrix."""
-    full = incidence(prog)
-    e = full[:, prog.free]
+    e = incidence(prog)[:, prog.free]
     log_q = s - np.log(-t * np.expm1(g))[prog.block_of]
     fits = []
     for _ in range(FIT_STEPS):
         q = np.exp(log_q)
-        excess = full.T @ q - prog.marg
+        excess = e.T @ q - prog.marg[prog.free]
         if np.max(np.abs(excess)) <= tol:
             break
         fits.append((e.T * q) @ e)
-        log_q -= e @ reference_newton_solve(fits[-1], excess[prog.free])
+        log_q -= e @ reference_newton_solve(fits[-1], excess)
     return q, fits
 
 
@@ -300,14 +299,16 @@ def test_one_newton_system_per_point_reused_across_the_barrier_jump(kind, n, mon
 @pytest.mark.parametrize("kind", list(ALL_KINDS))
 def test_newton_system_margins_are_the_cell_margins_bit_for_bit(kind, monkeypatch):
     """The margins of w that `newton_system` reads off the diagonal of E^T diag(w) E are,
-    byte for byte, `margins(w)` over the free variables: both sum each margin in cell order."""
+    byte for byte, one bincount of w over the cells' a and b variables: both sum each margin
+    in cell order."""
     checked = []
     real_system = pid._DualBarrier.newton_system
 
     def newton_system(self, g, p):
         system = real_system(self, g, p)
         u = np.exp(g) / -np.expm1(g)
-        expected = self.margins(u[self.block_of] * p)[self.free]
+        w = u[self.block_of] * p
+        expected = np.bincount(np.r_[self.col_a, self.col_b], np.r_[w, w], len(self.marg))[self.free]
         assert system[2].tobytes() == expected.tobytes()
         checked.append(len(expected))
         return system
@@ -316,6 +317,21 @@ def test_newton_system_margins_are_the_cell_margins_bit_for_bit(kind, monkeypatc
     for n in SIZES:
         solve_qstar(joint(kind, n))
     assert checked
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", list(ALL_KINDS))
+@pytest.mark.parametrize("n", SIZES)
+def test_recovered_q_meets_every_marginal_though_only_the_free_ones_are_fitted(kind, n, monkeypatch):
+    # per y, p's and q's (y1, y) and (y2, y) marginals both sum to p(y), so the excess of
+    # each y's fixed b is at most the other 2n - 1 excesses, each within the fit's tol
+    _, recovers = traced_solve(joint(kind, n), monkeypatch)
+    assert recovers
+    for prog, _, _, _, tol, _, q in recovers:
+        assert tol == 0.01 * FEAS_TOL
+        excess = incidence(prog).T @ q - prog.marg
+        assert np.max(np.abs(excess[prog.free])) <= tol
+        assert np.max(np.abs(excess)) <= (2 * n - 1) * tol
 
 
 def test_barrier_arrays_grow_like_cells_not_cells_times_variables():
@@ -406,7 +422,7 @@ def reference_terms(p, res):
     n = len(m)
 
     def clamp(value):
-        return value if value < -CLAMP_TOL else max(value, 0.0)
+        return value if value < -OBJECTIVE_TOL else max(value, 0.0)
 
     def interaction(x):  # I(Y1; Y2; Y) = I(Y1; Y2) - I(Y1; Y2 | Y)
         return mi(x.sum(axis=2)) - cmi(x, given=2)

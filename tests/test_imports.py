@@ -41,7 +41,6 @@ def test_no_module_imports_a_name_it_never_uses():
 # (module, top-level name) that no module of the package reads, with the reason it stays
 KEPT_UNREAD = {
     ("synth", "DOMINANT"): "the acceptance tests' table of each gate's dominant component",
-    ("dataset", "summarize_decomposition"): "the decomposition summary a planned `compare` command is to use, or delete",
 }
 
 

@@ -196,6 +196,9 @@ def test_binned_encode_monotone():
         # NaN and infinities are not JSON: a report echoing the space would not parse
         ("binned-continuous", ("a", "b"), (0.0, 1.0, float("inf")), "bin edges must be finite"),
         ("binned-continuous", ("a", "b"), (float("-inf"), 0.5, 1.0), "bin edges must be finite"),
+        # text and bools are no edges (a text edge raised a bare TypeError; False and True were 0 and 1)
+        ("binned-continuous", ("a", "b"), ("0", "1", "2"), "^bin edges must be finite numbers, got"),
+        ("binned-continuous", ("a", "b"), (False, True, 2), "^bin edges must be finite numbers, got"),
         ("nominal", (float("nan"), "0", "1"), None, "label values must be finite"),
         ("ordinal", (float("inf"), "0", "1"), None, "label values must be finite"),
         ("nominal", (0.5, "0.5"), None, "^duplicate label values$"),  # one CSV text

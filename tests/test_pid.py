@@ -13,6 +13,7 @@ from fusionpid.pid import (
     OBJECTIVE_TOL,
     InfeasibleError,
     _DualBarrier,
+    _clamp,
     check_consistency,
     convert,
     feasible_initial,
@@ -179,6 +180,15 @@ def test_negative_redundancy_beyond_the_clamp_tolerance_is_reported_unconverged(
     assert res.r == pytest.approx(-1.0, abs=1e-12)
     assert res.converged is False
     assert res.consistency["failures"] == ["R = -1.000e+00 below clamp tolerance"]
+
+
+def test_clamp_tolerance_is_the_certified_objective_tolerance():
+    # R and S of a certified q* fall short of R*, S* >= 0 by at most the gap, <= OBJECTIVE_TOL
+    failures = []
+    assert _clamp(-0.5 * OBJECTIVE_TOL, failures, "S") == 0.0
+    assert failures == []
+    assert _clamp(-2 * OBJECTIVE_TOL, failures, "S") == -2 * OBJECTIVE_TOL
+    assert failures == ["S = -2.000e-06 below clamp tolerance"]
 
 
 def test_check_consistency_gates():
