@@ -48,15 +48,16 @@ def _fail(code, message, exit_code=EXIT_INPUT_ERROR):
 def _read(path, parse, error):
     """`parse` of the text file at `path`, opened for it.
 
-    A leading UTF-8 byte-order mark is skipped. A file that is missing, or
-    cannot be read or decoded as UTF-8, is one `input-not-found` or
-    `input-unreadable` line; content that `parse` rejects (`SchemaError`, or
-    JSON that `json` refuses: malformed, nested deeper than the decoder's
-    recursion limit, or an integer literal over Python's 4300-digit limit,
-    a plain `ValueError`) is one `error` line.
+    A leading UTF-8 byte-order mark is skipped, and line ends are read as
+    they are (`newline=""`, as csv asks: a quoted "\\r\\n" stays in its
+    field). A file that is missing, or cannot be read or decoded as UTF-8,
+    is one `input-not-found` or `input-unreadable` line; content that
+    `parse` rejects (`SchemaError`, or JSON that `json` refuses: malformed,
+    nested deeper than the decoder's recursion limit, or an integer literal
+    over Python's 4300-digit limit, a plain `ValueError`) is one `error` line.
     """
     try:
-        with open(path, encoding="utf-8-sig") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             return parse(fh)
     except FileNotFoundError:
         _fail("input-not-found", f"input file not found: {path}")

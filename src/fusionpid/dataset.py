@@ -153,48 +153,6 @@ class _NeedsReader(Exception):
     short row, or a field read that is longer than `_KEY_WORDS` words."""
 
 
-def _lines(data, size):
-    """(start, end, commas, first, count) of the lines in `data[:size]`.
-
-    Each line ends at "\\n" or "\\r\\n" (the last one also at `size`);
-    `end` excludes the terminator, and a line's `count` commas are
-    `commas[first:first + count]`.
-    """
-    at = np.flatnonzero(data[:size] <= _COMMA)
-    byte = data[at]
-    returns = at[byte == _RETURN]
-    if (byte == _QUOTE).any() or (byte == _NUL).any() or (data[returns + 1] != _NEWLINE).any():
-        raise _NeedsReader
-    comma, newline = byte == _COMMA, byte == _NEWLINE
-    seen = np.cumsum(comma)  # commas up to each byte looked at
-    newlines, before = at[newline], seen[newline]
-    if data[size - 1] != _NEWLINE:
-        newlines, before = np.append(newlines, size), np.append(before, seen[-1] if len(seen) else 0)
-    start = np.append(0, newlines[:-1] + 1)
-    end = newlines - (data[newlines - 1] == _RETURN)
-    if (end - start).max() > csv.field_size_limit():
-        raise _NeedsReader
-    count = np.diff(before, prepend=0)
-    return start, end, at[comma], before - count, count
-
-
-def _field_keys(words, start, length):
-    """Each field's bytes, zero-padded, as one row of big-endian 8-byte words.
-
-    `words` views the block as one word at every byte offset. A field holds
-    no NUL, so padding never makes two fields' keys equal, and keys order
-    as their bytes do: for UTF-8 text, as `str` does.
-    """
-    width = -(-int(length.max(initial=1)) // 8)
-    if width > _KEY_WORDS:
-        raise _NeedsReader
-    keys = np.empty((len(start), width), np.uint64)
-    for j in range(width):
-        at = np.minimum(start + 8 * j, len(words) - 1)  # past a field's end its mask is 0
-        keys[:, j] = words[at] & _MASKS[np.clip(length - 8 * j, 0, 8)]
-    return keys
-
-
 def _factorised(blocks):
     """(levels, codes) of a column from its blocks' keys, levels decoded in key order."""
     width = max((keys.shape[1] for keys in blocks), default=1)
@@ -220,32 +178,56 @@ def _byte_columns(stream, names):
     """(levels, codes) per field from CSV text that needs no quoting rules.
 
     The text is read in blocks of whole lines. Each block is encoded once
-    and scanned once for line ends and commas; the fields read become keys
-    of their bytes (`_field_keys`), and each column's keys are factorised
-    with np.unique after the last block, only the distinct values decoded.
-    Raises `_NeedsReader` on text that csv.reader is to read.
+    and scanned once for its delimiters, commas and line ends ("\\n" or
+    "\\r\\n"); field p of a line lies between its delimiters p - 1 and p,
+    counted from the line end before it. Each field read becomes a key of
+    its bytes, and each column's keys are factorised with np.unique after
+    the last block, only the distinct values decoded. Raises `_NeedsReader`
+    on text that csv.reader is to read.
     """
     positions, blocks = None, [[] for _ in names]
     while text := stream.read(_BLOCK):
         # eight NULs after the block, so that a word can start at any of its bytes
         data = np.frombuffer((text + stream.readline() + "\0" * 8).encode("utf-8", "surrogatepass"), np.uint8)
         del text
-        words = np.ndarray((len(data) - 7,), ">u8", data, strides=(1,))
-        start, end, commas, first, count = _lines(data, len(data) - 8)
+        size = len(data) - 8
+        words = np.ndarray((size + 1,), ">u8", data, strides=(1,))
+        at = np.flatnonzero(data[:size] <= _COMMA)
+        byte = data[at]
+        returns = at[byte == _RETURN]
+        if (byte == _QUOTE).any() or (byte == _NUL).any() or (data[returns + 1] != _NEWLINE).any():
+            raise _NeedsReader
+        delimiter = (byte == _COMMA) | (byte == _NEWLINE) | (byte == _RETURN)  # any other byte is field text
+        at, newline = at[delimiter], byte[delimiter] == _NEWLINE
+        if data[size - 1] != _NEWLINE:  # the block's last line ends at its size
+            at, newline = np.append(at, size), np.append(newline, True)
+        # with a line end at -1 ahead of the block, a line's commas are the entries of `at` between two `ends`
+        at, ends = np.append(-1, at), np.flatnonzero(np.append(True, newline))
+        first, last = ends[:-1] + 1, ends[1:] - (data[at[ends[1:]] - 1] == _RETURN)  # a "\r\n" line ends at "\r"
+        start, end = at[first - 1] + 1, at[last]
+        if (end - start).max() > csv.field_size_limit():
+            raise _NeedsReader
         rows = end > start  # csv.reader skips blank lines
         if positions is None:
             line = data[start[0] : end[0]].tobytes().decode("utf-8", "surrogatepass")
             positions = _positions(line.split(",") if line else [], names)
             rows[0] = False
-        rows = np.flatnonzero(rows)
-        first, count = first[rows], count[rows]
-        if (count < max(positions)).any():
+        first, last = first[rows], last[rows]
+        if (last - first < max(positions)).any():
             raise _NeedsReader
-        cuts = np.append(commas, 0)  # the field after a row's last comma ends at the line end
         for p, column in zip(positions, blocks):
-            field_start = cuts[first + p - 1] + 1 if p else start[rows]
-            field_end = np.where(count > p, cuts[first + p], end[rows])
-            column.append(_field_keys(words, field_start, field_end - field_start))
+            # a field's key: its bytes, zero-padded, as big-endian 8-byte words. A field holds no NUL, so
+            # padding never makes two keys equal, and keys order as their bytes do (UTF-8 text: as `str`)
+            field_start = at[first + p - 1] + 1
+            length = at[first + p] - field_start
+            width = -(-int(length.max(initial=1)) // 8)
+            if width > _KEY_WORDS:
+                raise _NeedsReader
+            keys = np.empty((len(field_start), width), np.uint64)
+            for j in range(width):
+                word = np.minimum(field_start + 8 * j, size)  # past a field's end its mask is 0
+                keys[:, j] = words[word] & _MASKS[np.clip(length - 8 * j, 0, 8)]
+            column.append(keys)
     return [_factorised(column) for column in blocks]
 
 

@@ -368,7 +368,12 @@ def test_bad_input_or_output_file_is_one_json_line(tmp_path, monkeypatch, args, 
 def test_convert_report_same_for_lf_crlf_and_quoted_csv(tmp_path, monkeypatch):
     rows = partial_rows(sample(canonical_joint(GateSpec("AND")), 300, seed=5))
     reports = []
-    for name, options in [("lf", {"lineterminator": "\n"}), ("crlf", {}), ("quoted", {"quoting": csv.QUOTE_ALL})]:
+    for name, options in [
+        ("lf", {"lineterminator": "\n"}),
+        ("crlf", {}),
+        ("quoted", {"quoting": csv.QUOTE_ALL}),
+        ("cr", {"lineterminator": "\r"}),  # read by csv.reader, not the byte coder
+    ]:
         (tmp_path / name).mkdir()
         monkeypatch.chdir(tmp_path / name)  # the report echoes the input path
         with open("in.csv", "w", newline="", encoding="utf-8") as fh:
@@ -376,7 +381,28 @@ def test_convert_report_same_for_lf_crlf_and_quoted_csv(tmp_path, monkeypatch):
         result = run(["convert", "--input", "in.csv", "--schema", "partial", "--label-space", LABEL_SPACE])
         assert result.exit_code == 0, result.output
         reports.append(result.output)
-    assert reports[0] == reports[1] == reports[2]
+    assert reports[0] == reports[1] == reports[2] == reports[3]
+
+
+@pytest.mark.parametrize("command", ["convert", "agreement"])
+def test_quoted_crlf_in_a_label_of_a_crlf_file_is_kept(tmp_path, monkeypatch, command):
+    # csv.writer quotes the label "x\r\ny"; a file read with universal newlines would see "x\ny"
+    rows = partial_rows(sample(canonical_joint(GateSpec("AND")), 300, seed=5))
+    relabel = {"0": "z", "1": "x\r\ny"}
+    relabelled = rows[:1] + [[*row[:3], relabel[row[3]], row[4]] for row in rows[1:]]
+    relabelled_space = json.dumps({"kind": "nominal", "values": ["z", "x\r\ny"]})
+    reports = []
+    for name, table, space in [("plain", rows, LABEL_SPACE), ("relabelled", relabelled, relabelled_space)]:
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)  # the report echoes the input path
+        with open("in.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(table)
+        result = run([command, "--input", "in.csv", "--schema", "partial", "--label-space", space])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["input"].pop("label_space") == json.loads(space)
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "quoted-csv", "json"])

@@ -225,12 +225,16 @@ CSV_BAD = {
 }
 
 
-# quote-free text per column: wide, non-ASCII and empty fields, two ids that differ past their 8th byte
+# quote-free text per column: wide, non-ASCII and empty fields, two ids that differ past their 8th byte,
+# and fields of the bytes below "," that are field text (a space, a tab, "\x0b" to "\x1f", "!" to "+")
 PLAIN_TEXT = {
     **CSV_TEXT,
-    "item_id": ("i1", "i10", "ítem-ü", "exactly8", "item-identifier-01", "item-identifier-02"),
-    "annotator_id": ("a", "B", "ä10", "", "annotator-sixteen"),
-    "label": ("no", "yes", "", "-3", "über", "yes sure", "a label wider than 8 bytes", "w" * 64),
+    "item_id": ("i1", "i10", "ítem-ü", "exactly8", "item-identifier-01", "item-identifier-02", "i\t1", "#!+"),
+    "annotator_id": ("a", "B", "ä10", "", "annotator-sixteen", "a\x0bb", "\x1f", "(a)*"),
+    "label": (
+        *("no", "yes", "", "-3", "über", "yes sure", "a label wider than 8 bytes", "w" * 64),
+        *("\t", " ", "\x01\x1f", "\x0c", "yes!", "#1", "a+b", "$%&'()*", "\tlabel wider than 8 bytes\x1d"),
+    ),
     "note": ("", "n b", "x y"),
 }
 
