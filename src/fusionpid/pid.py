@@ -79,8 +79,11 @@ CENTERING_TOL = 1e-6
 LOOSE_CENTERING_TOL = 0.5
 # The barrier's own duality gap (blocks / t) is driven below this share of
 # OBJECTIVE_TOL before q* is read off, leaving the rest of the tolerance to
-# the marginal fit.
-GAP_SHARE = 0.1
+# the marginal fit (the worst certified gap seen is a third of OBJECTIVE_TOL).
+GAP_SHARE = 0.3
+# The start is q0's dual point shifted so that its largest block sits at
+# g = -START_MARGIN: strictly feasible, and as close to the boundary as that.
+START_MARGIN = 0.2
 FIT_STEPS = 20
 # Added to the Jacobi-scaled Newton systems (unit diagonal) so that rounding
 # cannot make them indefinite.
@@ -166,11 +169,11 @@ class _DualBarrier:
         """E^T diag(w) E over the free variables, E the cells' 0/1 incidence rows."""
         return np.bincount(self.cell_index, w[self.cell_rep], self.width**2).reshape(self.width, -1)[:-1, :-1]
 
-    def newton_system(self, g, p):
+    def newton_system(self, g, p, em1):
         """The Newton system of the barrier objective t <x, m> + sum -log(1 - exp(g)) at the point
-        with blocks g and softmax p, none of it dependent on t: the Hessian, Jacobi-scaled plus
-        RIDGE, its scale, the free part of the margins of t * q and the block rows v."""
-        u = np.exp(g) / -np.expm1(g)  # derivative of the barrier in g
+        with blocks g, softmax p and em1 = 1 - exp(g), none of it dependent on t: the Hessian,
+        Jacobi-scaled plus RIDGE, its scale, the free part of the margins of t * q and the block rows v."""
+        u = np.exp(g) / em1  # derivative of the barrier in g
         w = u[self.block_of] * p  # t * q on the central path
         cell = self._cell_term(w)
         v = np.bincount(self.row_index, p[self.row_rep], self.n_blocks * self.width).reshape(-1, self.width)[:, :-1]
@@ -197,8 +200,8 @@ class _DualBarrier:
         """Backtrack from `step` until the point stays strictly feasible and the barrier objective drops.
 
         `barrier` is the current point's sum log(1 - exp(g)); the accepted point
-        is returned with its own. Steps at or beyond `limit` are infeasible and
-        are halved without being tried.
+        is returned with its own and, last, its 1 - exp(g) for `newton_system`.
+        Steps at or beyond `limit` are infeasible and are halved without being tried.
         """
         slope = t * float(self.marg @ dx)  # the slope of t <x, m> along dx
         for _ in range(30):
@@ -206,10 +209,11 @@ class _DualBarrier:
                 x_new = x + step * dx
                 s, g_new, p = self.blocks(x_new)
                 if g_new.max() < 0:
-                    barrier_new = float(np.sum(np.log(-np.expm1(g_new))))
+                    em1 = -np.expm1(g_new)
+                    barrier_new = float(np.sum(np.log(em1)))
                     change = step * slope + barrier - barrier_new
                     if change <= -0.1 * step * decrement:
-                        return x_new, s, g_new, p, barrier_new
+                        return x_new, s, g_new, p, barrier_new, em1
             step *= 0.5
         return None
 
@@ -240,43 +244,54 @@ def solve_qstar(joint):
 
     Damped log-barrier Newton method on the geometric-program dual (see
     `_DualBarrier`), started from the dual point of the conditional-product
-    coupling q0 and followed along the central path until the barrier gap
-    (blocks / t) is a small share of OBJECTIVE_TOL, at t = t_final. t grows
-    by BARRIER_GROWTH between stages, except that the last jump lands on
-    t_final itself. Stages below t_final stop at a Newton decrement of
-    LOOSE_CENTERING_TOL; only the final stage (t >= t_final), whose point
-    q* and the certificate are read from, is centered to CENTERING_TOL
-    (Boyd & Vandenberghe, Convex Optimization, 11.3). The Newton system
+    coupling q0 shifted until its largest block sits at g = -START_MARGIN,
+    at the t whose barrier gap is that point's own gap in closed form,
+    H_q0(Y1, Y2) plus the shift; then followed along the central path until
+    the barrier gap (blocks / t) is GAP_SHARE of OBJECTIVE_TOL, at t =
+    t_final. t grows by BARRIER_GROWTH between stages, except that the last
+    jump lands on t_final itself. Stages below t_final stop at a Newton
+    decrement of LOOSE_CENTERING_TOL; only the final stage (t >= t_final),
+    whose point q* and the certificate are read from, is centered to
+    CENTERING_TOL (Boyd & Vandenberghe, Convex Optimization, 11.3). The Newton system
     (`_DualBarrier.newton_system`) does not depend on t, so it is built once
     per dual point, the starting point and each point a line search accepts:
     the step that shows a stage centered and the first step of the next
     stage, at the larger t, solve the same system. q* is read off the
     central-path multipliers, q_ijk = lambda_ij softmax_k(-a_ik - b_jk), and
     a per-y rescaling of its rows and columns in the log domain makes its
-    marginals exact; q* is then normalised to total mass 1. MAX_ITERATIONS
-    caps the Newton steps; a solve stopped there returns unconverged.
+    marginals exact; q* is then normalised to total mass 1. It is certified
+    only when its gap is at most OBJECTIVE_TOL and its marginals are within
+    FEAS_TOL; otherwise t grows again and the next stage is centered, up to
+    1e3 t_final. MAX_ITERATIONS caps the Newton steps; a solve stopped there
+    returns unconverged.
 
     Returns (q*, diagnostics), all of them about that q*: `iterations`;
     `objective_gap`, the certificate, the dual value at the strictly
     feasible dual point minus H(Y | Y1, Y2) at q*, a sound upper bound on
     its distance to the optimum; `converged`, gap <= OBJECTIVE_TOL; and
     `feasibility_residual`, its `feasible_residual`. Raises InfeasibleError
-    when a recovered q is not finite or the residual is above FEAS_TOL.
+    when a recovered q is not finite, or when the solve stops with the
+    residual of its last q above FEAS_TOL.
     """
     # `p` names the in-block softmax below, so the joint is `joint` here
     prog = _DualBarrier(joint)
-    q0 = feasible_initial(joint).mass
     m1, m2, py = _marginals(joint)
-    # dual point of q0 (a_ik + b_jk = -log q0_ijk), moved one nat inside
+    # q0's dual point (a_ik + b_jk = -log q0_ijk), where block (i, j) sits at g = log q0(i, j) and the
+    # dual value is H_q0(Y1, Y2, Y): one shift of every a moves the largest block to -START_MARGIN and
+    # leaves a gap of H_q0(Y1, Y2) + shift nats to H_q0(Y | Y1, Y2)
     with np.errstate(divide="ignore", invalid="ignore"):
         half = 0.5 * np.log(py)
-        a = np.where(m1 > TINY, half + 1.0 - np.log(m1), 0.0)
+        a = np.where(m1 > TINY, half - np.log(m1), 0.0)
         b = np.where(m2 > TINY, half - np.log(m2), 0.0)
     x = np.concatenate([a.ravel(), b.ravel()])
     s, g, p = prog.blocks(x)
-    barrier = float(np.sum(np.log(-np.expm1(g))))
-    system = prog.newton_system(g, p)
-    t = prog.n_blocks / (float(prog.marg @ x) - LN2 * conditional_entropy_output(q0))
+    shift = float(g.max()) + START_MARGIN
+    t = prog.n_blocks / (shift - float(np.exp(g) @ g))
+    x[: a.size] += shift
+    s, g = s - shift, g - shift
+    em1 = -np.expm1(g)
+    barrier = float(np.sum(np.log(em1)))
+    system = prog.newton_system(g, p, em1)
     target = GAP_SHARE * OBJECTIVE_TOL * LN2
     t_final = prog.n_blocks / target
     q = np.zeros(prog.cells.shape)
@@ -293,8 +308,8 @@ def solve_qstar(joint):
             step = 1.0
             if moved is None:
                 break
-            x, s, g, p, barrier = moved
-            system = prog.newton_system(g, p)
+            x, s, g, p, barrier, em1 = moved
+            system = prog.newton_system(g, p, em1)
         if final or it >= MAX_ITERATIONS:
             q[prog.cells] = prog.recover(s, g, t, 0.01 * FEAS_TOL)
             if not np.all(np.isfinite(q)):
@@ -303,7 +318,10 @@ def solve_qstar(joint):
             # a uniform shift of a restores any rounding-level infeasibility
             dual = (float(prog.marg @ x) + max(0.0, float(g.max()))) / LN2
             gap = max(dual - conditional_entropy_output(q), 0.0)
-            if gap <= OBJECTIVE_TOL or it >= MAX_ITERATIONS or t >= 1e3 * t_final:
+            # q read off a point that a failed line search left uncentered can miss its marginals
+            # with a gap of 0: it is not certified, and the next stage centers again
+            residual = feasible_residual(q, joint)
+            if gap <= OBJECTIVE_TOL and residual <= FEAS_TOL or it >= MAX_ITERATIONS or t >= 1e3 * t_final:
                 break
         # the last jump lands on t_final rather than up to BARRIER_GROWTH past it
         if t < t_final < t * BARRIER_GROWTH:
@@ -313,7 +331,6 @@ def solve_qstar(joint):
         # x(t) approaches the optimum like 1/t, so the first Newton step after
         # raising t overshoots the new center by about the growth factor
         step = 1.0 / growth
-    residual = feasible_residual(q, joint)
     if not residual <= FEAS_TOL:  # written so that NaN fails it
         raise InfeasibleError(f"solver left the feasible set (residual {residual})")
     diagnostics = {

@@ -149,9 +149,9 @@ def traced_solve(p, monkeypatch):
         scaled.append(hess.copy())
         return real_scale(hess)
 
-    def newton_system(self, g, p):
+    def newton_system(self, g, p, em1):
         scaled.clear()
-        system = real_system(self, g, p)
+        system = real_system(self, g, p, em1)
         built[id(system)] = (system, p.copy(), scaled[0])  # held, so that no id is reused
         return system
 
@@ -261,10 +261,10 @@ def test_one_newton_system_per_point_reused_across_the_barrier_jump(kind, n, mon
     real_system, real_step = pid._DualBarrier.newton_system, pid._DualBarrier.newton_step
     real_search = pid._DualBarrier.line_search
 
-    def newton_system(self, g, p):
+    def newton_system(self, g, p, em1):
         built.append(g)
         point.setdefault("p", p)  # the first system is built at the starting point
-        return real_system(self, g, p)
+        return real_system(self, g, p, em1)
 
     def line_search(self, *args):
         moved = real_search(self, *args)
@@ -277,7 +277,7 @@ def test_one_newton_system_per_point_reused_across_the_barrier_jump(kind, n, mon
     def newton_step(self, system, t, g):
         out = real_step(self, system, t, g)
         # the same step from a system built afresh at the current point
-        fresh = real_step(self, real_system(self, g, point["p"]), t, g)
+        fresh = real_step(self, real_system(self, g, point["p"], -np.expm1(g)), t, g)
         steps.append((t, out, fresh))
         return out
 
@@ -304,8 +304,8 @@ def test_newton_system_margins_are_the_cell_margins_bit_for_bit(kind, monkeypatc
     checked = []
     real_system = pid._DualBarrier.newton_system
 
-    def newton_system(self, g, p):
-        system = real_system(self, g, p)
+    def newton_system(self, g, p, em1):
+        system = real_system(self, g, p, em1)
         u = np.exp(g) / -np.expm1(g)
         w = u[self.block_of] * p
         expected = np.bincount(np.r_[self.col_a, self.col_b], np.r_[w, w], len(self.marg))[self.free]
@@ -367,7 +367,7 @@ def test_feasibility_limit_is_sound(kind, n):
         _, g, p = prog.blocks(x)
         assert g.max() < 0
         t, free = 10.0 ** rng.uniform(-2, 6), len(prog.free)
-        *_, v = prog.newton_system(g, p)
+        *_, v = prog.newton_system(g, p, -np.expm1(g))
         system = (np.eye(free), np.ones(free), t * prog.marg_free - rng.normal(size=free), v)
         dx, _, limit = prog.newton_step(system, t, g)
         assert limit > 0

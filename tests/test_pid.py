@@ -435,10 +435,11 @@ def test_large_joints_certified_and_swap_symmetric(kind, n):
         assert components(a) == pytest.approx(components(b)[[0, 2, 1, 3]], abs=1e-6)
 
 
-# Total Newton steps over `budget_corpus`, measured when intermediate barrier
-# stages were first centered loosely; centering every stage tightly took 857.
+# Total Newton steps over `budget_corpus`, measured when the barrier first
+# started at q0's tightest shift with GAP_SHARE 0.3. Centering every stage
+# tightly took 857; centering the intermediate stages loosely, 638.
 # A change that needs more steps must say why here.
-NEWTON_STEP_BUDGET = 638
+NEWTON_STEP_BUDGET = 543
 
 
 def budget_corpus():
@@ -453,6 +454,49 @@ def test_newton_steps_within_budget():
     for res in results:
         assert res.converged and res.objective_gap <= OBJECTIVE_TOL and res.consistency["passed"], res.to_json()
     assert sum(res.iterations for res in results) <= NEWTON_STEP_BUDGET
+
+
+# Total Newton steps of the six gates at noise 0.05, each drawn 500000 times: 121
+# from a start moved one nat inside q0's dual point, 93 from q0's tightest shift.
+SAMPLED_GATE_STEP_BUDGET = 100
+# Steps of any one solve of `step_corpus`, which take at most 30. A centering
+# stalled on a plateau of the Newton decrement takes more: with
+# LOOSE_CENTERING_TOL at 1.0, three of its solves take 71 to 105 steps.
+SOLVE_STEP_CAP = 60
+
+
+def step_corpus():
+    """7 joints of each of five kinds at each n = 2-7: exponential masses, their cubes and
+    eighth powers, exponential masses on ~40% of the cells, and Dirichlet(0.1) masses."""
+    rng = np.random.default_rng(2)
+
+    def cubed(n):
+        m = rng.exponential(size=(n, n, n)) ** 3
+        return Joint3(m / m.sum())
+
+    kinds = [
+        lambda n: random_joint(rng, n),
+        cubed,
+        lambda n: near_deterministic_joint(rng, n),
+        lambda n: sparse_joint(rng, n),
+        lambda n: Joint3(rng.dirichlet(np.full(n**3, 0.1)).reshape(n, n, n)),
+    ]
+    return [draw(n) for n in range(2, 8) for draw in kinds for _ in range(7)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_sampled_gates_and_every_corpus_solve_within_their_step_budgets():
+    gates = [
+        convert(sample(canonical_joint(GateSpec(name, noise=0.05)), 500000, seed))
+        for seed, name in enumerate(GATES, start=6)
+    ]
+    for res in gates:
+        assert res.converged and res.consistency["passed"], res.to_json()
+    assert sum(res.iterations for res in gates) <= SAMPLED_GATE_STEP_BUDGET
+    for p in step_corpus():
+        res = pid_from_joint(p)
+        assert res.converged and res.consistency["passed"], res.to_json()
+        assert res.iterations <= SOLVE_STEP_CAP, res.to_json()
 
 
 def no_information_joint(rng, n, kind):
@@ -532,6 +576,24 @@ def test_residual_just_above_the_feasibility_tolerance_is_refused(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_q_off_its_marginals_once_is_not_certified_and_the_solve_goes_on(monkeypatch, n):
+    # the first q read off is spoiled, with a gap that can still read 0: it is
+    # not certified, and the q of the next stage is
+    recover, calls = _DualBarrier.recover, []
+
+    def spoil_first(self, *args):
+        calls.append(None)
+        q = recover(self, *args)
+        return scale_first_cell(1 + 1e-5)(q) if len(calls) == 1 else q
+
+    monkeypatch.setattr(_DualBarrier, "recover", spoil_first)
+    _, diagnostics = solve_qstar(random_joint(np.random.default_rng(3), n))
+    assert len(calls) >= 2
+    assert diagnostics["converged"] and diagnostics["feasibility_residual"] <= FEAS_TOL, diagnostics
+
+
+@pytest.mark.filterwarnings("error")
 def test_uniformly_scaled_recovered_q_is_normalised_and_certified(monkeypatch):
     # normalising q before the gap and the residual are taken undoes a uniform scale
     expected = components(pid_from_joint(AND_NOISY))
@@ -562,7 +624,7 @@ def test_solve_whose_line_searches_all_fail_breaks_down_without_a_warning(monkey
 
 
 # the most line searches an unforced solve of the failed-line-search test's joints makes
-LINE_SEARCHES = 26
+LINE_SEARCHES = 23
 
 
 @pytest.mark.filterwarnings("error")
