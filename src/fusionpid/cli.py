@@ -13,7 +13,6 @@ from .agreement import AgreementError, CategoryError, krippendorff_alpha, matrix
 from .dataset import (
     CHOICES,
     CONDITIONS,
-    RATINGS,
     Codes,
     SchemaError,
     label_indices,
@@ -125,20 +124,14 @@ def _agreement_summary(table, schema, metric, space=None):
         }
     else:
         measures = {name: (None, None, name, f"conf_{name}") for name in ("r", "u1", "u2", "s")}
-    categories = {}
-    for field in dict.fromkeys(field for _, _, field, _ in measures.values()):
-        col = table[field]
-        if schema == "decomposition":  # 0-5 ratings (interval-style by default), never encoded
-            categories[field] = col, RATINGS
-        else:
-            categories[field] = col.codes, col.levels if space is None else label_indices(col, space).tolist()
+    fields = dict.fromkeys(field for _, _, field, _ in measures.values())  # each field's labels encoded once
+    categories = {f: table[f].levels if space is None else label_indices(table[f], space).tolist() for f in fields}
     item = table["item_id"].codes
     alphas, confidences = {}, {}
     for name, (key, value, field, conf_field) in measures.items():
         rows = slice(None) if key is None else np.flatnonzero(table[key].codes == CHOICES[key].index(value))
-        codes, cats = categories[field]
-        alphas[name] = _alpha_json(item[rows], Codes(cats, codes[rows]), metric)
-        conf = table[conf_field][rows]
+        alphas[name] = _alpha_json(item[rows], Codes(categories[field], table[field].codes[rows]), metric)
+        conf = table[conf_field].codes[rows]
         if len(conf):
             confidences[name] = mean_confidence(conf)
     return alphas, confidences

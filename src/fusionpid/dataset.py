@@ -52,13 +52,13 @@ class Codes:
 class AnnotationTable:
     """Annotation rows of one record type, held by column; iterated, the rows as records.
 
-    Each field's kind is read from its name (`_column`): IDS are `Codes`
-    over the sorted distinct ids; a CHOICES field is `Codes` over its
-    choices; LABELS are `Codes` over the distinct raw labels, told apart by
-    type as well as value (JSON 1 and 1.0 are two labels); every other field
-    is a 0..5 rating, an int64 array. `key_order` holds the row positions
-    sorted by the record key: item, then condition / order (if the record
-    has one) in the order of its choices, then annotator.
+    Every column is `Codes`, its levels set by the field's name
+    (`_column`): IDS over the sorted distinct ids, a CHOICES field over its
+    choices, LABELS over the distinct raw labels, told apart by type as
+    well as value (JSON 1 and 1.0 are two labels), and every other field
+    over RATINGS, so that its codes are its ratings. `key_order` holds the
+    row positions sorted by the record key: item, then condition / order
+    (if the record has one) in the order of its choices, then annotator.
     """
 
     record: type
@@ -72,11 +72,7 @@ class AnnotationTable:
         return self.columns[name]
 
     def __iter__(self):  # the rows as records, in input order; read by perfbench/test_perfbench.py
-        cols = [
-            map(c.levels.__getitem__, c.codes.tolist()) if isinstance(c, Codes) else c.tolist()
-            for c in self.columns.values()
-        ]
-        return map(self.record, *cols)
+        return map(self.record, *(map(c.levels.__getitem__, c.codes.tolist()) for c in self.columns.values()))
 
 
 class _Index(dict):
@@ -272,15 +268,15 @@ def _json_columns(stream, names):
 
 
 def _column(name, levels, codes, row_at):
-    """One validated table column from a field's raw levels and codes.
+    """One validated `Codes` table column from a field's raw levels and codes.
 
-    The field's name gives its kind: a CHOICES field becomes `Codes` over
-    its choices, an IDS field `Codes` over its sorted text (levels that
-    read the same merged), a LABELS field `Codes` over its raw values, and
-    any other field a rating in [0, 5], an int64 array: a `number` that is
-    an integer, from text that int() reads too. Levels come in any order: a
-    level that is None (a missing field) or that its kind refuses refuses
-    the column with the error of the first row, in input order, that has it.
+    The field's name gives the column's levels: a CHOICES field's choices,
+    an IDS field's sorted text (levels that read the same merged), a LABELS
+    field's raw values, and for any other field RATINGS, a rating being its
+    own code: a `number` in [0, 5] that is an integer, from text that int()
+    reads too. Raw levels come in any order: a raw level that is None (a
+    missing field) or that the field's kind refuses refuses the column with
+    the error of the first row, in input order, that has it.
     """
 
     def parsed(parse):  # `parse` of each level, raising SchemaError on one it refuses
@@ -325,7 +321,7 @@ def _column(name, levels, codes, row_at):
     if name in LABELS:
         parsed(label)
         return Codes(levels, codes)
-    return np.array(parsed(rating), np.int64)[codes]
+    return Codes(RATINGS, np.array(parsed(rating), np.intp)[codes])
 
 
 def _table(record, raw, row_at):
@@ -441,7 +437,7 @@ def triples_from_partial(table, space, pairing="rotation"):
         picks, weights = _all_combinations(order, start, count)
     label = table["label"]
     labels = label_indices(label, space)[label.codes]
-    return TripleDataset(space, np.stack([labels[p] for p in picks], axis=1), weights)
+    return TripleDataset(space.size, np.stack([labels[p] for p in picks], axis=1), weights)
 
 
 def triples_from_counterfactual(table, space):
@@ -459,6 +455,6 @@ def triples_from_counterfactual(table, space):
     if space.kind in ("ordinal", "binned-continuous"):
         twice = i12 + i21
         y = (twice + (twice >= space.size - 1)) // 2
-        return TripleDataset(space, np.stack([y1, y2, y], axis=1), w)
+        return TripleDataset(space.size, np.stack([y1, y2, y], axis=1), w)
     samples = np.stack([y1, y2, i12, y1, y2, i21], axis=1).reshape(-1, 3)
-    return TripleDataset(space, samples, np.repeat(w / 2.0, 2))
+    return TripleDataset(space.size, samples, np.repeat(w / 2.0, 2))

@@ -5,9 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .label_space import MAX_LABELS
-
 MASS_TOL = 1e-9
+# The largest label count a PID solve can take: a dense n = 32 joint took
+# 12-15 s in 33-37 Newton steps and 253-268 MB peak RSS, n = 20 1.1-1.3 s
+# and 66 MB (fresh process, one OpenBLAS thread of a shared 2-core Intel
+# Xeon VM); time grows about as n^4.5 and the Newton matrix as n^4.
+MAX_LABELS = 32
 
 
 class DistributionError(ValueError):
@@ -62,21 +65,21 @@ class Joint3:
 
 @dataclass
 class TripleDataset:
-    """Weighted samples (y1, y2, y) over a shared label space.
+    """Weighted samples (y1, y2, y) over a shared support of `size` labels.
 
-    samples: (N, 3) label indices, stored as a C-contiguous uint8 array (a
-    space holds at most MAX_LABELS = 32 labels, so an index fits one byte and
-    a row three; counting the joint reads a third of the bytes int64 rows
-    would take); weights: (N,) positive numbers, kept as given when integers
-    (a sampled dataset's draw counts) and cast to float otherwise.
+    samples: (N, 3) label indices in [0, size), stored as a C-contiguous
+    uint8 array (size is at most MAX_LABELS = 32, so an index fits one byte
+    and a row three; counting the joint reads a third of the bytes int64
+    rows would take); weights: (N,) positive numbers, kept as given when
+    integers (a sampled dataset's draw counts) and cast to float otherwise.
     """
 
-    space: object
+    size: int
     samples: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        n = self.space.size
+        n = self.size
         if n > MAX_LABELS:  # an index must fit the uint8 cast below
             raise DistributionError(f"label space has {n} labels, more than the {MAX_LABELS} supported")
         self.samples = np.asarray(self.samples)
@@ -108,7 +111,7 @@ def empirical_joint(data, smoothing=0.0):
     samples = data.samples
     if not len(samples):
         raise DistributionError("empty dataset")
-    n = data.space.size
+    n = data.size
     codes = samples[:, 0].astype(np.uint16)
     codes *= n
     codes += samples[:, 1]

@@ -5,14 +5,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from .info import MAX_LABELS
 
 KINDS = ("nominal", "ordinal", "binned-continuous")
-
-# The largest label count a PID solve can take: a dense n = 32 joint took
-# 12-15 s in 33-37 Newton steps and 253-268 MB peak RSS, n = 20 1.1-1.3 s
-# and 66 MB (fresh process, one OpenBLAS thread of a shared 2-core Intel
-# Xeon VM); time grows about as n^4.5 and the Newton matrix as n^4.
-MAX_LABELS = 32
 
 
 class LabelSpaceError(ValueError):

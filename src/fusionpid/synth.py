@@ -5,7 +5,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import Joint3, TripleDataset
-from .label_space import build_label_space
 
 GATES = ("XOR", "AND", "OR", "COPY", "UNIQUE1", "UNIQUE2")
 
@@ -45,21 +44,17 @@ def canonical_joint(spec):
     return Joint3(mass)
 
 
-def gate_space(n=2):
-    return build_label_space({"kind": "nominal", "values": [str(i) for i in range(n)]})
-
-
 def sample(p, count, seed):
-    """`count` i.i.d. draws from p as one multinomial over its cells: a TripleDataset of the drawn cells,
-    in C order, each weighted by its number of draws (positive int64 counts, summing exactly to `count`).
+    """`count` i.i.d. draws from p as one multinomial over its cells: a TripleDataset over p's `size` labels
+    of the drawn cells, in C order, each weighted by its number of draws (positive int64 counts, summing
+    exactly to `count`).
 
     A zero cell never draws: the multinomial gives a cell of probability 0 no draws, and the trailing zero
     cells are trimmed, since its last cell takes whatever the others did not draw.
     """
     if not 1 <= count <= np.iinfo(np.int64).max:  # numpy's multinomial takes an int64 count
         raise ValueError(f"count must lie in [1, 2^63 - 1], got {count}")
-    space = gate_space(p.size)
     pvals = np.trim_zeros(p.mass.ravel() / p.mass.sum(), "b")
     counts = np.random.default_rng(seed).multinomial(count, pvals)
     drawn = np.flatnonzero(counts)
-    return TripleDataset(space, np.stack(np.unravel_index(drawn, p.mass.shape), axis=1), counts[drawn])
+    return TripleDataset(p.size, np.stack(np.unravel_index(drawn, p.mass.shape), axis=1), counts[drawn])

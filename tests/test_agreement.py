@@ -129,9 +129,9 @@ def test_mean_confidence_values():
         PartialRecord("i2", "a", "m1", "x", 5),
         PartialRecord("i3", "a", "m1", "x", 5),
     ]
-    assert mean_confidence(partial_table(recs)["confidence"]) == 5
+    assert mean_confidence(partial_table(recs)["confidence"].codes) == 5
     recs = [PartialRecord("i1", "a", "m1", "x", 0), PartialRecord("i2", "a", "m1", "x", 5)]
-    assert mean_confidence(partial_table(recs)["confidence"]) == 2.5
+    assert mean_confidence(partial_table(recs)["confidence"].codes) == 2.5
 
 
 def test_mean_confidence_multimodal_above_unimodal():
@@ -144,7 +144,7 @@ def test_mean_confidence_multimodal_above_unimodal():
     table = partial_table(recs)
 
     def mean(cond):
-        return mean_confidence(table["confidence"][table["condition"].codes == CONDITIONS.index(cond)])
+        return mean_confidence(table["confidence"].codes[table["condition"].codes == CONDITIONS.index(cond)])
 
     assert mean("both") > max(mean("m1"), mean("m2"))
 

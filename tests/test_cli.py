@@ -334,6 +334,17 @@ def test_convert_json_non_object_row_is_invalid_records(tmp_path):
     assert json.loads(result.output.strip().splitlines()[-1])["error"] == "invalid-records"
 
 
+@pytest.mark.parametrize("command", ["convert", "agreement"])
+def test_json_input_that_is_not_an_array_is_one_error_line(tmp_path, command):
+    src = tmp_path / "rows.json"
+    src.write_text(json.dumps({"a": 1}))
+    args = [command, "--input", str(src), "--format", "json", "--schema", "partial"]
+    result = run(args + (["--label-space", LABEL_SPACE] if command == "convert" else []))
+    assert result.exit_code == 2
+    error = '{"error": "invalid-records", "message": "JSON input must be an array of objects"}'
+    assert result.stderr.splitlines() == [error]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "args, code",
@@ -969,11 +980,11 @@ def test_synth_csv_output(tmp_path):
     assert sum(w for *_, w in rows) == 100
 
 
-def read_weighted_csv(path, space):
+def read_weighted_csv(path, n):
     """The `synth` CSV at `path` as a TripleDataset, each row weighted by its weight column."""
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     samples = np.array([[int(v) for v in row[:3]] for row in rows], np.uint8)
-    return TripleDataset(space, samples, np.array([float(row[3]) for row in rows]))
+    return TripleDataset(n, samples, np.array([float(row[3]) for row in rows]))
 
 
 @pytest.mark.parametrize(
@@ -994,7 +1005,7 @@ def test_synth_csv_equals_per_row_format_of_sample(tmp_path, gate, noise, count,
     assert out.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert run(args).output == out.read_text()  # stdout carries the same text
     # read back with its weights, the file is the same sample to the bit
-    assert np.array_equal(empirical_joint(read_weighted_csv(out, data.space)).mass, empirical_joint(data).mass)
+    assert np.array_equal(empirical_joint(read_weighted_csv(out, data.size)).mass, empirical_joint(data).mass)
 
 
 @pytest.mark.parametrize("count", ["0", "-1", "9223372036854775808", "100000000000000000000"])

@@ -3,7 +3,6 @@ import io
 import json
 import re
 from itertools import product
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +10,7 @@ import pytest
 from fusionpid import dataset
 from fusionpid.dataset import (
     CHOICES,
+    Codes,
     CounterfactualRecord,
     DecompositionRecord,
     PartialRecord,
@@ -116,7 +116,7 @@ def test_parse_json_decomposition_rating_must_not_be_a_bool():
 def test_parse_json_rating_reads_whole_numbers_and_their_text():
     rows = [{"item_id": f"i{k}", "annotator_id": "a1", "condition": "both", "label": "no", "confidence": c}
             for k, c in enumerate([4, 4.0, "4", 0])]
-    assert parse_partial(io.StringIO(json.dumps(rows)), "json")["confidence"].tolist() == [4, 4, 4, 0]
+    assert parse_partial(io.StringIO(json.dumps(rows)), "json")["confidence"].codes.tolist() == [4, 4, 4, 0]
 
 
 def test_parse_counterfactual_bad_order():
@@ -331,6 +331,14 @@ def dictreader_reference(text, record):
     return records
 
 
+def assert_columns_are_codes(table, records):
+    """Every column of `table` is `Codes` whose levels, indexed by its codes, give that field of `records`."""
+    for i, name in enumerate(table.record._fields):
+        col = table[name]
+        assert isinstance(col, Codes) and col.codes.dtype == np.intp and col.codes.min(initial=0) >= 0
+        assert [col.levels[c] for c in col.codes.tolist()] == [r[i] for r in records]
+
+
 # each record type with its parser, for the random-file comparisons
 RECORDS = [
     (PartialRecord, parse_partial),
@@ -355,6 +363,9 @@ def test_csv_parser_matches_dictreader_reference(record, parse):
             continue
         table = parse(io.StringIO(text))
         assert list(table) == want
+        assert_columns_are_codes(table, want)
+        # the same records as JSON (ids and labels text, ratings integers) read as the same columns
+        assert_columns_are_codes(parse(io.StringIO(json.dumps([r._asdict() for r in want])), "json"), want)
         # the one key sort is lexsort's order of (item, choice if any, annotator)
         keys = [table[n].codes for n in ("annotator_id", *CHOICES, "item_id") if n in table.columns]
         assert table.key_order.tolist() == np.lexsort(keys).tolist()
@@ -414,7 +425,9 @@ def reference(text, record):
 def outcome(want, text, parse):
     """The outcome of `parse` on `text`, checked against `want`: "parsed" or the kind of error."""
     if not isinstance(want, SchemaError):
-        assert list(parse(io.StringIO(text))) == want
+        table = parse(io.StringIO(text))
+        assert list(table) == want
+        assert_columns_are_codes(table, want)
         return "parsed"
     with pytest.raises(SchemaError) as err:
         parse(io.StringIO(text))
@@ -581,18 +594,18 @@ def test_rotation_total_weight_three_per_item():
 
 def test_triple_dataset_validation():
     with pytest.raises(DistributionError):
-        TripleDataset(NOMINAL, [(0, 1, 0)], [1.0, 1.0])  # one weight per sample
+        TripleDataset(2, [(0, 1, 0)], [1.0, 1.0])  # one weight per sample
     with pytest.raises(DistributionError):
-        TripleDataset(NOMINAL, [(0, 1, 0)], [[1.0]])  # weights not one-dimensional
+        TripleDataset(2, [(0, 1, 0)], [[1.0]])  # weights not one-dimensional
     with pytest.raises(DistributionError):
-        TripleDataset(NOMINAL, [(0, 1)], [1.0])  # not a triple
+        TripleDataset(2, [(0, 1)], [1.0])  # not a triple
     with pytest.raises(DistributionError):
-        TripleDataset(NOMINAL, [(0.0, 1.0, 0.0)], [1.0])  # not integer indices
+        TripleDataset(2, [(0.0, 1.0, 0.0)], [1.0])  # not integer indices
     with pytest.raises(DistributionError):
-        TripleDataset(NOMINAL, [(0, 2, 0)], [1.0])  # index out of range
+        TripleDataset(2, [(0, 2, 0)], [1.0])  # index out of range
     for w in (0.0, -1.0, np.nan):
         with pytest.raises(DistributionError):
-            TripleDataset(NOMINAL, [(0, 1, 0), (1, 1, 1)], [1.0, w])
+            TripleDataset(2, [(0, 1, 0), (1, 1, 1)], [1.0, w])
 
 
 @pytest.mark.parametrize(
@@ -606,24 +619,23 @@ def test_triple_dataset_validation():
 )
 def test_triple_dataset_messages_name_first_bad_entry(samples, weights, message):
     with pytest.raises(DistributionError, match=f"^{message}$"):
-        TripleDataset(NOMINAL, samples, weights)
+        TripleDataset(2, samples, weights)
 
 
 def test_triple_dataset_stores_contiguous_uint8_rows():
     wide = np.array([[1, 9, 0, 9, 1], [0, 9, 1, 9, 1]])  # int64, rows strided in the [:, ::2] view
-    data = TripleDataset(NOMINAL, wide[:, ::2], [1.0, 2.0])
+    data = TripleDataset(2, wide[:, ::2], [1.0, 2.0])
     assert data.samples.dtype == np.uint8 and data.samples.flags.c_contiguous
     assert data.samples.tolist() == [[1, 0, 1], [0, 1, 1]]
 
 
 def test_triple_dataset_refuses_space_over_max_labels():
-    too_big = SimpleNamespace(kind="nominal", size=MAX_LABELS + 1)
     with pytest.raises(DistributionError, match=f"^label space has 33 labels, more than the {MAX_LABELS} supported$"):
-        TripleDataset(too_big, [(0, 1, 32)], [1.0])
+        TripleDataset(MAX_LABELS + 1, [(0, 1, 32)], [1.0])
 
 
 def test_empty_triple_dataset_constructs_but_has_no_joint():
-    data = TripleDataset(NOMINAL, np.zeros((0, 3), int), [])
+    data = TripleDataset(2, np.zeros((0, 3), int), [])
     assert data.samples.shape == (0, 3) and data.weights.sum() == 0.0
     with pytest.raises(DistributionError, match="empty dataset"):
         empirical_joint(data)

@@ -120,5 +120,7 @@ def test_no_module_loads_scipy_or_jsonschema():
 
 
 def test_sampling_loads_no_parser():
-    # the sampler's TripleDataset lives beside the joint it counts, away from the file parsers
-    assert loaded("import fusionpid.synth", ("fusionpid.dataset", "csv", "json")) == "[]"
+    # the sampler's TripleDataset lives beside the joint it counts, away from the file parsers;
+    # it holds a label count, so neither the sampler nor the solver loads a label space
+    for module in ("fusionpid.synth", "fusionpid.pid"):
+        assert loaded(f"import {module}", ("fusionpid.dataset", "fusionpid.label_space", "csv", "json")) == "[]"

@@ -11,8 +11,8 @@ from fusionpid.info import (
     empirical_joint,
     information,
 )
-from fusionpid.label_space import MAX_LABELS, build_label_space
-from fusionpid.synth import GATES, GateSpec, canonical_joint, gate_space, sample
+from fusionpid.label_space import MAX_LABELS
+from fusionpid.synth import GATES, GateSpec, canonical_joint, sample
 
 
 def xor_joint():
@@ -94,15 +94,15 @@ def test_joint3_from_json_takes_the_largest_size():
 
 
 def test_empirical_joint_two_equal_cells():
-    data = TripleDataset(space=gate_space(2), samples=[(0, 0, 0), (1, 1, 1)], weights=[1.0, 1.0])
+    data = TripleDataset(size=2, samples=[(0, 0, 0), (1, 1, 1)], weights=[1.0, 1.0])
     p = empirical_joint(data)
     assert p.mass[0, 0, 0] == 0.5 and p.mass[1, 1, 1] == 0.5
 
 
 def test_empirical_joint_point_mass_and_weights():
-    single = TripleDataset(space=gate_space(2), samples=[(0, 1, 0)], weights=[2.0])
+    single = TripleDataset(size=2, samples=[(0, 1, 0)], weights=[2.0])
     assert empirical_joint(single).mass[0, 1, 0] == 1.0
-    weighted = TripleDataset(space=gate_space(2), samples=[(0, 0, 0), (1, 1, 1)], weights=[1.0, 3.0])
+    weighted = TripleDataset(size=2, samples=[(0, 0, 0), (1, 1, 1)], weights=[1.0, 3.0])
     p = empirical_joint(weighted)
     assert p.mass[0, 0, 0] == 0.25 and p.mass[1, 1, 1] == 0.75
 
@@ -117,7 +117,7 @@ def test_joint_rejects_nonfinite_mass():
 
 
 def test_empirical_joint_rejects_negative_or_nan_smoothing():
-    data = TripleDataset(space=gate_space(2), samples=[(0, 0, 0)], weights=[1.0])
+    data = TripleDataset(size=2, samples=[(0, 0, 0)], weights=[1.0])
     for smoothing in (-1.0, np.nan):
         with pytest.raises(ValueError):
             empirical_joint(data, smoothing=smoothing)
@@ -125,7 +125,7 @@ def test_empirical_joint_rejects_negative_or_nan_smoothing():
 
 @pytest.mark.filterwarnings("error")
 def test_empirical_joint_rejects_infinite_smoothing_or_total():
-    data = TripleDataset(space=gate_space(2), samples=[(0, 0, 0)], weights=[1.0])
+    data = TripleDataset(size=2, samples=[(0, 0, 0)], weights=[1.0])
     with pytest.raises(ValueError, match="finite"):
         empirical_joint(data, smoothing=np.inf)
     with pytest.raises(DistributionError, match="not finite"):
@@ -136,11 +136,10 @@ def test_empirical_joint_matches_loop_reference():
     rng = np.random.default_rng(5)
     samples = rng.integers(0, 4, (500, 3))
     weights = rng.random(500) + 0.01
-    space = build_label_space({"kind": "nominal", "values": list("abcd")})
     counts = np.zeros((4, 4, 4))
     for (y1, y2, y), w in zip(samples, weights):
         counts[y1, y2, y] += w
-    p = empirical_joint(TripleDataset(space, samples, weights), smoothing=0.5)
+    p = empirical_joint(TripleDataset(4, samples, weights), smoothing=0.5)
     assert np.array_equal(p.mass, (counts + 0.5) / (counts + 0.5).sum())
 
 
@@ -149,8 +148,7 @@ def test_label_index_fits_a_byte_and_cell_code_fits_uint16():
 
 
 def test_empirical_joint_counts_top_label_into_last_cell():
-    space = build_label_space({"kind": "nominal", "values": [str(i) for i in range(32)]})
-    data = TripleDataset(space, [(31, 31, 31), (31, 0, 0), (0, 31, 0)], [1.0, 2.0, 5.0])
+    data = TripleDataset(32, [(31, 31, 31), (31, 0, 0), (0, 31, 0)], [1.0, 2.0, 5.0])
     flat = empirical_joint(data).mass.ravel()
     assert flat[32767] == 0.125 and flat[31 * 32 * 32] == 0.25 and flat[31 * 32] == 0.625
     assert np.count_nonzero(flat) == 3
@@ -163,16 +161,15 @@ def test_empirical_joint_is_bit_identical_to_one_bincount(rows, n, smoothing):
     rng = np.random.default_rng(rows * 100 + n)
     samples = rng.integers(0, n, (rows, 3))
     weights = rng.random(rows) + 0.01
-    space = build_label_space({"kind": "nominal", "values": [str(i) for i in range(n)]})
     counts = np.bincount(np.ravel_multi_index(samples.T, (n,) * 3), weights, n**3).reshape(n, n, n) + smoothing
-    p = empirical_joint(TripleDataset(space, samples, weights), smoothing=smoothing)
+    p = empirical_joint(TripleDataset(n, samples, weights), smoothing=smoothing)
     assert np.array_equal(p.mass, counts / counts.sum())
 
 
 def test_empirical_joint_memory_is_at_most_four_bytes_a_row():
     rows = 10**6
     samples = np.random.default_rng(3).integers(0, 2, (rows, 3), dtype=np.uint8)
-    data = TripleDataset(gate_space(2), samples, np.ones(rows))
+    data = TripleDataset(2, samples, np.ones(rows))
     tracemalloc.start()
     try:
         empirical_joint(data)
@@ -195,13 +192,13 @@ def test_empirical_joint_of_a_sample_is_bit_identical_to_its_expanded_rows(p):
     for seed in range(3):
         data = sample(p, 10**5, seed)
         rows = np.repeat(data.samples, data.weights.astype(int), axis=0)
-        expanded = TripleDataset(data.space, rows, np.ones(len(rows)))
+        expanded = TripleDataset(data.size, rows, np.ones(len(rows)))
         assert np.array_equal(empirical_joint(data).mass, empirical_joint(expanded).mass)
 
 
 def test_empirical_joint_empty_is_error():
     with pytest.raises(DistributionError):
-        empirical_joint(TripleDataset(space=gate_space(2), samples=np.zeros((0, 3), int), weights=[]))
+        empirical_joint(TripleDataset(size=2, samples=np.zeros((0, 3), int), weights=[]))
 
 
 def test_information_of_a_copy_is_its_entropy():

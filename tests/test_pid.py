@@ -22,7 +22,7 @@ from fusionpid.pid import (
     pid_from_solution,
     solve_qstar,
 )
-from fusionpid.synth import GATES, GateSpec, canonical_joint, gate_space, sample
+from fusionpid.synth import GATES, GateSpec, canonical_joint, sample
 from oracle import OracleError, brute_force_qstar, oracle_components
 
 
@@ -260,7 +260,7 @@ def test_convert_copy_samples():
 
 
 def test_convert_constant_dataset_all_zero():
-    data = TripleDataset(space=gate_space(2), samples=[(1, 1, 1)] * 7, weights=[1.0] * 7)
+    data = TripleDataset(size=2, samples=[(1, 1, 1)] * 7, weights=[1.0] * 7)
     res = convert(data)
     assert components(res) == pytest.approx(np.zeros(4), abs=1e-12)
 
