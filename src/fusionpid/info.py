@@ -19,10 +19,10 @@ class DistributionError(ValueError):
 
 class Joint3:
     """Joint distribution p(y1, y2, y) on a shared support of size n. Cells down to -MASS_TOL are admitted
-    as rounding: they are set to zero and the rest rescaled to total 1. Any other mass is kept as given."""
+    as rounding: they are set to zero and the rest rescaled to total 1. Any other mass is kept as given, copied."""
 
     def __init__(self, mass):
-        self.mass = np.asarray(mass, dtype=float)
+        self.mass = np.array(mass, dtype=float)
         if self.mass.ndim != 3 or len(set(self.mass.shape)) != 1:
             raise DistributionError("Joint3 mass must be a cube")
         if not np.all(np.isfinite(self.mass)):
@@ -67,11 +67,11 @@ class Joint3:
 class TripleDataset:
     """Weighted samples (y1, y2, y) over a shared support of `size` labels.
 
-    samples: (N, 3) label indices in [0, size), stored as a C-contiguous
-    uint8 array (size is at most MAX_LABELS = 32, so an index fits one byte
-    and a row three; counting the joint reads a third of the bytes int64
-    rows would take); weights: (N,) positive numbers, kept as given when
-    integers (a sampled dataset's draw counts) and cast to float otherwise.
+    samples: (N, 3) label indices in [0, size), stored as a C-contiguous uint8 array (size is at most
+    MAX_LABELS = 32, so an index fits one byte and a row three; counting the joint reads a third of the
+    bytes int64 rows would take); weights: (N,) positive numbers, kept as given when integers (a sampled
+    dataset's draw counts) and cast to float otherwise. Both are copies, so that no later edit of the
+    caller's arrays skips the checks.
     """
 
     size: int
@@ -83,8 +83,8 @@ class TripleDataset:
         if n > MAX_LABELS:  # an index must fit the uint8 cast below
             raise DistributionError(f"label space has {n} labels, more than the {MAX_LABELS} supported")
         self.samples = np.asarray(self.samples)
-        weights = np.asarray(self.weights)  # integer counts stay exact above 2^53
-        self.weights = weights if weights.dtype.kind in "iu" else np.asarray(self.weights, dtype=float)
+        weights = np.array(self.weights)  # integer counts stay exact above 2^53
+        self.weights = weights if weights.dtype.kind in "iu" else weights.astype(float, copy=False)
         shape_ok = self.samples.shape[1:] == (3,) and self.weights.shape == self.samples.shape[:1]
         if not shape_ok or self.samples.dtype.kind not in "iu":
             raise DistributionError("samples must be an (N, 3) integer array and weights an (N,) array")
@@ -94,7 +94,7 @@ class TripleDataset:
                 raise DistributionError(f"nonpositive weight {self.weights[np.argmin(self.weights > 0)]}")
             if self.samples.min() < 0 or self.samples.max() >= n:
                 raise DistributionError(f"index out of range for space of size {n}")
-        self.samples = np.ascontiguousarray(self.samples, np.uint8)
+        self.samples = np.array(self.samples, np.uint8, order="C")
 
 
 def empirical_joint(data, smoothing=0.0):
@@ -130,7 +130,7 @@ def empirical_joint(data, smoothing=0.0):
 def information(dist):
     """Information terms of a Joint3, in bits, from its 7 entropies computed in one pass.
 
-    Returns I(Y1;Y), I(Y2;Y), I(Y1;Y|Y2), I(Y2;Y|Y1), I(Y1;Y2;Y) and I(Y1,Y2;Y).
+    Returns I(Y1;Y), I(Y2;Y), I(Y1;Y|Y2), I(Y2;Y|Y1), I(Y1;Y2;Y), I(Y1,Y2;Y) and, as "h_cond", H(Y|Y1,Y2).
     """
     m = dist.mass
     n = len(m)
@@ -148,11 +148,5 @@ def information(dist):
         "c2": h12 + h1y - h - h1,
         "ii": (h1 + h2 - h12) - (h1y + h2y - h - hy),
         "total": h12 + hy - h,
+        "h_cond": h - h12,
     }
-
-
-def conditional_entropy_output(dist):
-    """H(Y | Y1, Y2) = H(Y1, Y2, Y) - H(Y1, Y2) of a Joint3 or its mass cube, in bits."""
-    m = dist.mass if isinstance(dist, Joint3) else np.asarray(dist, dtype=float)
-    pair, cube = ((x * np.log2(x, out=np.zeros_like(x), where=x > 0)).sum() for x in (m.sum(axis=2), m))
-    return float(pair - cube)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .info import Joint3, conditional_entropy_output, empirical_joint, information
+from .info import Joint3, empirical_joint, information
 
 FEAS_TOL = 1e-9
 CONSISTENCY_TOL = 1e-4
@@ -268,10 +268,11 @@ def solve_qstar(joint):
     Returns (q*, diagnostics), all of them about that q*: `iterations`;
     `objective_gap`, the certificate, the dual value at the strictly
     feasible dual point minus H(Y | Y1, Y2) at q*, a sound upper bound on
-    its distance to the optimum; `converged`, gap <= OBJECTIVE_TOL; and
-    `feasibility_residual`, its `feasible_residual`. Raises InfeasibleError
-    when a recovered q is not finite, or when the solve stops with the
-    residual of its last q above FEAS_TOL.
+    its distance to the optimum; `converged`, gap <= OBJECTIVE_TOL;
+    `feasibility_residual`, its `feasible_residual`; and `information`, the
+    `information` table the gap's H(Y | Y1, Y2) is read from. Raises
+    InfeasibleError when a recovered q is not finite, or when the solve stops
+    with the residual of its last q above FEAS_TOL.
     """
     # `p` names the in-block softmax below, so the joint is `joint` here
     prog = _DualBarrier(joint)
@@ -314,13 +315,14 @@ def solve_qstar(joint):
             q[prog.cells] = prog.recover(s, g, t, 0.01 * FEAS_TOL)
             if not np.all(np.isfinite(q)):
                 raise InfeasibleError("solver broke down numerically")
-            q /= q.sum()
+            q_star = Joint3(q / q.sum())
+            info = information(q_star)
             # a uniform shift of a restores any rounding-level infeasibility
             dual = (float(prog.marg @ x) + max(0.0, float(g.max()))) / LN2
-            gap = max(dual - conditional_entropy_output(q), 0.0)
+            gap = max(dual - info["h_cond"], 0.0)
             # q read off a point that a failed line search left uncentered can miss its marginals
             # with a gap of 0: it is not certified, and the next stage centers again
-            residual = feasible_residual(q, joint)
+            residual = feasible_residual(q_star.mass, joint)
             if gap <= OBJECTIVE_TOL and residual <= FEAS_TOL or it >= MAX_ITERATIONS or t >= 1e3 * t_final:
                 break
         # the last jump lands on t_final rather than up to BARRIER_GROWTH past it
@@ -338,8 +340,9 @@ def solve_qstar(joint):
         "objective_gap": gap,
         "feasibility_residual": residual,
         "converged": gap <= OBJECTIVE_TOL,
+        "information": info,
     }
-    return Joint3(q), diagnostics
+    return q_star, diagnostics
 
 
 def _clamp(value, failures, name):
@@ -352,8 +355,9 @@ def _clamp(value, failures, name):
 
 
 def pid_from_solution(q_star, diagnostics, p_info):
-    """R, U1, U2, S in bits of the joint p from its q*, the solve's `diagnostics` and p's `information` `p_info`."""
-    info = information(q_star)
+    """R, U1, U2, S in bits of the joint p from its q* and the solve's `diagnostics`, q*'s `information` among
+    them, and p's `information` `p_info`."""
+    info = diagnostics["information"]
     failures = []
     r = _clamp(info["ii"], failures, "R")
     u1 = _clamp(info["c1"], failures, "U1")

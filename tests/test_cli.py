@@ -697,6 +697,26 @@ def test_no_command_loads_jsonschema(tmp_path):
     assert (tmp_path / "r.json").exists() and (tmp_path / "a.json").exists()
 
 
+def run_module(args):
+    """`python -m fusionpid.cli` with `args` in a fresh interpreter: the entry point the benchmark times."""
+    env = {**os.environ, "PYTHONPATH": str(Path(fusionpid.__file__).resolve().parents[1])}
+    return subprocess.run([sys.executable, "-m", "fusionpid.cli", *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point_converts_a_partial_csv(tmp_path):
+    args = partial_convert_args(tmp_path) + ["--out", str(tmp_path / "report.json")]
+    done = run_module(args)
+    assert done.returncode == 0 and done.stderr == "", done.stderr
+    check_report(args, done.returncode, done.stdout)
+    assert json.loads((tmp_path / "report.json").read_text())["pid"]["converged"]
+
+
+def test_module_entry_point_refuses_an_unknown_option_in_one_json_line(tmp_path):
+    done = run_module(partial_convert_args(tmp_path) + ["--no-such-option"])
+    assert done.returncode == 2
+    assert [set(json.loads(line)) for line in done.stderr.splitlines()] == [{"error", "message"}], done.stderr
+
+
 def test_malformed_json_input_is_invalid_records(tmp_path):
     src = tmp_path / "rows.json"
     src.write_text('[{"item_id": ')

@@ -7,11 +7,11 @@ from fusionpid.info import (
     DistributionError,
     Joint3,
     TripleDataset,
-    conditional_entropy_output,
     empirical_joint,
     information,
 )
 from fusionpid.label_space import MAX_LABELS
+from fusionpid.pid import convert, pid_from_joint
 from fusionpid.synth import GATES, GateSpec, canonical_joint, sample
 
 
@@ -61,6 +61,28 @@ def test_joint3_zeroes_admitted_negative_cells_and_keeps_any_other_mass_as_given
     mass[0, 1, 0], mass[1, 1, 1] = -2e-9, 0.25 + 2e-9
     with pytest.raises(DistributionError, match="^negative probability mass$"):
         Joint3(mass)
+
+
+def test_joint3_keeps_a_copy_of_the_mass_it_checked():
+    mass = np.full((2, 2, 2), 0.125)
+    p = Joint3(mass)
+    mass[:] = -1.0  # would sum to -8, and break the solve's block reductions
+    assert np.array_equal(p.mass, np.full((2, 2, 2), 0.125))
+    res = pid_from_joint(p)
+    assert res.converged and res.consistency["passed"], res.to_json()
+
+
+def test_triple_dataset_keeps_a_copy_of_the_samples_and_weights_it_checked():
+    rows, counts = [[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]], [3, 1, 2, 5]
+    for dtype in (np.int64, float):
+        samples, weights = np.array(rows, dtype=np.uint8), np.array(counts, dtype=dtype)
+        data = TripleDataset(2, samples, weights)
+        samples[0, 0], weights[1] = 7, -1  # out of range for 2 labels, and a nonpositive weight
+        assert np.array_equal(data.samples, rows) and np.array_equal(data.weights, counts)
+        # still C-contiguous uint8 rows, and integer counts still integers
+        assert data.samples.dtype == np.uint8 and data.samples.flags.c_contiguous and data.weights.dtype == dtype
+        res = convert(data)
+        assert res.converged and res.consistency["passed"], res.to_json()
 
 
 def test_joint3_json_roundtrip():
@@ -288,7 +310,7 @@ def test_total_information_bookkeeping():
         assert info["i2"] - info["c2"] == pytest.approx(info["ii"], abs=1e-9)
 
 
-def test_conditional_entropy_output_is_output_entropy_minus_total():
+def test_h_cond_is_output_entropy_minus_total():
     rng = np.random.default_rng(16)
     for n in (2, 3, 5):
         m = random_joint(rng, n).mass.ravel().copy()
@@ -298,5 +320,5 @@ def test_conditional_entropy_output_is_output_entropy_minus_total():
         py = p.mass.sum(axis=(0, 1))
         hy = -float(py @ np.log2(py))
         # H(Y | Y1, Y2) = H(Y) - I(Y1, Y2; Y), the second from the entropy table
-        assert conditional_entropy_output(p) == pytest.approx(hy - information(p)["total"], abs=1e-12)
-        assert conditional_entropy_output(p.mass) == conditional_entropy_output(p)
+        info = information(p)
+        assert info["h_cond"] == pytest.approx(hy - info["total"], abs=1e-12)

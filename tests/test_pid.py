@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fusionpid.info import Joint3, TripleDataset, conditional_entropy_output, information
+from fusionpid.info import Joint3, TripleDataset, information
 from fusionpid.pid import (
     FEAS_TOL,
     OBJECTIVE_TOL,
@@ -88,19 +88,19 @@ def test_admitted_negative_cells_leave_the_decomposition_exact():
 
 def test_solve_xor_objective_one_bit():
     q, diag = solve_qstar(gate("XOR"))
-    assert conditional_entropy_output(q) == pytest.approx(1.0, abs=1e-6)
+    assert information(q)["h_cond"] == pytest.approx(1.0, abs=1e-6)
     assert diag["converged"]
 
 
 def test_solve_copy_objective_zero():
     q, diag = solve_qstar(gate("COPY"))
-    assert conditional_entropy_output(q) == pytest.approx(0.0, abs=1e-9)
+    assert information(q)["h_cond"] == pytest.approx(0.0, abs=1e-9)
     assert np.allclose(q.mass, gate("COPY").mass, atol=1e-9)
 
 
 def test_solve_and_objective_half_bit():
     q, diag = solve_qstar(gate("AND"))
-    assert conditional_entropy_output(q) == pytest.approx(0.5, abs=1e-6)
+    assert information(q)["h_cond"] == pytest.approx(0.5, abs=1e-6)
 
 
 def test_solver_feasibility_invariants():
@@ -112,7 +112,7 @@ def test_solver_feasibility_invariants():
         assert np.all(q.mass >= 0)
         assert q.mass.sum() == pytest.approx(1.0, abs=1e-12)
         # ascent from the feasible initial point
-        assert conditional_entropy_output(q.mass) >= conditional_entropy_output(feasible_initial(p)) - 1e-12
+        assert information(q)["h_cond"] >= information(feasible_initial(p))["h_cond"] - 1e-12
 
 
 def test_brute_force_copy_singleton():
@@ -126,10 +126,8 @@ def test_brute_force_matches_solver_on_xor_and_and():
         p = gate(name)
         q_grid = brute_force_qstar(p, 1000)
         q_fw, _ = solve_qstar(p)
-        assert conditional_entropy_output(q_grid) == pytest.approx(target, abs=1e-4)
-        assert conditional_entropy_output(q_grid) == pytest.approx(
-            conditional_entropy_output(q_fw), abs=1e-4
-        )
+        assert information(q_grid)["h_cond"] == pytest.approx(target, abs=1e-4)
+        assert information(q_grid)["h_cond"] == pytest.approx(information(q_fw)["h_cond"], abs=1e-4)
 
 
 def test_brute_force_rejects_too_many_parameters():
@@ -175,11 +173,21 @@ def test_gate_pid_components(name, expected):
 
 def test_negative_redundancy_beyond_the_clamp_tolerance_is_reported_unconverged():
     # XOR as its own q*: I(Y1;Y2;Y) = -1 bit, far below the clamp tolerance
+    xor = information(gate("XOR"))
     diagnostics = {"iterations": 0, "objective_gap": 0.0, "feasibility_residual": 0.0, "converged": True}
-    res = pid_from_solution(gate("XOR"), diagnostics, information(gate("XOR")))
+    res = pid_from_solution(gate("XOR"), {**diagnostics, "information": xor}, xor)
     assert res.r == pytest.approx(-1.0, abs=1e-12)
     assert res.converged is False
     assert res.consistency["failures"] == ["R = -1.000e+00 below clamp tolerance"]
+
+
+def test_solve_passes_on_the_information_table_of_the_qstar_it_returns():
+    # the certificate and R/U1/U2/S read this one table; it is q*'s own, bit for bit
+    rng = np.random.default_rng(41)
+    for p in [gate(name) for name in GATES] + [random_joint(rng, n) for n in (2, 3, 4, 5)]:
+        q_star, diagnostics = solve_qstar(p)
+        assert diagnostics["information"] == information(q_star)
+        assert diagnostics["converged"] and diagnostics["objective_gap"] <= OBJECTIVE_TOL
 
 
 def test_clamp_tolerance_is_the_certified_objective_tolerance():
